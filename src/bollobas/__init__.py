@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     FormatError,
     GradeError,
+    IndexRangeError,
     MismatchError,
     OverlapError,
     RangeError,

@@ -21,10 +21,17 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .errors import DimensionError, RetriesExhausted, UniformityError
-from .exterior import SubspaceRep, Vec, det, rank, row_basis, sum_rank
+from .errors import (
+    BollobasError,
+    DimensionError,
+    IndexRangeError,
+    RetriesExhausted,
+    UniformityError,
+)
+from .exterior import IntRow, Rational, SubspaceRep, _det, _pivot_rows, _rank
 from .spaces import SubspaceFamily, skew_spaces_violation
 from .sums import tuple_weight
 
@@ -35,6 +42,11 @@ def derive_seed(seed: int, label: str) -> int:
     """Stable 64-bit child seed for a named stage; adding stages never shifts earlier ones."""
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _project(row: Sequence[Rational], columns: Sequence[Sequence[int]]) -> tuple:
+    """A row vector times the matrix whose columns are given."""
+    return tuple(sum(map(mul, row, col)) for col in columns)
 
 
 @dataclass(frozen=True)
@@ -48,19 +60,15 @@ class GeneralPositionMap:
     verified_constraints: tuple[tuple[int, int], ...]  # (constraint index, required dim)
     retries: int
 
-    def apply_rows(self, rows: Sequence[Vec]) -> list[list[Fraction]]:
-        """Images of the given row vectors."""
-        out = []
-        for row in rows:
-            out.append(
-                [sum(row[i] * self.matrix[i][c] for i in range(self.n)) for c in range(self.target)]
-            )
-        return out
+    def apply_rows(self, rows: Sequence[Sequence[Rational]]) -> list[tuple]:
+        """Images of the given row vectors (integer rows map to integer rows)."""
+        columns = tuple(zip(*self.matrix))
+        return [_project(row, columns) for row in rows]
 
     def image(self, sp: SubspaceRep) -> SubspaceRep:
         """The image subspace (basis re-extracted, so dimension may drop)."""
-        rows = self.apply_rows(sp.basis)
-        return SubspaceRep.span_of(rows, self.target)
+        rows = self.apply_rows(sp.rows)
+        return SubspaceRep(self.target, tuple(rows[i] for i in _pivot_rows(rows, self.target)))
 
 
 def sample_general_position(
@@ -74,53 +82,65 @@ def sample_general_position(
     """Draw random integer matrices until one preserves min(dim U, target) for
     every constraint subspace U, verified by exact rank.
 
-    Over the rationals a fixed draw fails with probability zero, so running
-    out of retries flags a bug or an infeasible constraint set rather than
-    bad luck.
+    Equal constraints are tested once per draw, and each distinct basis row
+    is projected once per draw.  Over the rationals a fixed draw fails with
+    probability zero, so running out of retries flags a bug or an infeasible
+    constraint set rather than bad luck.
     """
     if target > ambient:
         raise DimensionError(f"target dimension {target} exceeds ambient {ambient}")
     if entry_bound is None:
         entry_bound = 10 * (len(constraints) + 1) * ambient
+    distinct = list(dict.fromkeys(constraints))
     rng = random.Random(seed)
     for attempt in range(max_retries):
         matrix = tuple(
             tuple(rng.randint(-entry_bound, entry_bound) for _ in range(target))
             for _ in range(ambient)
         )
-        verified: list[tuple[int, int]] = []
-        ok = True
-        for idx, sp in enumerate(constraints):
-            want = min(sp.dim, target)
-            rows = [
-                [sum(b[i] * matrix[i][c] for i in range(ambient)) for c in range(target)]
-                for b in sp.basis
-            ]
-            if rank(rows) != want:
-                ok = False
+        columns = tuple(zip(*matrix))
+        images: dict[IntRow, tuple] = {}
+        for sp in distinct:
+            rows = []
+            for r in sp.rows:
+                img = images.get(r)
+                if img is None:
+                    img = images[r] = _project(r, columns)
+                rows.append(img)
+            if _rank(rows) != min(sp.dim, target):
                 break
-            verified.append((idx, want))
-        if ok:
-            return GeneralPositionMap(ambient, target, matrix, tuple(verified), attempt)
+        else:
+            verified = tuple((idx, min(sp.dim, target)) for idx, sp in enumerate(constraints))
+            return GeneralPositionMap(ambient, target, matrix, verified, attempt)
     raise RetriesExhausted(f"no general-position map found in {max_retries} draws")
 
 
 def _phi_constraints(f: SubspaceFamily, k: int) -> list[SubspaceRep]:
     """The constraint list for stage k: every prefix sum A_i^(1)+...+A_i^(k)
-    and every pairwise sum A_i^(p) + A_j^(q) with p, q <= k."""
+    and every pairwise sum A_i^(p) + A_j^(q) with p, q <= k.
+
+    Sums with the same set of basis rows, such as the two orders of one pair,
+    share one SubspaceRep, so each is spanned once and a draw tests each
+    distinct constraint once, while the list keeps one slot per sum.
+    """
+    spans: dict[tuple[IntRow, ...], SubspaceRep] = {}
+
+    def span(rows: tuple[IntRow, ...]) -> SubspaceRep:
+        key = tuple(sorted(set(rows)))
+        sp = spans.get(key)
+        if sp is None:
+            sp = spans[key] = SubspaceRep(f.n, tuple(key[i] for i in _pivot_rows(key, f.n)))
+        return sp
+
     m = len(f.entries)
-    constraints: list[SubspaceRep] = []
-    for i in range(m):
-        rows: list[Vec] = []
-        for p in range(k):
-            rows.extend(f.entries[i][p].basis)
-        constraints.append(SubspaceRep(f.n, row_basis(rows, f.n)))
-    for i in range(m):
-        for j in range(m):
-            for p in range(k):
-                for q in range(k):
-                    rows = list(f.entries[i][p].basis) + list(f.entries[j][q].basis)
-                    constraints.append(SubspaceRep(f.n, row_basis(rows, f.n)))
+    constraints = [span(sum((f.entries[i][p].rows for p in range(k)), ())) for i in range(m)]
+    constraints.extend(
+        span(f.entries[i][p].rows + f.entries[j][q].rows)
+        for i in range(m)
+        for j in range(m)
+        for p in range(k)
+        for q in range(k)
+    )
     return constraints
 
 
@@ -136,29 +156,37 @@ def build_phi(
         dim(phi(A_i^(p)) ∩ phi(A_j^(q))) == dim(A_i^(p) ∩ A_j^(q)).
 
     (Pairs with p != q always fit; a p == q pair can exceed the target and
-    then no map could preserve it.)
+    then no map could preserve it.)  Each part is projected once, and the
+    ranks of a sum and of its image are computed once per set of basis rows.
     """
     sizes = f.uniform_type()
     if sizes is None:
         raise UniformityError("general-position stages need a uniform (constant-type) family")
     d = f.d
     if not 2 <= k <= d:
-        raise IndexError(f"stage k must be in 2..{d}, got {k}")
+        raise IndexRangeError(f"stage k must be in 2..{d}, got {k}")
     target = sum(sizes[:k])
     phi = sample_general_position(f.n, target, _phi_constraints(f, k), seed, max_retries)
     m = len(f.entries)
+    images = {(i, p): phi.apply_rows(f.entries[i][p].rows) for i in range(m) for p in range(k)}
+    image_dims = {key: _rank(rows) for key, rows in images.items()}
+    # dim of the sum and of its image, per set of basis rows summed
+    sums: dict[frozenset[IntRow], tuple[int, int]] = {}
     for i in range(m):
         for j in range(m):
             for p in range(k):
                 for q in range(k):
                     a, b = f.entries[i][p], f.entries[j][q]
-                    joint = sum_rank(a, b)
+                    key = frozenset(a.rows + b.rows)
+                    if key not in sums:
+                        sums[key] = (_rank(a.rows + b.rows), _rank(images[i, p] + images[j, q]))
+                    joint, image_joint = sums[key]
                     if joint > target:
                         continue  # no map into the target can preserve this sum
-                    ia, ib = phi.image(a), phi.image(b)
+                    ia, ib = image_dims[i, p], image_dims[j, q]
                     want = a.dim + b.dim - joint
-                    got = ia.dim + ib.dim - sum_rank(ia, ib)
-                    if ia.dim != a.dim or ib.dim != b.dim or got != want:
+                    got = ia + ib - image_joint
+                    if ia != a.dim or ib != b.dim or got != want:
                         raise RetriesExhausted(
                             "verified constraints but intersection dims moved at "
                             f"(i={i + 1}, j={j + 1}, p={p + 1}, q={q + 1})"
@@ -181,27 +209,28 @@ def evaluation_matrix(
         raise UniformityError("evaluation matrix needs a uniform family")
     d = f.d
     m = len(f.entries)
-    # projected bases, kept as raw rows: proj[k][i][p] = rows of phi_k(A_i^(p))
-    proj: dict[int, list[list[list[list[Fraction]]]]] = {}
-    for k in range(2, d + 1):
-        phi = maps[k]
-        proj[k] = [
-            [phi.apply_rows(f.entries[i][p].basis) for p in range(k)] for i in range(m)
-        ]
+    # proj[k][i][p] = phi_k applied to A_i^(p).rows; a stack of these has the
+    # product of its parts' scales times the determinant of the rational images
+    proj = {
+        k: [[maps[k].apply_rows(f.entries[i][p].rows) for p in range(k)] for i in range(m)]
+        for k in range(2, d + 1)
+    }
     out = []
     for i in range(m):
         row = []
         for j in range(m):
-            value = Fraction(1)
+            num, den = 1, 1
             for k in range(2, d + 1):
-                stacked: list[list[Fraction]] = []
+                stacked: list[tuple] = []
                 for p in range(k - 1):
                     stacked.extend(proj[k][i][p])
+                    den *= f.entries[i][p].scale
                 stacked.extend(proj[k][j][k - 1])
-                value *= det(stacked)
-                if value == 0:
+                den *= f.entries[j][k - 1].scale
+                num *= _det(stacked)
+                if num == 0:
                     break
-            row.append(value)
+            row.append(Fraction(num, den))
         out.append(tuple(row))
     return tuple(out)
 
@@ -262,7 +291,8 @@ def certify(
     bound = tuple_weight(sizes)
     verdict = not bad
     # a triangular pattern forces f_1..f_m independent inside a bound-dim space
-    assert not verdict or m <= bound, f"pattern held with m = {m} > bound {bound}"
+    if verdict and m > bound:
+        raise BollobasError(f"pattern held with m = {m} > bound {bound}")
     return Certificate(
         m=m,
         sizes=tuple(sizes),

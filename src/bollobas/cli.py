@@ -214,6 +214,8 @@ def _cmd_simulate(ns) -> tuple[dict, int]:
 def _cmd_certify(ns) -> tuple[dict, int]:
     text, digest = _read_input(ns.input)
     obj = _load_json(text)
+    if not isinstance(obj, dict):
+        raise FormatError("certify input JSON must be an object")
     if "tuples" in obj:
         fam = lift_to_spaces(family_from_json(obj))
     elif "entries" in obj:
@@ -304,13 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report, code = ns.fn(ns)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BollobasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BollobasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report, ns.output)

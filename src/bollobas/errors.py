@@ -61,3 +61,7 @@ class RetriesExhausted(BollobasError):
 
 class FormatError(BollobasError):
     """Malformed JSON input (missing field, wrong shape, bad rational string)."""
+
+
+class IndexRangeError(BollobasError, IndexError):
+    """A stage or gap index lies outside its valid range."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import ArityError, DomainError, SizeError
+from .errors import ArityError, DomainError, IndexRangeError, SizeError
 from .families import DTuple, Family, TupleType, type_of
 from .sums import binomial, multinomial
 
@@ -163,7 +163,7 @@ def in_event_general(sigma: Permutation, t: DTuple, k: int) -> bool:
     """
     d = t.d
     if not 1 <= k <= d - 1:
-        raise IndexError(f"gap index k must be in 1..{d - 1}, got {k}")
+        raise IndexRangeError(f"gap index k must be in 1..{d - 1}, got {k}")
     need = t.n + d - 2
     if sigma.size != need:
         raise SizeError(f"permutation of size {sigma.size}, expected {need}")

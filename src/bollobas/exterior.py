@@ -10,6 +10,9 @@ subspace.
 
 Determinants and ranks use fraction-free (Bareiss-style) elimination on
 denominator-cleared integer matrices, exact at any size that fits in memory.
+`rank`, `row_basis` and `det` accept rationals and clear denominators once
+per call; their integer kernels `_rank`, `_pivot_rows` and `_det` are what the
+subspace code calls, on the integer rows every `SubspaceRep` keeps.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Iterable, Sequence
 from .errors import DimensionError, DomainError, GradeError
 
 Vec = tuple[Fraction, ...]
+IntRow = tuple[int, ...]
 
 Rational = Fraction | int | str
 
@@ -32,39 +36,42 @@ def vector(xs: Iterable[Rational]) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
-def _int_rows(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], Fraction]:
+def _clear_row(row: Sequence[Rational]) -> tuple[IntRow, int]:
+    """The row times the lcm of its denominators, and that lcm (1 for an integer row)."""
+    if all(type(x) is int for x in row):
+        return tuple(row), 1
+    fr = [Fraction(x) for x in row]
+    lcm = math.lcm(*(x.denominator for x in fr))
+    return tuple(x.numerator * (lcm // x.denominator) for x in fr), lcm
+
+
+def _cleared(rows: Sequence[Sequence[Rational]]) -> tuple[list[IntRow], int]:
     """Clear denominators row by row; return integer rows and the product of row scalings."""
     out = []
-    scale = Fraction(1)
+    scale = 1
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        out.append([int(x * lcm) for x in fr])
-        scale *= lcm
+        r, s = _clear_row(row)
+        out.append(r)
+        scale *= s
     return out, scale
 
 
-def det(rows: Sequence[Sequence[Rational]]) -> Fraction:
-    """Exact determinant of a square rational matrix (1 for the empty matrix)."""
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix (1 for the empty matrix)."""
     k = len(rows)
     if k == 0:
-        return Fraction(1)
-    if any(len(r) != k for r in rows):
-        raise DimensionError("determinant needs a square matrix")
-    m, scale = _int_rows(rows)
+        return 1
     if k == 1:
-        return Fraction(m[0][0]) / scale
+        return rows[0][0]
     if k == 2:
-        return Fraction(m[0][0] * m[1][1] - m[0][1] * m[1][0]) / scale
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if k == 3:
-        a, b, c = m[0]
-        p, q, r = m[1]
-        x, y, z = m[2]
-        val = a * (q * z - r * y) - b * (p * z - r * x) + c * (p * y - q * x)
-        return Fraction(val) / scale
+        a, b, c = rows[0]
+        p, q, r = rows[1]
+        x, y, z = rows[2]
+        return a * (q * z - r * y) - b * (p * z - r * x) + c * (p * y - q * x)
     # Bareiss: every intermediate division is exact
+    m = [list(r) for r in rows]
     sign = 1
     prev = 1
     for col in range(k - 1):
@@ -75,52 +82,65 @@ def det(rows: Sequence[Sequence[Rational]]) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for r2 in range(col + 1, k):
             for c2 in range(col + 1, k):
                 m[r2][c2] = (m[r2][c2] * m[col][col] - m[r2][col] * m[col][c2]) // prev
             m[r2][col] = 0
         prev = m[col][col]
-    return Fraction(sign * m[k - 1][k - 1]) / scale
+    return sign * m[k - 1][k - 1]
+
+
+def det(rows: Sequence[Sequence[Rational]]) -> Fraction:
+    """Exact determinant of a square rational matrix (1 for the empty matrix)."""
+    k = len(rows)
+    if any(len(r) != k for r in rows):
+        raise DimensionError("determinant needs a square matrix")
+    m, scale = _cleared(rows)
+    return Fraction(_det(m), scale)
+
+
+def _pivot_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """Indices of the integer rows that are independent of all rows before them.
+
+    One fraction-free elimination: each row is reduced against the pivot rows
+    kept so far (zeroing their pivot columns, then dividing out the content),
+    and kept with its first nonzero column as pivot if anything is left.
+    """
+    pivots: list[tuple[int, Sequence[int]]] = []
+    kept: list[int] = []
+    for idx, v in enumerate(rows):
+        for col, pr in pivots:
+            f = v[col]
+            if f:
+                lead = pr[col]
+                v = [a * lead - b * f for a, b in zip(v, pr)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [a // g for a in v]
+        for col, x in enumerate(v):
+            if x:
+                pivots.append((col, v))
+                kept.append(idx)
+                break
+        if len(pivots) == ncols:
+            break
+    return kept
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Row rank of an integer matrix (the integer kernel behind `rank`)."""
+    return len(_pivot_rows(rows, len(rows[0]))) if rows else 0
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Exact row rank via fraction-free forward elimination."""
+    """Exact row rank of a rational matrix."""
     if not rows:
         return 0
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise DimensionError("rank needs a rectangular matrix")
-    m, _ = _int_rows(rows)
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pr = m[r]
-        for i in range(r + 1, len(m)):
-            factor = m[i][col]
-            if factor == 0:
-                continue
-            lead = pr[col]
-            row = m[i]
-            for c2 in range(col, ncols):
-                row[c2] = row[c2] * lead - pr[c2] * factor
-            g = 0
-            for x in row:
-                g = math.gcd(g, x)
-            if g > 1:
-                for c2 in range(ncols):
-                    row[c2] //= g
-        r += 1
-        if r == len(m):
-            break
-    return r
+    return _rank(_cleared(rows)[0])
 
 
 def row_basis(rows: Sequence[Sequence[Rational]], n: int) -> tuple[Vec, ...]:
@@ -129,14 +149,7 @@ def row_basis(rows: Sequence[Sequence[Rational]], n: int) -> tuple[Vec, ...]:
     for r in fr:
         if len(r) != n:
             raise DimensionError(f"row of length {len(r)} in ambient dimension {n}")
-    basis: list[Vec] = []
-    current = 0
-    for i, r in enumerate(fr):
-        candidate = basis + [r]
-        if rank(candidate) > current:
-            basis.append(r)
-            current += 1
-    return tuple(basis)
+    return tuple(fr[i] for i in _pivot_rows(_cleared(fr)[0], n))
 
 
 @dataclass(frozen=True)
@@ -231,16 +244,27 @@ def wedge_concat(a: Blade, b: Blade) -> Blade:
 
 @dataclass(frozen=True)
 class SubspaceRep:
-    """A subspace of Q^n given by an independent basis of row vectors (dim = row count)."""
+    """A subspace of Q^n given by an independent basis of row vectors (dim = row count).
+
+    At construction each basis row is scaled by the lcm of its denominators:
+    `rows` holds those integer rows (same span, row for row) and `scale` the
+    product of the row factors, so a determinant of `rows` is `scale` times
+    the determinant of `basis`.  Every rank and projection runs on `rows`.
+    """
 
     n: int
     basis: tuple[Vec, ...]
+    rows: tuple[IntRow, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for r in self.basis:
             if len(r) != self.n:
                 raise DimensionError(f"basis row of length {len(r)} in dimension {self.n}")
-        if rank(self.basis) != len(self.basis):
+        rows, scale = _cleared(self.basis)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "scale", scale)
+        if _rank(rows) != len(rows):
             raise DomainError("basis rows are linearly dependent")
 
     @property
@@ -286,22 +310,24 @@ def blade_from_json(obj: dict) -> Blade:
         raise FormatError(f"expected {math.comb(n, k)} coordinates, got {len(raw)}")
     try:
         coords = tuple(Fraction(x) for x in raw)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise FormatError(f"bad rational in blade coords: {exc}") from exc
     return Blade(n, (), coords, grade=k)
 
 
 def sum_rank(*spaces: SubspaceRep) -> int:
     """dim of the sum of the given subspaces (rank of stacked bases)."""
-    rows: list[Vec] = []
     n = spaces[0].n
+    rows: list[IntRow] = []
     for sp in spaces:
         if sp.n != n:
             raise DimensionError("subspaces in different ambient dimensions")
-        rows.extend(sp.basis)
-    return rank(rows) if rows else 0
+        rows.extend(sp.rows)
+    return _rank(rows)
 
 
 def intersection_dim(a: SubspaceRep, b: SubspaceRep) -> int:
     """dim(a ∩ b) = dim a + dim b - dim(a + b)."""
-    return a.dim + b.dim - sum_rank(a, b)
+    if a.n != b.n:
+        raise DimensionError("subspaces in different ambient dimensions")
+    return a.dim + b.dim - _rank(a.rows + b.rows)

@@ -281,7 +281,7 @@ def family_from_json(obj: dict) -> Family:
         if key not in obj:
             raise FormatError(f"family JSON missing field {key!r}")
     n, d, raw = obj["n"], obj["d"], obj["tuples"]
-    if not isinstance(n, int) or not isinstance(d, int):
+    if type(n) is not int or type(d) is not int:
         raise FormatError("family JSON fields 'n' and 'd' must be integers")
     if not isinstance(raw, list):
         raise FormatError("family JSON field 'tuples' must be a list")
@@ -290,7 +290,7 @@ def family_from_json(obj: dict) -> Family:
         if not isinstance(entry, list) or len(entry) != d:
             raise FormatError(f"tuple {idx + 1} must be a list of {d} parts")
         for part in entry:
-            if not isinstance(part, list) or not all(isinstance(e, int) for e in part):
+            if not isinstance(part, list) or not all(type(e) is int for e in part):
                 raise FormatError(f"tuple {idx + 1} has a part that is not a list of ints")
         tuples.append(validate_tuple(entry, n))
     return Family(n, d, tuple(tuples))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FormatError
-from .exterior import SubspaceRep, intersection_dim, sum_rank
+from .exterior import SubspaceRep, _rank, sum_rank
 from .families import Family
 
 Entry = tuple[SubspaceRep, ...]
@@ -72,10 +72,7 @@ def lift_to_spaces(f: Family) -> SubspaceFamily:
     for t in f.tuples:
         entry = []
         for part in t.parts():
-            basis = tuple(
-                tuple(Fraction(1) if c == a - 1 else Fraction(0) for c in range(f.n))
-                for a in part
-            )
+            basis = tuple(tuple(1 if c == a - 1 else 0 for c in range(f.n)) for a in part)
             entry.append(SubspaceRep(f.n, basis))
         entries.append(tuple(entry))
     return SubspaceFamily(f.n, f.d, tuple(entries))
@@ -89,8 +86,10 @@ def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:
         for j in range(i + 1, m):
             ok = False
             for p in range(d - 1):
+                a = f.entries[i][p]
                 for q in range(p + 1, d):
-                    if intersection_dim(f.entries[i][p], f.entries[j][q]) > 0:
+                    b = f.entries[j][q]
+                    if _rank(a.rows + b.rows) < a.dim + b.dim:
                         ok = True
                         break
                 if ok:
@@ -125,6 +124,13 @@ def subspace_family_to_json(f: SubspaceFamily) -> dict:
     }
 
 
+def _rational(x) -> Fraction:
+    """A JSON number or "p/q" string as a Fraction; JSON booleans are not numbers here."""
+    if isinstance(x, bool):
+        raise TypeError(f"boolean {x!r} is not a rational")
+    return Fraction(x)
+
+
 def subspace_family_from_json(obj: dict) -> SubspaceFamily:
     if not isinstance(obj, dict):
         raise FormatError("subspace family JSON must be an object")
@@ -132,7 +138,7 @@ def subspace_family_from_json(obj: dict) -> SubspaceFamily:
         if key not in obj:
             raise FormatError(f"subspace family JSON missing field {key!r}")
     n, d, raw = obj["n"], obj["d"], obj["entries"]
-    if not isinstance(n, int) or not isinstance(d, int) or not isinstance(raw, list):
+    if type(n) is not int or type(d) is not int or not isinstance(raw, list):
         raise FormatError("subspace family JSON fields have wrong types")
     entries = []
     for idx, entry in enumerate(raw):
@@ -140,11 +146,11 @@ def subspace_family_from_json(obj: dict) -> SubspaceFamily:
             raise FormatError(f"entry {idx + 1} must be a list of {d} bases")
         parts = []
         for basis in entry:
-            if not isinstance(basis, list):
-                raise FormatError(f"entry {idx + 1} has a basis that is not a list")
+            if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
+                raise FormatError(f"entry {idx + 1} has a basis that is not a list of rows")
             try:
-                rows = tuple(tuple(Fraction(x) for x in row) for row in basis)
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                rows = tuple(tuple(_rational(x) for x in row) for row in basis)
+            except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
                 raise FormatError(f"entry {idx + 1} has a bad rational: {exc}") from exc
             parts.append(SubspaceRep(n, rows))
         entries.append(tuple(parts))

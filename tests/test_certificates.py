@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bollobas import (
+    BollobasError,
     Family,
     RetriesExhausted,
     SubspaceFamily,
@@ -95,6 +96,11 @@ class TestBuildPhi:
         with pytest.raises(IndexError):
             build_phi(f, 3, seed=0)
 
+    def test_stage_error_is_a_package_error(self):
+        f = lift_to_spaces(complete_family((1, 1)))
+        with pytest.raises(BollobasError):
+            build_phi(f, 1, seed=0)
+
 
 class TestEvaluationMatrix:
     def test_single_entry_nonzero(self):
@@ -168,3 +174,12 @@ class TestCertify:
             assert cert.skew_ok is True
             assert cert.verdict is True
             assert cert.m <= cert.size_bound
+
+    def test_pattern_above_the_bound_raises_a_package_error(self, monkeypatch):
+        # the bound check must survive python -O, so it is not an assert
+        import bollobas.certificates as certificates
+
+        f = lift_to_spaces(complete_family((1, 1)))
+        monkeypatch.setattr(certificates, "tuple_weight", lambda sizes: len(f.entries) - 1)
+        with pytest.raises(BollobasError, match="bound"):
+            certificates.certify(f, seed=0)

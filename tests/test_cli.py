@@ -211,6 +211,56 @@ class TestErrorsAndDeterminism:
         assert json.loads(out)["results"]["valid"] is True
 
 
+class TestMalformedInput:
+    """Malformed documents end in exit 2 with an error line, never a traceback."""
+
+    def run_stdin(self, capsys, monkeypatch, payload, *argv):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code = main(["--input", "-", *argv])
+        err = capsys.readouterr().err
+        return code, err
+
+    @pytest.mark.parametrize("payload", ["5", "[1, 2]", "null", '"tuples"'])
+    def test_certify_non_object_json_is_exit_2(self, capsys, monkeypatch, payload):
+        code, err = self.run_stdin(capsys, monkeypatch, payload, "certify")
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": True, "d": 2, "tuples": [[[1], [2]]]},
+            {"n": 2, "d": True, "tuples": []},
+            {"n": 2, "d": 2, "tuples": [[[True], [2]]]},
+        ],
+    )
+    def test_set_family_booleans_are_exit_2(self, capsys, monkeypatch, doc):
+        code, err = self.run_stdin(capsys, monkeypatch, json.dumps(doc), "verify")
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": True, "d": 2, "entries": [[[[1]], [[1]]]]},
+            {"n": 2, "d": 2, "entries": [[[[True, 0]], [[0, 1]]]]},
+            {"n": 2, "d": 2, "entries": [[["10"], [[0, 1]]]]},
+        ],
+    )
+    def test_subspace_family_bad_shapes_are_exit_2(self, capsys, monkeypatch, doc):
+        code, err = self.run_stdin(capsys, monkeypatch, json.dumps(doc), "certify")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_infinite_coordinate_is_exit_2(self, capsys, monkeypatch):
+        payload = '{"n": 2, "d": 2, "entries": [[[[Infinity, 0]], [[0, 1]]]]}'
+        code, err = self.run_stdin(capsys, monkeypatch, payload, "certify")
+        assert code == 2
+        assert err.startswith("error:")
+
+
 class TestSubprocessPipeline:
     """Drive the module as a real subprocess, construct -> verify -> sum -> certify."""
 

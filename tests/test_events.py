@@ -111,6 +111,13 @@ class TestGeneralMembership:
         with pytest.raises(IndexError):
             in_event_general(Permutation.identity(4), t, 3)
 
+    def test_gap_index_error_is_a_package_error(self):
+        from bollobas import BollobasError
+
+        t = validate_tuple([[1], [2], [3]], 3)
+        with pytest.raises(BollobasError):
+            in_event_general(Permutation.identity(4), t, 0)
+
     def test_d2_case_has_no_delimiters(self):
         t = validate_tuple([[1], [2]], 2)
         hits = sum(

@@ -1,0 +1,116 @@
+"""Differential tests: the integer kernels against the original `Fraction` code.
+
+`fraction_oracles` keeps the implementations the integer pipeline replaced;
+every kernel must give the same rank, the same pivot rows, the same image
+dimensions and the same evaluation matrix on rational inputs.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracles as oracle
+from bollobas import GeneralPositionMap, SubspaceFamily, SubspaceRep, evaluation_matrix, rank
+from bollobas.exterior import _pivot_rows, _rank, row_basis
+
+# small values and zeros make dependent rows and dimension drops common
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def matrices(draw, ncols=None, max_rows=6):
+    """Rational matrices, some rows of which are combinations of earlier rows."""
+    if ncols is None:
+        ncols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if rows and draw(st.booleans()):
+            coeffs = [Fraction(draw(entries)) for _ in rows]
+            rows.append([sum(c * r[col] for c, r in zip(coeffs, rows)) for col in range(ncols)])
+        else:
+            rows.append([Fraction(draw(entries)) for _ in range(ncols)])
+    return ncols, rows
+
+
+@st.composite
+def subspaces(draw, n):
+    """A SubspaceRep of Q^n with a rational basis."""
+    _, rows = draw(matrices(ncols=n, max_rows=n))
+    return SubspaceRep(n, oracle.row_basis(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rank_kernel_matches_fraction_elimination(m):
+    _, rows = m
+    want = oracle.rank(rows)
+    assert rank(rows) == want
+    assert _rank(oracle.int_rows(rows)[0]) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_pivot_rows_match_rank_per_row_loop(m):
+    ncols, rows = m
+    want = oracle.row_basis(rows)
+    assert row_basis(rows, ncols) == want
+    kept = _pivot_rows(oracle.int_rows(rows)[0], ncols)
+    assert tuple(tuple(Fraction(x) for x in rows[i]) for i in kept) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subspace_rows_are_cleared_basis_rows(data):
+    n = data.draw(st.integers(1, 5))
+    sp = data.draw(subspaces(n))
+    cleared, scale = oracle.int_rows(sp.basis)
+    assert sp.rows == tuple(tuple(r) for r in cleared)
+    assert all(type(x) is int for r in sp.rows for x in r)
+    assert sp.scale == scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_image_dims_match_apply_rows_then_rank(data):
+    n = data.draw(st.integers(1, 5))
+    target = data.draw(st.integers(1, n))
+    matrix = tuple(
+        tuple(data.draw(st.integers(-2, 2)) for _ in range(target)) for _ in range(n)
+    )
+    sp = data.draw(subspaces(n))
+    phi = GeneralPositionMap(n, target, matrix, (), 0)
+    want_rows = oracle.apply_rows(matrix, sp.basis)
+    image = phi.image(sp)
+    assert image.dim == oracle.rank(want_rows)
+    # the image basis spans exactly the Fraction images
+    assert oracle.rank(list(image.basis) + want_rows) == image.dim
+    assert phi.apply_rows(sp.basis) == [tuple(r) for r in want_rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_evaluation_matrix_matches_fraction_determinants(data):
+    # type (1, 1, 1) in Q^3: each entry's lines are the rows of M + tI, with t
+    # the first of 0..3 that is not a root of det(M + tI), a monic cubic in t
+    n, d = 3, 3
+    entries_ = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        square = [[Fraction(data.draw(entries)) for _ in range(n)] for _ in range(n)]
+        for t in range(4):
+            rows = [[x + t * (r == c) for c, x in enumerate(row)] for r, row in enumerate(square)]
+            if oracle.det(rows) != 0:
+                break
+        entries_.append(tuple(SubspaceRep(n, (tuple(r),)) for r in rows))
+    f = SubspaceFamily(n, d, tuple(entries_))
+    maps = {
+        k: GeneralPositionMap(
+            n, k, tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(n)),
+            (), 0,
+        )
+        for k in (2, 3)
+    }
+    assert evaluation_matrix(f, maps) == oracle.evaluation_matrix(f, maps)
