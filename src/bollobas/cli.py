@@ -35,12 +35,17 @@ def _read_input(path: str | None) -> tuple[str, str]:
     """Return (text, sha256 digest) of the input document."""
     if path is None:
         raise FormatError("this subcommand needs --input <path|->")
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    digest = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        # stdin may decode invalid bytes to lone surrogates, which encode() rejects
+        data = text.encode()
+    except UnicodeError as exc:
+        raise FormatError(f"input is not UTF-8 text: {exc}") from exc
+    digest = "sha256:" + hashlib.sha256(data).hexdigest()
     return text, digest
 
 
@@ -49,6 +54,8 @@ def _load_json(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: nested too deeply") from exc
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:

@@ -13,13 +13,8 @@ from .errors import ArityError, DomainError
 from .families import DTuple, Family, GroundSet, TupleType, _as_n, cross_condition, mask_of
 
 
-def all_tuples_of_type(ground: GroundSet | int, sizes: Sequence[int]) -> list[DTuple]:
-    """Every pairwise-disjoint d-tuple of subsets of [n] with the given part sizes.
-
-    Exactly once each, ordered lexicographically by (part_1, ..., part_d) as
-    sorted element lists: the canonical enumeration order used everywhere.
-    """
-    n = _as_n(ground)
+def _checked_type(n: int, sizes: Sequence[int]) -> TupleType:
+    """The sizes as a tuple, checked to be a type of d >= 2 parts that fits in [n]."""
     sizes = tuple(sizes)
     if len(sizes) < 2:
         raise ArityError(f"need d >= 2 part sizes, got {len(sizes)}")
@@ -27,7 +22,17 @@ def all_tuples_of_type(ground: GroundSet | int, sizes: Sequence[int]) -> list[DT
         raise DomainError(f"negative part size in {sizes}")
     if sum(sizes) > n:
         raise DomainError(f"part sizes {sizes} sum past the ground set size {n}")
+    return sizes
 
+
+def all_tuples_of_type(ground: GroundSet | int, sizes: Sequence[int]) -> list[DTuple]:
+    """Every pairwise-disjoint d-tuple of subsets of [n] with the given part sizes.
+
+    Exactly once each, ordered lexicographically by (part_1, ..., part_d) as
+    sorted element lists: the canonical enumeration order used everywhere.
+    """
+    n = _as_n(ground)
+    sizes = _checked_type(n, sizes)
     out: list[DTuple] = []
     chosen: list[tuple[int, ...]] = []
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, DomainError, GradeError
+from .errors import DimensionError, DomainError, FormatError, GradeError
 
 Vec = tuple[Fraction, ...]
 IntRow = tuple[int, ...]
@@ -298,14 +298,16 @@ def blade_to_json(b: Blade) -> dict:
 
 def blade_from_json(obj: dict) -> Blade:
     """Rebuild a coordinate-only blade (no generators are stored in the wire format)."""
-    from .errors import FormatError
-
+    if not isinstance(obj, dict):
+        raise FormatError("blade JSON must be an object")
     for key in ("n", "k", "coords"):
         if key not in obj:
             raise FormatError(f"blade JSON missing field {key!r}")
     n, k, raw = obj["n"], obj["k"], obj["coords"]
-    if not isinstance(n, int) or not isinstance(k, int) or not isinstance(raw, list):
+    if type(n) is not int or type(k) is not int or not isinstance(raw, list):
         raise FormatError("blade JSON fields have wrong types")
+    if not 0 <= k <= n:
+        raise FormatError(f"blade JSON needs 0 <= k <= n, got n={n}, k={k}")
     if len(raw) != math.comb(n, k):
         raise FormatError(f"expected {math.comb(n, k)} coordinates, got {len(raw)}")
     try:

@@ -14,13 +14,19 @@ Conventions used across the package:
   0-based Python lists);
 * parts are stored as 64-bit masks, so n is capped at 64 and every
   intersection test is a single AND.
+
+Verification goes through one bit-sliced crossing-row index: the family is
+transposed once into per-part, per-element bitsets over the tuples, and each
+tuple's row (the set of tuples it crosses into) is an OR of a few of them.
+The (skew) validity scans and the adjacency of the extremal search in
+`search` both read these rows instead of testing pairs one at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArityError,
@@ -191,49 +197,63 @@ def cross_condition(s: DTuple, t: DTuple) -> bool:
     return False
 
 
-def _suffix_masks(t: DTuple) -> tuple[int, ...]:
-    """suffix[p] = OR of parts p+2..d (mask of everything strictly after part p+1)."""
-    d = t.d
-    suf = [0] * d
-    acc = 0
+def _crossing_rows(tuples: Sequence[Sequence[int]], n: int, d: int) -> Iterator[int]:
+    """Yield, in order, each tuple's crossing row: bit j of row i is set iff
+    cross_condition(t_i, t_j).
+
+    `tuples` holds each tuple's d part masks over [n].  The family is
+    transposed once into column bitsets, col[q][e] = the tuples whose part q
+    contains element e, read off as strided slices of one binary string per
+    part; suffix ORs then give later[p][e] = the tuples with e in some part
+    after p.  Row i is the OR of later[p][e] over the elements e of part p
+    of t_i, so each row costs one big-int OR per element instead of m
+    interpreted pair tests.  Rows are computed on demand.
+    """
+    if not tuples:  # int("", 2) would raise
+        return
+    width = f"0{n}b"
+    later: list[list[int]] = [[]] * (d - 1)
+    acc = [0] * n
     for q in range(d - 1, 0, -1):
-        acc |= t.masks[q]
-        suf[q - 1] = acc
-    return tuple(suf)
+        # tuples last to first, element n first: the slice for element e
+        # reads tuple 0 as its lowest bit
+        bits = "".join([format(t[q], width) for t in reversed(tuples)])
+        acc = [a | int(bits[n - 1 - e :: n], 2) for e, a in enumerate(acc)]
+        later[q - 1] = acc
+    for t in tuples:
+        row = 0
+        for p in range(d - 1):
+            mask, cols = t[p], later[p]
+            while mask:
+                low = mask & -mask
+                row |= cols[low.bit_length() - 1]
+                mask ^= low
+        yield row
+
+
+def _first_violation(f: Family, skew: bool) -> tuple[int, int] | None:
+    """Lexicographically first failing pair, 1-based: i < j in skew mode, i != j otherwise."""
+    full = (1 << len(f.tuples)) - 1
+    for i, row in enumerate(_crossing_rows([t.masks for t in f.tuples], f.n, f.d)):
+        wanted = full >> (i + 1) << (i + 1) if skew else full ^ (1 << i)
+        missing = wanted & ~row
+        if missing:
+            return i + 1, (missing & -missing).bit_length()
+    return None
 
 
 def bollobas_violation(f: Family) -> tuple[int, int] | None:
     """First ordered pair (i, j), i != j, failing the cross condition; None if valid.
 
-    Pairs are 1-based and scanned in lexicographic order, so reports are
+    Pairs are 1-based and reported in lexicographic order, so reports are
     deterministic.
     """
-    tuples = f.tuples
-    m = len(tuples)
-    sufs = [_suffix_masks(t) for t in tuples]
-    for i in range(m):
-        mi = tuples[i].masks
-        for j in range(m):
-            if i == j:
-                continue
-            suf = sufs[j]
-            if not any(mi[p] & suf[p] for p in range(f.d - 1)):
-                return (i + 1, j + 1)
-    return None
+    return _first_violation(f, skew=False)
 
 
 def skew_violation(f: Family) -> tuple[int, int] | None:
     """First pair i < j failing the cross condition; None if the family is skew-valid."""
-    tuples = f.tuples
-    m = len(tuples)
-    sufs = [_suffix_masks(t) for t in tuples]
-    for i in range(m):
-        mi = tuples[i].masks
-        for j in range(i + 1, m):
-            suf = sufs[j]
-            if not any(mi[p] & suf[p] for p in range(f.d - 1)):
-                return (i + 1, j + 1)
-    return None
+    return _first_violation(f, skew=True)
 
 
 def is_bollobas(f: Family) -> bool:
@@ -301,6 +321,8 @@ def family_loads(text: str) -> Family:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: nested too deeply") from exc
     return family_from_json(obj)
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import all_tuples_of_type
+from .constructions import _checked_type, all_tuples_of_type
 from .errors import SizeError
-from .families import DTuple, Family, GroundSet, TupleType, _as_n, cross_condition
-from .sums import tuple_weight
+from .families import DTuple, Family, GroundSet, TupleType, _as_n, _crossing_rows
+from .sums import multinomial, tuple_weight
 
 MAX_CANDIDATES = 5000
 
@@ -42,10 +42,10 @@ class _Budget:
 
 def _candidates(ground: GroundSet | int, sizes: TupleType) -> tuple[int, list[DTuple]]:
     n = _as_n(ground)
-    cands = all_tuples_of_type(n, sizes)
-    if len(cands) > MAX_CANDIDATES:
-        raise SizeError(f"{len(cands)} candidate tuples exceed the limit {MAX_CANDIDATES}")
-    return n, cands
+    count = multinomial(n, _checked_type(n, sizes))
+    if count > MAX_CANDIDATES:
+        raise SizeError(f"{count} candidate tuples exceed the limit {MAX_CANDIDATES}")
+    return n, all_tuples_of_type(n, sizes)
 
 
 def _greedy_color_order(p: int, adj: list[int]) -> list[tuple[int, int]]:
@@ -79,12 +79,11 @@ def max_bollobas_uniform(
     """
     n, cands = _candidates(ground, sizes)
     m = len(cands)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if cross_condition(cands[i], cands[j]) and cross_condition(cands[j], cands[i]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    # cross(t_j, t_i) = cross(rev t_i, rev t_j): predecessor rows are the
+    # crossing rows of the candidates with their parts reversed
+    succ = _crossing_rows([t.masks for t in cands], n, len(sizes))
+    pred = _crossing_rows([t.masks[::-1] for t in cands], n, len(sizes))
+    adj = [s & p for s, p in zip(succ, pred)]
     bound = tuple_weight(sizes)
     budget = _Budget(node_budget)
     best: list[int] = []
@@ -128,11 +127,8 @@ def max_skew_uniform(
     """
     n, cands = _candidates(ground, sizes)
     m = len(cands)
-    succ = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and cross_condition(cands[i], cands[j]):
-                succ[i] |= 1 << j
+    # no tuple crosses into itself, since its parts are disjoint
+    succ = list(_crossing_rows([t.masks for t in cands], n, len(sizes)))
     bound = tuple_weight(sizes)
     budget = _Budget(node_budget)
     best: list[int] = []

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -103,6 +104,25 @@ class TestSearch:
     def test_skew_mode(self, capsys):
         code, obj = run_json(capsys, "search", "--mode", "skew", "--n", "4", "--type", "1,1")
         assert code == 0 and obj["results"]["max_size"] == 2
+
+    def test_huge_type_is_refused_within_a_second(self, capsys):
+        started = time.perf_counter()
+        code = main(["search", "--mode", "bollobas", "--n", "64", "--type", "30,30"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["bollobas", "skew"])
+    def test_size_limit_is_checked_before_enumerating(self, capsys, monkeypatch, mode):
+        from bollobas import search
+
+        def refuse(*args):
+            raise AssertionError("candidates enumerated")
+
+        monkeypatch.setattr(search, "all_tuples_of_type", refuse)
+        code = main(["search", "--mode", mode, "--n", "12", "--type", "4,4,4"])
+        assert code == 2
+        assert "34650 candidate tuples" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -259,6 +279,26 @@ class TestMalformedInput:
         code, err = self.run_stdin(capsys, monkeypatch, payload, "certify")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_non_utf8_file_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        code = main(["--input", str(path), "verify"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_stdin_is_exit_2(self, capsys, monkeypatch):
+        # a text stdin with errors="surrogateescape" hands invalid bytes on as lone surrogates
+        code, err = self.run_stdin(capsys, monkeypatch, b"\xff\xfe".decode("utf-8", "surrogateescape"), "verify")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_deeply_nested_json_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["--input", str(path), "verify"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestSubprocessPipeline:

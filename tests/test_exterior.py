@@ -252,3 +252,44 @@ class TestBladeJson:
 
         with pytest.raises(FormatError):
             blade_from_json({"n": 3, "k": 2, "coords": ["1"]})
+
+
+class TestBladeWireChecks:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": True, "k": True, "coords": ["2"]},
+            {"n": 1, "k": True, "coords": ["2"]},
+            {"n": True, "k": 0, "coords": ["1"]},
+        ],
+    )
+    def test_booleans_rejected(self, obj):
+        from bollobas import blade_from_json
+        from bollobas.errors import FormatError
+
+        with pytest.raises(FormatError):
+            blade_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": -1, "k": 0, "coords": ["1"]},
+            {"n": 3, "k": -1, "coords": []},
+            {"n": -2, "k": -1, "coords": []},
+            {"n": 2, "k": 3, "coords": []},
+        ],
+    )
+    def test_negative_or_oversized_dimensions_rejected(self, obj):
+        from bollobas import blade_from_json
+        from bollobas.errors import FormatError
+
+        with pytest.raises(FormatError):
+            blade_from_json(obj)
+
+    @pytest.mark.parametrize("obj", [5, [1, 2], None, "coords"])
+    def test_non_object_rejected(self, obj):
+        from bollobas import blade_from_json
+        from bollobas.errors import FormatError
+
+        with pytest.raises(FormatError):
+            blade_from_json(obj)
