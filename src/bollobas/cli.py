@@ -27,10 +27,6 @@ from .families import bollobas_violation, family_from_json, family_to_json, skew
 from .spaces import lift_to_spaces, subspace_family_from_json, subspace_family_to_json
 
 
-def _rat(x: Fraction) -> str:
-    return str(x)
-
-
 def _read_input(path: str | None) -> tuple[str, str]:
     """Return (text, sha256 digest) of the input document."""
     if path is None:
@@ -132,8 +128,8 @@ def _cmd_sum(ns) -> tuple[dict, int]:
         bound = Fraction(1)
     results = {
         "which": ns.which,
-        "value": _rat(value),
-        "bound": _rat(bound),
+        "value": str(value),
+        "bound": str(bound),
         "within_bound": value <= bound,
         "m": len(fam),
         "n": fam.n,
@@ -206,9 +202,9 @@ def _cmd_simulate(ns) -> tuple[dict, int]:
         "mode": rep.mode,
         "trials": rep.trials,
         "hits": list(rep.hits),
-        "estimates": [_rat(e) for e in rep.estimates],
+        "estimates": [str(e) for e in rep.estimates],
         "estimates_decimal": [f"{float(e):.9f}" for e in rep.estimates],
-        "formula_values": [_rat(p) for p in rep.formula_values],
+        "formula_values": [str(p) for p in rep.formula_values],
         "max_simultaneous_hits": rep.max_simultaneous_hits,
         "events_disjoint": rep.max_simultaneous_hits <= 1,
     }
@@ -240,7 +236,7 @@ def _cmd_certify(ns) -> tuple[dict, int]:
         "skew_violation": list(cert.skew_violation) if cert.skew_violation else None,
         "violations": [list(v) for v in cert.violations],
         "retries": list(cert.retries),
-        "evaluation": [[_rat(x) for x in row] for row in cert.evaluation],
+        "evaluation": [[str(x) for x in row] for row in cert.evaluation],
     }
     report = _report("certify", {"max_retries": ns.max_retries}, digest, ns.seed, results)
     return report, 0 if cert.verdict else 1
@@ -248,7 +244,7 @@ def _cmd_certify(ns) -> tuple[dict, int]:
 
 def _cmd_bounds(ns) -> tuple[dict, int]:
     rows = [
-        {"n": n, "bound": _rat(sums.recursive_bound(n, ns.d))} for n in _parse_range(ns.n)
+        {"n": n, "bound": str(sums.recursive_bound(n, ns.d))} for n in _parse_range(ns.n)
     ]
     results = {"d": ns.d, "rows": rows}
     report = _report("bounds", {"n": ns.n, "d": ns.d}, None, ns.seed, results)

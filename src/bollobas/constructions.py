@@ -9,8 +9,23 @@ import itertools
 import random
 from typing import Sequence
 
-from .errors import ArityError, DomainError
+from .errors import ArityError, DomainError, SizeError
 from .families import DTuple, Family, GroundSet, TupleType, _as_n, cross_condition, mask_of
+from .sums import multinomial
+
+#: The most candidate tuples `search` takes on: its branch and bound grows
+#: much faster than the number of candidates.
+MAX_CANDIDATES = 5000
+#: The most tuples a construction enumerates.  A construction costs time
+#: linear in its size, so the limit is above MAX_CANDIDATES: the complete
+#: family of type (1,) * 8 has 40,320 tuples.
+MAX_TUPLES = 100_000
+
+
+def _checked_count(count: int, limit: int, what: str) -> None:
+    """Refuse to enumerate more than `limit` tuples, before enumerating any."""
+    if count > limit:
+        raise SizeError(f"{count} {what} exceed the limit {limit}")
 
 
 def _checked_type(n: int, sizes: Sequence[int]) -> TupleType:
@@ -64,7 +79,8 @@ def complete_family(sizes: Sequence[int]) -> Family:
         raise ArityError(f"need d >= 2 part sizes, got {len(sizes)}")
     if any(a < 1 for a in sizes):
         raise DomainError(f"complete_family needs positive part sizes, got {sizes}")
-    n = sum(sizes)
+    n = _as_n(sum(sizes))
+    _checked_count(multinomial(n, sizes), MAX_TUPLES, "tuples")
     return Family(n, len(sizes), tuple(all_tuples_of_type(n, sizes)))
 
 
@@ -77,9 +93,11 @@ def layered_triple_family(n: int) -> Family:
     set pairs fails for d-tuples.
     """
     n = _as_n(n)
+    layers = [(l, n - 2 * l, l) for l in range(n // 2 + 1)]
+    _checked_count(sum(multinomial(n, sizes) for sizes in layers), MAX_TUPLES, "tuples")
     tuples: list[DTuple] = []
-    for l in range(n // 2 + 1):
-        tuples.extend(all_tuples_of_type(n, (l, n - 2 * l, l)))
+    for sizes in layers:
+        tuples.extend(all_tuples_of_type(n, sizes))
     return Family(n, 3, tuple(tuples))
 
 

@@ -9,30 +9,38 @@ delimiters falling in prescribed gaps.  Events of this shape for different
 tuples of a valid system are pairwise disjoint, so their probabilities sum to
 at most 1, which is exactly the weighted-sum inequality.
 
-Three event shapes are implemented:
+Every event here is one pattern: the parts in block order, with a delimiter
+in every gap between consecutive parts except an undelimited gap k, where
+part k must merely end before part k + 1 starts.  The modes choose k:
 
-* ``skew``: d - 1 delimiters, one in every gap between consecutive parts;
-* ``d3``: triples with a single delimiter, placed either between parts
-  1 and 2 (variant "E") or between parts 2 and 3 (variant "F");
-* ``general``: d - 2 delimiters, one in every gap except a chosen gap k.
+* ``skew``: no undelimited gap (k = 0), so d - 1 delimiters;
+* ``general``: one variant for each gap k = 1..d-1, each with d - 2
+  delimiters;
+* ``d3``: general mode at d = 3, variant "E" being k = 2 and "F" k = 1.
 
-Empty parts impose no constraints of their own (vacuous quantification), so
-two delimiters may sit adjacent where a part is empty; the probability
-formulas below remain exact in that case.
+With g delimiters and s elements in the tuple's support, each variant has
+probability 1 / (C(s + g, g) * multinomial(s; sizes)).  Variants whose label
+patterns coincide (possible when a part is empty) are one event.  Empty
+parts impose no constraints of their own (vacuous quantification), so two
+delimiters may sit adjacent where a part is empty; the formula remains exact
+in that case.
+
+The Monte Carlo estimator checks all tuples at once: the family is transposed
+into column bitsets, and each trial walks the elements in permutation order,
+OR-ing into one mask the tuples that each element rules out.  The exact
+oracle enumerates the distinct arrangements of a tuple's labels.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ArityError, DomainError, IndexRangeError, SizeError
-from .families import DTuple, Family, TupleType, type_of
-from .sums import binomial, multinomial
+from .families import DTuple, Family, TupleType, _columns, type_of
+from .sums import _event_weight
 
 EXACT_ENUMERATION_LIMIT = 10
 
@@ -66,63 +74,73 @@ class Permutation:
 
 
 # ---------------------------------------------------------------------------
-# Membership predicates.  The _hit functions take the raw image table and are
-# shared by the public wrappers and the Monte Carlo inner loop.
+# The event model.  A variant is named by its undelimited gap k (0 for none);
+# part l (0-based) must lie after exactly _level(l, k) of the delimiters.
 
 
-def _skew_hit(img: Sequence[int], parts: Sequence[Sequence[int]], n: int, d: int) -> bool:
-    delims = sorted(img[e - 1] for e in range(n + 1, n + d))
-    top = len(img) + 1
-    lo = 0
-    for k, part in enumerate(parts):
-        hi = delims[k] if k < d - 1 else top
+def _gaps(d: int, mode: str) -> tuple[int, ...]:
+    """The undelimited gap of each of the mode's variants, in report order."""
+    if mode == "skew":
+        return (0,)
+    if mode == "d3":
+        if d != 3:
+            raise ArityError(f"d3 mode needs d = 3, got {d}")
+        return (2, 1)
+    if mode == "general":
+        return tuple(range(1, d))
+    raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+def _delimiters(d: int, k: int) -> int:
+    return d - 1 if k == 0 else d - 2
+
+
+def _level(l: int, k: int) -> int:
+    return l if k == 0 or l < k else l - 1
+
+
+def _variants(sizes: TupleType, mode: str) -> dict[tuple[int, ...], int]:
+    """Distinct label patterns (part number per slot, 0 = delimiter), each
+    with the first gap k that gives it."""
+    out: dict[tuple[int, ...], int] = {}
+    for k in _gaps(len(sizes), mode):
+        seq: list[int] = []
+        for l, a in enumerate(sizes):
+            if l and l != k:
+                seq.append(0)
+            seq.extend([l + 1] * a)
+        out.setdefault(tuple(seq), k)
+    return out
+
+
+def _signatures(sizes: TupleType, mode: str) -> list[tuple[int, ...]]:
+    """Distinct label patterns (part index per slot, 0 = delimiter) for the mode's variants."""
+    return list(_variants(sizes, mode))
+
+
+def _hit(img: Sequence[int], parts: Sequence[Sequence[int]], n: int, k: int) -> bool:
+    """True iff the parts lie in their delimiter intervals under the image
+    table img (delimiters are the elements after n) and, for k > 0, part k
+    ends before part k + 1 starts."""
+    d = len(parts)
+    bounds = [0, *sorted(img[n : n + _delimiters(d, k)]), len(img) + 1]
+    for l, part in enumerate(parts):
+        lo, hi = bounds[_level(l, k)], bounds[_level(l, k) + 1]
         for a in part:
             if not lo < img[a - 1] < hi:
                 return False
-        lo = hi
-    return True
-
-
-def _d3_hit(img: Sequence[int], parts: Sequence[Sequence[int]], n: int, variant: str) -> bool:
-    p = img[n]
-    a1, a2, a3 = parts
-    for a in a1:
-        if img[a - 1] > p:
+    if k:
+        left, right = parts[k - 1], parts[k]
+        if left and right and max(img[a - 1] for a in left) > min(img[b - 1] for b in right):
             return False
-    for c in a3:
-        if img[c - 1] < p:
-            return False
-    if variant == "E":
-        for b in a2:
-            if img[b - 1] < p:
-                return False
-        pre, post = a2, a3
-    else:  # "F"
-        for b in a2:
-            if img[b - 1] > p:
-                return False
-        pre, post = a1, a2
-    if pre and post and max(img[x - 1] for x in pre) > min(img[y - 1] for y in post):
-        return False
     return True
 
 
-def _general_hit(
-    img: Sequence[int], parts: Sequence[Sequence[int]], n: int, d: int, k: int
-) -> bool:
-    delims = sorted(img[e - 1] for e in range(n + 1, n + d - 1))
-    top = len(img) + 1
-    for l in range(1, d + 1):
-        iv = l - 1 if l <= k else l - 2
-        lo = delims[iv - 1] if iv >= 1 else 0
-        hi = delims[iv] if iv <= d - 3 else top
-        for a in parts[l - 1]:
-            if not lo < img[a - 1] < hi:
-                return False
-    left, right = parts[k - 1], parts[k]
-    if left and right and max(img[a - 1] for a in left) > min(img[b - 1] for b in right):
-        return False
-    return True
+def _member(sigma: Permutation, t: DTuple, k: int) -> bool:
+    need = t.n + _delimiters(t.d, k)
+    if sigma.size != need:
+        raise SizeError(f"permutation of size {sigma.size}, expected {need}")
+    return _hit(sigma.images, t.parts(), t.n, k)
 
 
 def in_event_skew(sigma: Permutation, t: DTuple) -> bool:
@@ -132,10 +150,7 @@ def in_event_skew(sigma: Permutation, t: DTuple) -> bool:
     sigma must act on n + d - 1 elements; the d - 1 elements above n are the
     delimiters (their mutual order is free).  Empty parts constrain nothing.
     """
-    need = t.n + t.d - 1
-    if sigma.size != need:
-        raise SizeError(f"permutation of size {sigma.size}, expected {need}")
-    return _skew_hit(sigma.images, t.parts(), t.n, t.d)
+    return _member(sigma, t, 0)
 
 
 def in_event_d3(sigma: Permutation, t: DTuple, variant: str) -> bool:
@@ -149,10 +164,7 @@ def in_event_d3(sigma: Permutation, t: DTuple, variant: str) -> bool:
         raise ArityError(f"d3 events need d = 3, got d = {t.d}")
     if variant not in ("E", "F"):
         raise DomainError(f"variant must be 'E' or 'F', got {variant!r}")
-    need = t.n + 1
-    if sigma.size != need:
-        raise SizeError(f"permutation of size {sigma.size}, expected {need}")
-    return _d3_hit(sigma.images, t.parts(), t.n, variant)
+    return _member(sigma, t, 2 if variant == "E" else 1)
 
 
 def in_event_general(sigma: Permutation, t: DTuple, k: int) -> bool:
@@ -161,17 +173,17 @@ def in_event_general(sigma: Permutation, t: DTuple, k: int) -> bool:
     sigma must act on n + d - 2 elements (d - 2 delimiters).  For d = 3 this
     reduces to the d3 events: k = 2 is variant "E", k = 1 is variant "F".
     """
-    d = t.d
-    if not 1 <= k <= d - 1:
-        raise IndexRangeError(f"gap index k must be in 1..{d - 1}, got {k}")
-    need = t.n + d - 2
-    if sigma.size != need:
-        raise SizeError(f"permutation of size {sigma.size}, expected {need}")
-    return _general_hit(sigma.images, t.parts(), t.n, d, k)
+    if not 1 <= k <= t.d - 1:
+        raise IndexRangeError(f"gap index k must be in 1..{t.d - 1}, got {k}")
+    return _member(sigma, t, k)
 
 
 # ---------------------------------------------------------------------------
 # Exact probabilities.
+
+
+def _probability(sizes: TupleType, delimiters: int) -> Fraction:
+    return Fraction(1, _event_weight(sizes, delimiters))
 
 
 def event_probability(sizes: TupleType, d: int | None = None) -> Fraction:
@@ -183,8 +195,7 @@ def event_probability(sizes: TupleType, d: int | None = None) -> Fraction:
         raise ArityError(f"type {sizes} has arity {len(sizes)}, not {d}")
     if d < 2:
         raise ArityError(f"need d >= 2, got {d}")
-    s = sum(sizes)
-    return Fraction(1, binomial(s + d - 1, d - 1) * multinomial(s, sizes))
+    return _probability(sizes, d - 1)
 
 
 def d3_event_probability(sizes: TupleType) -> Fraction:
@@ -192,8 +203,7 @@ def d3_event_probability(sizes: TupleType) -> Fraction:
     sizes = tuple(sizes)
     if len(sizes) != 3:
         raise ArityError(f"d3 events need arity 3, got {len(sizes)}")
-    s = sum(sizes)
-    return Fraction(1, (s + 1) * multinomial(s, sizes))
+    return _probability(sizes, 1)
 
 
 def general_event_probability(sizes: TupleType) -> Fraction:
@@ -202,90 +212,60 @@ def general_event_probability(sizes: TupleType) -> Fraction:
     The same value for every gap k, by symmetry of the block pattern.
     """
     sizes = tuple(sizes)
-    d = len(sizes)
-    if d < 2:
-        raise ArityError(f"need d >= 2, got {d}")
-    s = sum(sizes)
-    return Fraction(1, binomial(s + d - 2, d - 2) * multinomial(s, sizes))
+    if len(sizes) < 2:
+        raise ArityError(f"need d >= 2, got {len(sizes)}")
+    return _probability(sizes, len(sizes) - 2)
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle: enumerate every relative ordering of the relevant
-# elements (tuple support plus delimiters) and count raw favorable orderings.
+# Brute-force oracle: enumerate every distinct arrangement of the relevant
+# labels (tuple support plus delimiters; each arrangement is equally likely)
+# and count the ones that spell a variant's pattern.
 
 
-def _signatures(sizes: TupleType, mode: str) -> list[tuple[int, ...]]:
-    """Distinct label patterns (part index per slot, 0 = delimiter) for the mode's variants."""
-    d = len(sizes)
-    blocks = [[k] * sizes[k - 1] for k in range(1, d + 1)]
-    if mode == "skew":
-        seq: list[int] = []
-        for k, block in enumerate(blocks):
-            if k:
-                seq.append(0)
-            seq.extend(block)
-        return [tuple(seq)]
-    if mode == "d3":
-        if d != 3:
-            raise ArityError(f"d3 mode needs arity 3, got {d}")
-        e = tuple(blocks[0] + [0] + blocks[1] + blocks[2])
-        f = tuple(blocks[0] + blocks[1] + [0] + blocks[2])
-        return [e] if e == f else [e, f]
-    if mode == "general":
-        seen: list[tuple[int, ...]] = []
-        for k in range(1, d):
-            seq = []
-            for g, block in enumerate(blocks):
-                if g and g != k:
-                    seq.append(0)
-                seq.extend(block)
-            sig = tuple(seq)
-            if sig not in seen:
-                seen.append(sig)
-        return seen
-    raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
-def _delimiter_count(d: int, mode: str) -> int:
-    if mode == "skew":
-        return d - 1
-    if mode == "d3":
-        if d != 3:
-            raise ArityError(f"d3 mode needs d = 3, got {d}")
-        return 1
-    if mode == "general":
-        return d - 2
-    raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+def _arrangements(labels: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each distinct arrangement of the multiset once, in lexicographic order
+    (next permutation)."""
+    a = sorted(labels)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
 
 
 def exact_event_probability(f: Family, index: int, mode: str = "skew") -> Fraction:
-    """Probability of tuple `index`'s event by enumerating all orderings of the
-    relevant elements, as an independent check of the closed formulas.
+    """Probability of tuple `index`'s event by enumerating the arrangements of
+    the relevant elements' labels, as an independent check of the closed
+    formulas.
 
     `index` is 1-based.  Only the relative order of the tuple's support and
-    the delimiters matters, so the enumeration has (s + delimiters)! cases;
-    inputs beyond 10 relevant elements are rejected.  For multi-variant modes
-    all variants are counted in one pass, checked for equal probability, and
-    the common value returned.
+    the delimiters matters, and elements of one part (or delimiters) are
+    interchangeable, so the enumeration visits each distinct arrangement of
+    the r labels once; inputs beyond 10 relevant elements are rejected.  For
+    multi-variant modes all variants are counted in one pass, checked for
+    equal probability, and the common value returned.
     """
-    t = f.tuples[index - 1]
-    sizes = type_of(t)
-    delta = _delimiter_count(t.d, mode)
-    r = sum(sizes) + delta
+    if not 1 <= index <= len(f.tuples):
+        raise IndexRangeError(f"tuple index must be in 1..{len(f.tuples)}, got {index}")
+    targets = _signatures(type_of(f.tuples[index - 1]), mode)
+    r = len(targets[0])
     if r > EXACT_ENUMERATION_LIMIT:
         raise SizeError(f"{r} relevant elements exceed the enumeration limit {EXACT_ENUMERATION_LIMIT}")
-    labels: list[int] = []
-    for k, a in enumerate(sizes, start=1):
-        labels.extend([k] * a)
-    labels.extend([0] * delta)
-    targets = _signatures(sizes, mode)
-    counts = [0] * len(targets)
-    for perm in itertools.permutations(labels):
-        for ix, target in enumerate(targets):
-            if perm == target:
-                counts[ix] += 1
-    total = math.factorial(r)
-    values = {Fraction(c, total) for c in counts}
+    counts = dict.fromkeys(targets, 0)
+    total = 0
+    for arrangement in _arrangements(targets[0]):
+        total += 1
+        if arrangement in counts:
+            counts[arrangement] += 1
+    values = {Fraction(c, total) for c in counts.values()}
     if len(values) != 1:
         raise DomainError(f"event variants disagree: {sorted(values)}")
     return values.pop()
@@ -317,56 +297,44 @@ class EventReport:
     max_simultaneous_hits: int
 
 
-Check = Callable[[Sequence[int]], bool]
-
-
-def _tuple_checks(t: DTuple, mode: str) -> tuple[list[Check], Fraction]:
-    """Membership closures for the distinct variants of one tuple, plus their total probability."""
-    parts = t.parts()
-    n, d = t.n, t.d
-    sizes = type_of(t)
-    checks: list[Check] = []
-    if mode == "skew":
-        checks.append(lambda img: _skew_hit(img, parts, n, d))
-        prob = event_probability(sizes)
-    elif mode == "d3":
-        if d != 3:
-            raise ArityError(f"d3 mode needs d = 3, got {d}")
-        checks.append(lambda img: _d3_hit(img, parts, n, "E"))
-        if sizes[1] > 0:
-            checks.append(lambda img: _d3_hit(img, parts, n, "F"))
-        prob = len(checks) * d3_event_probability(sizes)
-    elif mode == "general":
-        for k in _distinct_gaps(sizes):
-            checks.append(lambda img, kk=k: _general_hit(img, parts, n, d, kk))
-        prob = len(checks) * general_event_probability(sizes)
-    else:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return checks, prob
-
-
-def _distinct_gaps(sizes: TupleType) -> list[int]:
-    """One representative gap index per distinct general-mode pattern."""
-    d = len(sizes)
-    reps: list[int] = []
-    seen: set[tuple[int, ...]] = set()
-    blocks = [[k] * sizes[k - 1] for k in range(1, d + 1)]
-    for k in range(1, d):
-        seq = []
-        for g, block in enumerate(blocks):
-            if g and g != k:
-                seq.append(0)
-            seq.extend(block)
-        sig = tuple(seq)
-        if sig not in seen:
-            seen.add(sig)
-            reps.append(k)
-    return reps
-
-
 def permutation_size(f: Family, mode: str) -> int:
     """Size of the extended ground set the mode's permutations act on."""
-    return f.n + _delimiter_count(f.d, mode)
+    return f.n + _delimiters(f.d, _gaps(f.d, mode)[0])
+
+
+def _walk_masks(
+    cols: list[list[int]], uses: dict[int, int], m: int, levels: int
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """The masks a trial's walk reads, for all variants at once.
+
+    cols[l][e] is the bitset of tuples with element e + 1 in part l; uses[k]
+    the tuples that have the variant with undelimited gap k.  The variants
+    are laid side by side, variant v's copy of tuple i being bit v * m + i.
+    rules[level][e] holds the copies that element e rules out when it lies
+    between delimiters level and level + 1: those with e in a part of
+    another interval.  left[e] holds the copies with e in part k, which e
+    rules out once part k + 1 has started; right[e] those with e in part
+    k + 1.  Every mask lies within the copies in use.
+    """
+    n = len(cols[0])
+    # a tuple has e in at most one part, so the parts of e outside an
+    # interval are all parts of e minus those inside it
+    every = [0] * n
+    for col in cols:
+        every = [a | c for a, c in zip(every, col)]
+    rules = [[0] * n for _ in range(levels)]
+    left, right = [0] * n, [0] * n
+    for v, (k, use) in enumerate(uses.items()):
+        shift = v * m
+        inside = [[0] * n for _ in rules]
+        for l, col in enumerate(cols):
+            inside[_level(l, k)] = [a | c for a, c in zip(inside[_level(l, k)], col)]
+        for level, row in enumerate(inside):
+            rules[level] = [r | ((a ^ c) & use) << shift for r, a, c in zip(rules[level], every, row)]
+        if k:
+            left = [r | (c & use) << shift for r, c in zip(left, cols[k - 1])]
+            right = [r | (c & use) << shift for r, c in zip(right, cols[k])]
+    return rules, left, right
 
 
 def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
@@ -374,27 +342,63 @@ def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
 
     Deterministic: fixed (family, mode, trials, seed) reproduce the report
     bit for bit.  Trials are drawn from a single stream.
+
+    All tuples and variants are checked in one walk per trial (see
+    `_walk_masks`): the elements are visited in permutation order, counting
+    the delimiters passed, and each one ORs into `bad` the copies it rules
+    out; for variants with an undelimited gap k it also rules out the copies
+    whose part k has an element after one of part k + 1.  The walk stops
+    once `bad` covers `use`; the copies of `use` left outside `bad` are the
+    hits.
     """
     if trials < 0:
         raise DomainError(f"negative trials {trials}")
+    n, m = f.n, len(f.tuples)
     size = permutation_size(f, mode)
-    per_tuple = [_tuple_checks(t, mode) for t in f.tuples]
-    checks = [c for c, _ in per_tuple]
-    formulas = tuple(p for _, p in per_tuple)
+    types = [type_of(t) for t in f.tuples]
+    variants = {sizes: _variants(sizes, mode) for sizes in set(types)}
+    formulas = tuple(len(variants[s]) * _probability(s, size - n) for s in types)
+    uses = dict.fromkeys(_gaps(f.d, mode), 0)
+    for i, sizes in enumerate(types):
+        for k in variants[sizes].values():
+            uses[k] |= 1 << i
+    masks = [t.masks for t in f.tuples]
+    cols = [_columns(masks, n, q) for q in range(f.d)]
+    rules, left, right = _walk_masks(cols, uses, m, size - n + 1)
+    use = sum(u << v * m for v, u in enumerate(uses.values()))
     rng = random.Random(seed)
     img = list(range(1, size + 1))
-    hits = [0] * len(f.tuples)
+    position = img.__getitem__
+    # elements outside every support rule nothing out
+    support = 0
+    for t in f.tuples:
+        support |= t.support()
+    walked = [e for e in range(size) if e >= n or support >> e & 1]
+    hits = [0] * m
     max_sim = 0
     for _ in range(trials):
         rng.shuffle(img)
-        sim = 0
-        for ti, chks in enumerate(checks):
-            for chk in chks:
-                if chk(img):
-                    hits[ti] += 1
-                    sim += 1
-        if sim > max_sim:
-            max_sim = sim
+        bad = seen = level = 0
+        rule = rules[0]
+        for e in sorted(walked, key=position):
+            if e >= n:
+                level += 1
+                rule = rules[level]
+                continue
+            bad |= rule[e] | (left[e] & seen)
+            seen |= right[e]
+            if bad == use:
+                break
+        else:
+            hit = use ^ bad
+            if hit:
+                sim = hit.bit_count()
+                if sim > max_sim:
+                    max_sim = sim
+                while hit:
+                    low = hit & -hit
+                    hits[(low.bit_length() - 1) % m] += 1
+                    hit ^= low
     estimates = tuple(Fraction(h, trials) if trials else Fraction(0) for h in hits)
     return EventReport(
         mode=mode,

@@ -19,7 +19,8 @@ Verification goes through one bit-sliced crossing-row index: the family is
 transposed once into per-part, per-element bitsets over the tuples, and each
 tuple's row (the set of tuples it crosses into) is an OR of a few of them.
 The (skew) validity scans and the adjacency of the extremal search in
-`search` both read these rows instead of testing pairs one at a time.
+`search` both read these rows instead of testing pairs one at a time, and
+the Monte Carlo walk in `events` reads the same column bitsets.
 """
 
 from __future__ import annotations
@@ -197,28 +198,40 @@ def cross_condition(s: DTuple, t: DTuple) -> bool:
     return False
 
 
+def _columns(tuples: Sequence[Sequence[int]], n: int, q: int) -> list[int]:
+    """Column bitsets of part q: col[e] holds bit i iff part q of tuple i
+    contains element e + 1.
+
+    `tuples` holds each tuple's part masks over [n].  The transpose is read
+    off one binary string of all the tuples' part-q masks by strided slices,
+    one `int(..., 2)` per element.
+    """
+    if not tuples:  # int("", 2) would raise
+        return [0] * n
+    width = f"0{n}b"
+    # tuples last to first, element n first: the slice for element e reads
+    # tuple 0 as its lowest bit
+    bits = "".join([format(t[q], width) for t in reversed(tuples)])
+    return [int(bits[n - 1 - e :: n], 2) for e in range(n)]
+
+
 def _crossing_rows(tuples: Sequence[Sequence[int]], n: int, d: int) -> Iterator[int]:
     """Yield, in order, each tuple's crossing row: bit j of row i is set iff
     cross_condition(t_i, t_j).
 
     `tuples` holds each tuple's d part masks over [n].  The family is
-    transposed once into column bitsets, col[q][e] = the tuples whose part q
-    contains element e, read off as strided slices of one binary string per
-    part; suffix ORs then give later[p][e] = the tuples with e in some part
-    after p.  Row i is the OR of later[p][e] over the elements e of part p
-    of t_i, so each row costs one big-int OR per element instead of m
-    interpreted pair tests.  Rows are computed on demand.
+    transposed once into column bitsets (see `_columns`); suffix ORs then
+    give later[p][e] = the tuples with e in some part after p.  Row i is the
+    OR of later[p][e] over the elements e of part p of t_i, so each row costs
+    one big-int OR per element instead of m interpreted pair tests.  Rows
+    are computed on demand.
     """
-    if not tuples:  # int("", 2) would raise
+    if not tuples:
         return
-    width = f"0{n}b"
     later: list[list[int]] = [[]] * (d - 1)
     acc = [0] * n
     for q in range(d - 1, 0, -1):
-        # tuples last to first, element n first: the slice for element e
-        # reads tuple 0 as its lowest bit
-        bits = "".join([format(t[q], width) for t in reversed(tuples)])
-        acc = [a | int(bits[n - 1 - e :: n], 2) for e, a in enumerate(acc)]
+        acc = [a | c for a, c in zip(acc, _columns(tuples, n, q))]
         later[q - 1] = acc
     for t in tuples:
         row = 0

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import _checked_type, all_tuples_of_type
+from .constructions import MAX_CANDIDATES, _checked_count, _checked_type, all_tuples_of_type
 from .errors import SizeError
 from .families import DTuple, Family, GroundSet, TupleType, _as_n, _crossing_rows
 from .sums import multinomial, tuple_weight
-
-MAX_CANDIDATES = 5000
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,7 @@ class _Budget:
 
 def _candidates(ground: GroundSet | int, sizes: TupleType) -> tuple[int, list[DTuple]]:
     n = _as_n(ground)
-    count = multinomial(n, _checked_type(n, sizes))
-    if count > MAX_CANDIDATES:
-        raise SizeError(f"{count} candidate tuples exceed the limit {MAX_CANDIDATES}")
+    _checked_count(multinomial(n, _checked_type(n, sizes)), MAX_CANDIDATES, "candidate tuples")
     return n, all_tuples_of_type(n, sizes)
 
 

@@ -109,16 +109,12 @@ def is_skew_bollobas_spaces(f: SubspaceFamily) -> bool:
 #   {"n": int, "d": int, "entries": [[ [["p/q", ...] row, ...] basis, ...d ] ...]}
 
 
-def _rat(x: Fraction) -> str:
-    return str(x)
-
-
 def subspace_family_to_json(f: SubspaceFamily) -> dict:
     return {
         "n": f.n,
         "d": f.d,
         "entries": [
-            [[[_rat(x) for x in row] for row in sp.basis] for sp in entry]
+            [[[str(x) for x in row] for row in sp.basis] for sp in entry]
             for entry in f.entries
         ],
     }

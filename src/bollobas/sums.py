@@ -7,6 +7,7 @@ never floating point, so inequality checks are decisive.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,16 +55,21 @@ def tuple_weight(sizes: Sequence[int]) -> int:
     return multinomial(sum(sizes), sizes)
 
 
+def _event_weight(sizes: Sequence[int], delimiters: int) -> int:
+    """C(s + g, g) * multinomial(s, sizes), s = sum(sizes), g = delimiters: the
+    inverse probability of a delimiter event (see the events module)."""
+    s = sum(sizes)
+    return binomial(s + delimiters, delimiters) * multinomial(s, sizes)
+
+
 def bollobas_sum(f: Family) -> Fraction:
     """Sum over tuples of the inverse multinomial weight of their type.
 
     The conjectured (and refuted) upper bound for Bollobás systems was 1; the
     proven bound for d = 3 is (n + 3) / 2, see :func:`recursive_bound`.
     """
-    total = Fraction(0)
-    for t in f.tuples:
-        total += Fraction(1, tuple_weight(type_of(t)))
-    return total
+    types = Counter(type_of(t) for t in f.tuples)
+    return sum((Fraction(c, tuple_weight(sizes)) for sizes, c in types.items()), Fraction(0))
 
 
 def skew_sum(f: Family) -> Fraction:
@@ -72,28 +78,19 @@ def skew_sum(f: Family) -> Fraction:
     At most 1 for every skew Bollobás system; each term is the probability of
     the tuple's delimiter event (see the events module).
     """
-    d = f.d
-    total = Fraction(0)
-    for t in f.tuples:
-        sizes = type_of(t)
-        s = sum(sizes)
-        total += Fraction(1, binomial(s + d - 1, d - 1) * multinomial(s, sizes))
-    return total
+    types = Counter(type_of(t) for t in f.tuples)
+    return sum((Fraction(c, _event_weight(sizes, f.d - 1)) for sizes, c in types.items()), Fraction(0))
 
 
 def pair_weighted_sum(f: Family) -> Fraction:
     """Sum of ((1 + |A_i| + |B_i|) * C(|A_i| + |B_i|, |A_i|))^-1 for a pair family.
 
-    Defined for d = 2 only; coincides with :func:`skew_sum` there because
+    Defined for d = 2 only, where it is :func:`skew_sum` because
     C(s + 1, 1) = s + 1.
     """
     if f.d != 2:
         raise ArityError(f"pair_weighted_sum needs d = 2, got d = {f.d}")
-    total = Fraction(0)
-    for t in f.tuples:
-        a, b = type_of(t)
-        total += Fraction(1, (1 + a + b) * binomial(a + b, a))
-    return total
+    return skew_sum(f)
 
 
 def recursive_bound(n: int, d: int) -> Fraction:

@@ -92,6 +92,27 @@ class TestConstruct:
     def test_missing_flag_is_usage_error(self, capsys):
         assert main(["construct", "layered-triples"]) == 2
 
+    def test_huge_complete_type_is_refused_within_a_second(self, capsys):
+        started = time.perf_counter()
+        code = main(["construct", "complete-uniform", "--sizes", "20,20,20"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert "tuples exceed the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["complete-uniform", "--sizes", "3,3,3,3"], ["layered-triples", "--n", "14"]],
+    )
+    def test_size_limit_is_checked_before_enumerating(self, capsys, monkeypatch, argv):
+        from bollobas import constructions
+
+        def refuse(*args):
+            raise AssertionError("tuples enumerated")
+
+        monkeypatch.setattr(constructions, "all_tuples_of_type", refuse)
+        assert main(["construct", *argv]) == 2
+        assert "tuples exceed the limit 100000" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_tight_triple(self, capsys):

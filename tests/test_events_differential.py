@@ -1,0 +1,126 @@
+"""Differential tests: the bit-sliced Monte Carlo walk and the arrangement
+oracle against the per-tuple loop and the r! enumeration."""
+
+import ast
+import inspect
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bollobas import Family, IndexRangeError, event_probability, exact_event_probability, monte_carlo
+from bollobas import events
+from bollobas.events import _arrangements
+from bollobas.families import DTuple
+
+import event_oracles
+
+
+@st.composite
+def families(draw):
+    """Families with d = 2..5 and n = 1..8: any part may be empty, tuples may repeat."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 8))
+    # each element goes to one of the d parts, or to none (index d)
+    labels = st.lists(st.integers(0, d), min_size=n, max_size=n)
+    tuples = []
+    for owner in draw(st.lists(labels, max_size=10)):
+        masks = [0] * (d + 1)
+        for e, part in enumerate(owner):
+            masks[part] |= 1 << e
+        tuples.append(DTuple(n, tuple(masks[:d])))
+    # plant copies of drawn members at drawn positions: their events overlap
+    for _ in range(draw(st.integers(0, 2))):
+        if tuples:
+            t = tuples[draw(st.integers(0, len(tuples) - 1))]
+            tuples.insert(draw(st.integers(0, len(tuples))), t)
+    return Family(n, d, tuple(tuples))
+
+
+def _modes(d):
+    return ("skew", "d3", "general") if d == 3 else ("skew", "general")
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(), st.integers(0, 300), st.integers(0, 2**32))
+def test_monte_carlo_matches_the_per_tuple_loop(f, trials, seed):
+    for mode in _modes(f.d):
+        assert monte_carlo(f, mode, trials, seed) == event_oracles.monte_carlo(f, mode, trials, seed)
+
+
+def test_overlapping_events_are_counted_like_the_oracle():
+    # a tuple listed three times, next to one with empty parts: up to four
+    # events can hold at once
+    t = (0b0011, 0b0100, 0b1000)
+    f = Family(4, 3, (DTuple(4, t), DTuple(4, (0, 0b0001, 0)), DTuple(4, t), DTuple(4, t)))
+    for mode in ("skew", "d3", "general"):
+        got = monte_carlo(f, mode, 3000, 5)
+        assert got == event_oracles.monte_carlo(f, mode, 3000, 5)
+        assert got.max_simultaneous_hits >= 3
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_empty_family_and_zero_trials(d):
+    empty = Family.build(4, [], d=d)
+    for mode in _modes(d):
+        assert monte_carlo(empty, mode, 50, 1) == event_oracles.monte_carlo(empty, mode, 50, 1)
+    f = Family.build(4, [[[1]] + [[]] * (d - 1), [[2], [3]] + [[]] * (d - 2)])
+    for mode in _modes(d):
+        rep = monte_carlo(f, mode, 0, 1)
+        assert rep == event_oracles.monte_carlo(f, mode, 0, 1)
+        assert rep.hits == (0, 0) and rep.max_simultaneous_hits == 0
+
+
+@st.composite
+def small_types(draw):
+    """Types of d = 2..5 parts whose events have at most 8 relevant elements in every mode."""
+    d = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
+    budget = 8 - (d - 1)
+    while sum(sizes) > budget:
+        sizes[sizes.index(max(sizes))] -= 1
+    return tuple(sizes)
+
+
+def _one_tuple(sizes):
+    parts, nxt = [], 1
+    for a in sizes:
+        parts.append(list(range(nxt, nxt + a)))
+        nxt += a
+    return Family.build(max(1, sum(sizes)), [parts])
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_types())
+def test_arrangement_oracle_matches_the_factorial_enumeration(sizes):
+    f = _one_tuple(sizes)
+    for mode in _modes(len(sizes)):
+        assert exact_event_probability(f, 1, mode) == event_oracles.exact_event_probability(f, 1, mode)
+    assert exact_event_probability(f, 1, "skew") == event_probability(sizes)
+
+
+def test_arrangements_are_distinct_and_complete():
+    labels = (0, 0, 1, 2, 2, 2)
+    seen = list(_arrangements(labels))
+    assert len(seen) == len(set(seen)) == 60  # 6! / (2! 1! 3!)
+    assert seen == sorted(seen)
+    assert all(sorted(a) == list(labels) for a in seen)
+    assert list(_arrangements(())) == [()]
+
+
+@pytest.mark.parametrize("index", [0, -1, 3, 10])
+def test_exact_oracle_index_outside_1_to_m(index):
+    f = Family.build(3, [[[1], [2]], [[2], [3]]])
+    with pytest.raises(IndexRangeError):
+        exact_event_probability(f, index, "skew")
+
+
+def test_exact_oracle_index_on_an_empty_family():
+    with pytest.raises(IndexRangeError):
+        exact_event_probability(Family.build(3, [], d=2), 1, "skew")
+
+
+def test_events_module_enumerates_no_permutations():
+    tree = ast.parse(inspect.getsource(events))
+    names = {a.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert "itertools" not in names and "permutations" not in names
