@@ -65,7 +65,6 @@ from .exterior import (
 from .families import (
     DTuple,
     Family,
-    GroundSet,
     TupleType,
     bollobas_violation,
     cross_condition,

@@ -18,6 +18,7 @@ m <= multinomial(a_1 + ... + a_d, (a_1, ..., a_d)).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,33 +116,10 @@ def sample_general_position(
     raise RetriesExhausted(f"no general-position map found in {max_retries} draws")
 
 
-def _phi_constraints(f: SubspaceFamily, k: int) -> list[SubspaceRep]:
-    """The constraint list for stage k: every prefix sum A_i^(1)+...+A_i^(k)
-    and every pairwise sum A_i^(p) + A_j^(q) with p, q <= k.
-
-    Sums with the same set of basis rows, such as the two orders of one pair,
-    share one SubspaceRep, so each is spanned once and a draw tests each
-    distinct constraint once, while the list keeps one slot per sum.
-    """
-    spans: dict[tuple[IntRow, ...], SubspaceRep] = {}
-
-    def span(rows: tuple[IntRow, ...]) -> SubspaceRep:
-        key = tuple(sorted(set(rows)))
-        sp = spans.get(key)
-        if sp is None:
-            sp = spans[key] = SubspaceRep(f.n, tuple(key[i] for i in _pivot_rows(key, f.n)))
-        return sp
-
-    m = len(f.entries)
-    constraints = [span(sum((f.entries[i][p].rows for p in range(k)), ())) for i in range(m)]
-    constraints.extend(
-        span(f.entries[i][p].rows + f.entries[j][q].rows)
-        for i in range(m)
-        for j in range(m)
-        for p in range(k)
-        for q in range(k)
-    )
-    return constraints
+def _span(rows: Sequence[IntRow], n: int) -> SubspaceRep:
+    """The span of integer rows, based on the pivot rows of their sorted distinct set."""
+    key = sorted(set(rows))
+    return SubspaceRep(n, tuple(key[i] for i in _pivot_rows(key, n)))
 
 
 def build_phi(
@@ -149,15 +127,18 @@ def build_phi(
 ) -> GeneralPositionMap:
     """General-position projection to dimension a_1 + ... + a_k for stage k.
 
-    Requires a uniform family and 2 <= k <= d.  After sampling, dimension
-    preservation of intersections is verified directly: for all i, j and
-    p, q <= k whose pair sum fits in the target dimension,
+    Requires a uniform family and 2 <= k <= d.  The constraints are every
+    prefix sum A_i^(1) + ... + A_i^(k) and the sum A + B of every unordered
+    pair of distinct parts A, B among the first k parts of the entries, a
+    part paired with itself included.  After sampling, dimension preservation
+    of intersections is verified directly over the same pairs: whenever
+    A + B fits in the target dimension,
 
-        dim(phi(A_i^(p)) ∩ phi(A_j^(q))) == dim(A_i^(p) ∩ A_j^(q)).
+        dim(phi(A) ∩ phi(B)) == dim(A ∩ B).
 
-    (Pairs with p != q always fit; a p == q pair can exceed the target and
-    then no map could preserve it.)  Each part is projected once, and the
-    ranks of a sum and of its image are computed once per set of basis rows.
+    (Parts at positions p != q always fit, as a_p + a_q <= target; two parts
+    at one position can exceed it, and then no map could preserve their sum.)
+    Each distinct part is projected and ranked once.
     """
     sizes = f.uniform_type()
     if sizes is None:
@@ -166,31 +147,32 @@ def build_phi(
     if not 2 <= k <= d:
         raise IndexRangeError(f"stage k must be in 2..{d}, got {k}")
     target = sum(sizes[:k])
-    phi = sample_general_position(f.n, target, _phi_constraints(f, k), seed, max_retries)
     m = len(f.entries)
-    images = {(i, p): phi.apply_rows(f.entries[i][p].rows) for i in range(m) for p in range(k)}
-    image_dims = {key: _rank(rows) for key, rows in images.items()}
-    # dim of the sum and of its image, per set of basis rows summed
-    sums: dict[frozenset[IntRow], tuple[int, int]] = {}
-    for i in range(m):
-        for j in range(m):
-            for p in range(k):
-                for q in range(k):
-                    a, b = f.entries[i][p], f.entries[j][q]
-                    key = frozenset(a.rows + b.rows)
-                    if key not in sums:
-                        sums[key] = (_rank(a.rows + b.rows), _rank(images[i, p] + images[j, q]))
-                    joint, image_joint = sums[key]
-                    if joint > target:
-                        continue  # no map into the target can preserve this sum
-                    ia, ib = image_dims[i, p], image_dims[j, q]
-                    want = a.dim + b.dim - joint
-                    got = ia + ib - image_joint
-                    if ia != a.dim or ib != b.dim or got != want:
-                        raise RetriesExhausted(
-                            "verified constraints but intersection dims moved at "
-                            f"(i={i + 1}, j={j + 1}, p={p + 1}, q={q + 1})"
-                        )
+    # each distinct part's rows, with its first (entry, part) position
+    first: dict[tuple[IntRow, ...], tuple[int, int]] = {}
+    for i, entry in enumerate(f.entries):
+        for p in range(k):
+            first.setdefault(entry[p].rows, (i + 1, p + 1))
+    pairs = list(itertools.combinations_with_replacement(first, 2))
+    sums = [_span(a + b, f.n) for a, b in pairs]
+    prefixes = [_span(sum((e[p].rows for p in range(k)), ()), f.n) for e in f.entries]
+    # every recorded certificate was drawn with the bound for m + m^2 k^2 slots
+    bound = 10 * (m + m * m * k * k + 1) * f.n
+    phi = sample_general_position(
+        f.n, target, prefixes + sums, seed, max_retries, entry_bound=bound
+    )
+    images = {a: phi.apply_rows(a) for a in first}
+    image_dims = {a: _rank(rows) for a, rows in images.items()}
+    for (a, b), joint in zip(pairs, sums):
+        if joint.dim > target:
+            continue  # no map into the target can preserve this sum
+        want = len(a) + len(b) - joint.dim
+        got = image_dims[a] + image_dims[b] - _rank(images[a] + images[b])
+        if image_dims[a] != len(a) or image_dims[b] != len(b) or got != want:
+            raise RetriesExhausted(
+                "verified constraints but intersection dims moved at parts "
+                f"(entry, part) = {first[a]} and {first[b]}"
+            )
     return phi
 
 

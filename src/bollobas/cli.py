@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", help="input JSON path, or - for stdin")
     parser.add_argument("--output", help="output path, or - for stdout (default)")
     parser.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    parser.add_argument("--format", choices=["json"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check the (skew) cross condition of a family")

@@ -10,7 +10,7 @@ import random
 from typing import Sequence
 
 from .errors import ArityError, DomainError, SizeError
-from .families import DTuple, Family, GroundSet, TupleType, _as_n, cross_condition, mask_of
+from .families import DTuple, Family, TupleType, _as_n, cross_condition, mask_of
 from .sums import multinomial
 
 #: The most candidate tuples `search` takes on: its branch and bound grows
@@ -40,14 +40,13 @@ def _checked_type(n: int, sizes: Sequence[int]) -> TupleType:
     return sizes
 
 
-def all_tuples_of_type(ground: GroundSet | int, sizes: Sequence[int]) -> list[DTuple]:
+def all_tuples_of_type(n: int, sizes: Sequence[int]) -> list[DTuple]:
     """Every pairwise-disjoint d-tuple of subsets of [n] with the given part sizes.
 
     Exactly once each, ordered lexicographically by (part_1, ..., part_d) as
     sorted element lists: the canonical enumeration order used everywhere.
     """
-    n = _as_n(ground)
-    sizes = _checked_type(n, sizes)
+    sizes = _checked_type(_as_n(n), sizes)
     out: list[DTuple] = []
     chosen: list[tuple[int, ...]] = []
 
@@ -150,7 +149,7 @@ def _grow_family(
 
 
 def random_skew_family(
-    ground: GroundSet | int,
+    n: int,
     d: int,
     sizes: TupleType | None = None,
     seed: int = 0,
@@ -164,11 +163,11 @@ def random_skew_family(
     when the attempt budget runs out.  Not uniform over skew families; it is
     a fuzz generator for inequality sweeps, not a sampler.
     """
-    return _grow_family(_as_n(ground), d, sizes, seed, target, attempts, two_sided=False)
+    return _grow_family(_as_n(n), d, sizes, seed, target, attempts, two_sided=False)
 
 
 def random_bollobas_family(
-    ground: GroundSet | int,
+    n: int,
     d: int,
     sizes: TupleType | None = None,
     seed: int = 0,
@@ -178,4 +177,4 @@ def random_bollobas_family(
     """Like :func:`random_skew_family` but candidates must cross in both
     directions against every current member, yielding a full Bollobás system.
     """
-    return _grow_family(_as_n(ground), d, sizes, seed, target, attempts, two_sided=True)
+    return _grow_family(_as_n(n), d, sizes, seed, target, attempts, two_sided=True)

@@ -36,6 +36,13 @@ def vector(xs: Iterable[Rational]) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
+def _rational(x) -> Fraction:
+    """A JSON number or "p/q" string as a Fraction; JSON booleans are not numbers here."""
+    if isinstance(x, bool):
+        raise TypeError(f"boolean {x!r} is not a rational")
+    return Fraction(x)
+
+
 def _clear_row(row: Sequence[Rational]) -> tuple[IntRow, int]:
     """The row times the lcm of its denominators, and that lcm (1 for an integer row)."""
     if all(type(x) is int for x in row):
@@ -275,11 +282,6 @@ class SubspaceRep:
     def from_rows(cls, rows: Sequence[Sequence[Rational]], n: int) -> "SubspaceRep":
         return cls(n, tuple(vector(r) for r in rows))
 
-    @classmethod
-    def span_of(cls, rows: Sequence[Sequence[Rational]], n: int) -> "SubspaceRep":
-        """Subspace spanned by possibly-dependent rows."""
-        return cls(n, row_basis(rows, n))
-
 
 def subspace_blade(w: SubspaceRep) -> Blade:
     """The blade of the stored basis; well defined up to a nonzero scalar factor.
@@ -311,7 +313,7 @@ def blade_from_json(obj: dict) -> Blade:
     if len(raw) != math.comb(n, k):
         raise FormatError(f"expected {math.comb(n, k)} coordinates, got {len(raw)}")
     try:
-        coords = tuple(Fraction(x) for x in raw)
+        coords = tuple(_rational(x) for x in raw)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise FormatError(f"bad rational in blade coords: {exc}") from exc
     return Blade(n, (), coords, grade=k)

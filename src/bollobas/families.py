@@ -43,19 +43,8 @@ MAX_GROUND = 64
 TupleType = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """The ground set {1, ..., n}, 1 <= n <= 64."""
-
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND:
-            raise RangeError(f"ground set size must be in 1..{MAX_GROUND}, got {self.n}")
-
-
-def _as_n(ground: GroundSet | int) -> int:
-    n = ground.n if isinstance(ground, GroundSet) else ground
+def _as_n(n: int) -> int:
+    """The ground set size n, checked to lie in 1..64."""
     if not 1 <= n <= MAX_GROUND:
         raise RangeError(f"ground set size must be in 1..{MAX_GROUND}, got {n}")
     return n
@@ -117,13 +106,13 @@ class DTuple:
         return type_of(self)
 
 
-def validate_tuple(parts: Sequence[Iterable[int]], ground: GroundSet | int) -> DTuple:
+def validate_tuple(parts: Sequence[Iterable[int]], n: int) -> DTuple:
     """Build a DTuple, checking range, arity >= 2, and pairwise disjointness.
 
     Raises OverlapError with the first colliding part pair (p, q, element),
     RangeError for elements outside 1..n, ArityError for fewer than two parts.
     """
-    n = _as_n(ground)
+    _as_n(n)
     if len(parts) < 2:
         raise ArityError(f"a d-tuple needs d >= 2 parts, got {len(parts)}")
     masks = [mask_of(p, n) for p in parts]
@@ -337,7 +326,3 @@ def family_loads(text: str) -> Family:
     except RecursionError as exc:
         raise FormatError("invalid JSON: nested too deeply") from exc
     return family_from_json(obj)
-
-
-def family_dumps(f: Family) -> str:
-    return json.dumps(family_to_json(f), sort_keys=True)

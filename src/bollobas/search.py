@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .constructions import MAX_CANDIDATES, _checked_count, _checked_type, all_tuples_of_type
 from .errors import SizeError
-from .families import DTuple, Family, GroundSet, TupleType, _as_n, _crossing_rows
+from .families import DTuple, Family, TupleType, _as_n, _crossing_rows
 from .sums import multinomial, tuple_weight
 
 
@@ -38,10 +38,10 @@ class _Budget:
             raise SizeError(f"node budget {self.limit} exhausted")
 
 
-def _candidates(ground: GroundSet | int, sizes: TupleType) -> tuple[int, list[DTuple]]:
-    n = _as_n(ground)
-    _checked_count(multinomial(n, _checked_type(n, sizes)), MAX_CANDIDATES, "candidate tuples")
-    return n, all_tuples_of_type(n, sizes)
+def _candidates(n: int, sizes: TupleType) -> list[DTuple]:
+    sizes = _checked_type(_as_n(n), sizes)
+    _checked_count(multinomial(n, sizes), MAX_CANDIDATES, "candidate tuples")
+    return all_tuples_of_type(n, sizes)
 
 
 def _greedy_color_order(p: int, adj: list[int]) -> list[tuple[int, int]]:
@@ -66,14 +66,14 @@ def _greedy_color_order(p: int, adj: list[int]) -> list[tuple[int, int]]:
 
 
 def max_bollobas_uniform(
-    ground: GroundSet | int, sizes: TupleType, node_budget: int | None = None
+    n: int, sizes: TupleType, node_budget: int | None = None
 ) -> SearchResult:
     """Maximum size of a two-sided system of the given uniform type on [n].
 
     Deterministic: candidates in enumeration order, ties broken by smallest
     index.  The witness is the lexicographically produced optimum clique.
     """
-    n, cands = _candidates(ground, sizes)
+    cands = _candidates(n, sizes)
     m = len(cands)
     # cross(t_j, t_i) = cross(rev t_i, rev t_j): predecessor rows are the
     # crossing rows of the candidates with their parts reversed
@@ -113,7 +113,7 @@ def max_bollobas_uniform(
 
 
 def max_skew_uniform(
-    ground: GroundSet | int, sizes: TupleType, node_budget: int | None = None
+    n: int, sizes: TupleType, node_budget: int | None = None
 ) -> SearchResult:
     """Maximum length of an ordered chain T_1, ..., T_m of distinct tuples of
     the given type with cross_condition(T_i, T_j) for all i < j.
@@ -121,7 +121,7 @@ def max_skew_uniform(
     The chain may pick candidates in any order (the family order is the chain
     order), so this searches sequences, not cliques.
     """
-    n, cands = _candidates(ground, sizes)
+    cands = _candidates(n, sizes)
     m = len(cands)
     # no tuple crosses into itself, since its parts are disjoint
     succ = list(_crossing_rows([t.masks for t in cands], n, len(sizes)))

@@ -7,12 +7,10 @@ condition then asks for p < q with dim(A_i^(p) ∩ A_j^(q)) > 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, FormatError
-from .exterior import SubspaceRep, _rank, sum_rank
+from .exterior import SubspaceRep, _rank, _rational, sum_rank
 from .families import Family
 
 Entry = tuple[SubspaceRep, ...]
@@ -120,13 +118,6 @@ def subspace_family_to_json(f: SubspaceFamily) -> dict:
     }
 
 
-def _rational(x) -> Fraction:
-    """A JSON number or "p/q" string as a Fraction; JSON booleans are not numbers here."""
-    if isinstance(x, bool):
-        raise TypeError(f"boolean {x!r} is not a rational")
-    return Fraction(x)
-
-
 def subspace_family_from_json(obj: dict) -> SubspaceFamily:
     if not isinstance(obj, dict):
         raise FormatError("subspace family JSON must be an object")
@@ -151,11 +142,3 @@ def subspace_family_from_json(obj: dict) -> SubspaceFamily:
             parts.append(SubspaceRep(n, rows))
         entries.append(tuple(parts))
     return SubspaceFamily(n, d, tuple(entries))
-
-
-def subspace_family_loads(text: str) -> SubspaceFamily:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    return subspace_family_from_json(obj)

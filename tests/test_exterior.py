@@ -261,6 +261,7 @@ class TestBladeWireChecks:
             {"n": True, "k": True, "coords": ["2"]},
             {"n": 1, "k": True, "coords": ["2"]},
             {"n": True, "k": 0, "coords": ["1"]},
+            {"n": 1, "k": 1, "coords": [True]},
         ],
     )
     def test_booleans_rejected(self, obj):
