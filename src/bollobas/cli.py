@@ -20,15 +20,15 @@ import time
 from fractions import Fraction
 
 from . import constructions, events, search, sums
+from .certificates import DEFAULT_MAX_RETRIES, derive_seed
 from .certificates import certify as run_certify
-from .certificates import derive_seed
-from .errors import BollobasError, FormatError
+from .errors import BollobasError, FormatError, SizeError
 from .families import bollobas_violation, family_from_json, family_to_json, skew_violation
 from .spaces import lift_to_spaces, subspace_family_from_json, subspace_family_to_json
 
 
-def _read_input(path: str | None) -> tuple[str, str]:
-    """Return (text, sha256 digest) of the input document."""
+def _load_input(path: str | None) -> tuple[object, str]:
+    """Return the decoded input document and the sha256 digest of its text."""
     if path is None:
         raise FormatError("this subcommand needs --input <path|->")
     try:
@@ -41,17 +41,13 @@ def _read_input(path: str | None) -> tuple[str, str]:
         data = text.encode()
     except UnicodeError as exc:
         raise FormatError(f"input is not UTF-8 text: {exc}") from exc
-    digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    return text, digest
-
-
-def _load_json(text: str) -> dict:
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+        obj = json.loads(text)
     except RecursionError as exc:
         raise FormatError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past the digit limit
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    return obj, "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -62,21 +58,35 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError as exc:
-            raise FormatError(f"bad range {text!r}") from exc
+#: The most values of n `bounds` tabulates; the table is built and printed
+#: whole.  A row costs microseconds at small d and about 20 ms at the arity
+#: limit of `sums.recursive_bound` for n up to 64.
+MAX_BOUND_ROWS = 1000
+
+
+def _parse_range(text: str) -> range:
+    lo, sep, hi = text.partition("..")
     try:
-        return [int(text)]
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError as exc:
         raise FormatError(f"bad range {text!r}") from exc
+    if hi - lo >= MAX_BOUND_ROWS:
+        raise SizeError(f"range {text!r} holds more than {MAX_BOUND_ROWS} values of n")
+    return range(lo, hi + 1)
+
+
+def _exact(x: Fraction) -> str:
+    """An exact rational as "p/q" text, the one JSON form of a Fraction in a report."""
+    if not isinstance(x, Fraction):
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
+    return str(x)
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, default=_exact) + "\n"
+    except ValueError as exc:  # an integer past the digit limit of int-to-str conversion
+        raise SizeError(f"result too large to print: {exc}") from exc
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
@@ -84,23 +94,15 @@ def _emit(report: dict, output: str | None) -> None:
             fh.write(text)
 
 
-def _report(command: str, args: dict, digest: str | None, seed: int, results: dict) -> dict:
-    return {
-        "command": command,
-        "args": args,
-        "input_digest": digest,
-        "seed": seed,
-        "results": results,
-    }
-
-
 # ---------------------------------------------------------------------------
-# Subcommands.  Each returns (report dict, exit code).
+# Subcommands.  Each returns (args, input digest, results, exit code).
+
+Outcome = tuple[dict, str | None, dict, int]
 
 
-def _cmd_verify(ns) -> tuple[dict, int]:
-    text, digest = _read_input(ns.input)
-    fam = family_from_json(_load_json(text))
+def _cmd_verify(ns) -> Outcome:
+    obj, digest = _load_input(ns.input)
+    fam = family_from_json(obj)
     violation = bollobas_violation(fam) if ns.mode == "bollobas" else skew_violation(fam)
     results = {
         "mode": ns.mode,
@@ -110,13 +112,12 @@ def _cmd_verify(ns) -> tuple[dict, int]:
         "n": fam.n,
         "d": fam.d,
     }
-    report = _report("verify", {"mode": ns.mode}, digest, ns.seed, results)
-    return report, 0 if violation is None else 1
+    return {"mode": ns.mode}, digest, results, 0 if violation is None else 1
 
 
-def _cmd_sum(ns) -> tuple[dict, int]:
-    text, digest = _read_input(ns.input)
-    fam = family_from_json(_load_json(text))
+def _cmd_sum(ns) -> Outcome:
+    obj, digest = _load_input(ns.input)
+    fam = family_from_json(obj)
     if ns.which == "conjecture":
         value = sums.bollobas_sum(fam)
         bound = sums.recursive_bound(fam.n, fam.d)
@@ -128,18 +129,17 @@ def _cmd_sum(ns) -> tuple[dict, int]:
         bound = Fraction(1)
     results = {
         "which": ns.which,
-        "value": str(value),
-        "bound": str(bound),
+        "value": value,
+        "bound": bound,
         "within_bound": value <= bound,
         "m": len(fam),
         "n": fam.n,
         "d": fam.d,
     }
-    report = _report("sum", {"which": ns.which}, digest, ns.seed, results)
-    return report, 0 if value <= bound else 1
+    return {"which": ns.which}, digest, results, 0 if value <= bound else 1
 
 
-def _cmd_construct(ns) -> tuple[dict, int]:
+def _cmd_construct(ns) -> Outcome:
     kind = ns.kind
     if kind == "complete-uniform":
         if ns.sizes is None:
@@ -172,11 +172,10 @@ def _cmd_construct(ns) -> tuple[dict, int]:
     results = {"m": len(fam), "family": family_to_json(fam)}
     if ns.lift:
         results["subspace_family"] = subspace_family_to_json(lift_to_spaces(fam))
-    report = _report("construct", args, None, ns.seed, results)
-    return report, 0
+    return args, None, results, 0
 
 
-def _cmd_search(ns) -> tuple[dict, int]:
+def _cmd_search(ns) -> Outcome:
     sizes = _parse_sizes(ns.type)
     fn = search.max_bollobas_uniform if ns.mode == "bollobas" else search.max_skew_uniform
     result = fn(ns.n, sizes, node_budget=ns.node_budget)
@@ -189,34 +188,30 @@ def _cmd_search(ns) -> tuple[dict, int]:
         "nodes_explored": result.nodes_explored,
         "witness": family_to_json(result.witness),
     }
-    report = _report("search", {"mode": ns.mode, "n": ns.n, "type": list(sizes)}, None, ns.seed, results)
-    return report, 0
+    return {"mode": ns.mode, "n": ns.n, "type": list(sizes)}, None, results, 0
 
 
-def _cmd_simulate(ns) -> tuple[dict, int]:
-    text, digest = _read_input(ns.input)
-    fam = family_from_json(_load_json(text))
+def _cmd_simulate(ns) -> Outcome:
+    obj, digest = _load_input(ns.input)
+    fam = family_from_json(obj)
     child = derive_seed(ns.seed, "simulate")
     rep = events.monte_carlo(fam, ns.mode, ns.trials, child)
     results = {
         "mode": rep.mode,
         "trials": rep.trials,
         "hits": list(rep.hits),
-        "estimates": [str(e) for e in rep.estimates],
+        "estimates": rep.estimates,
         "estimates_decimal": [f"{float(e):.9f}" for e in rep.estimates],
-        "formula_values": [str(p) for p in rep.formula_values],
+        "formula_values": rep.formula_values,
         "max_simultaneous_hits": rep.max_simultaneous_hits,
         "events_disjoint": rep.max_simultaneous_hits <= 1,
     }
-    report = _report(
-        "simulate", {"mode": ns.mode, "trials": ns.trials}, digest, ns.seed, results
-    )
-    return report, 0 if rep.max_simultaneous_hits <= 1 else 1
+    code = 0 if rep.max_simultaneous_hits <= 1 else 1
+    return {"mode": ns.mode, "trials": ns.trials}, digest, results, code
 
 
-def _cmd_certify(ns) -> tuple[dict, int]:
-    text, digest = _read_input(ns.input)
-    obj = _load_json(text)
+def _cmd_certify(ns) -> Outcome:
+    obj, digest = _load_input(ns.input)
     if not isinstance(obj, dict):
         raise FormatError("certify input JSON must be an object")
     if "tuples" in obj:
@@ -236,19 +231,14 @@ def _cmd_certify(ns) -> tuple[dict, int]:
         "skew_violation": list(cert.skew_violation) if cert.skew_violation else None,
         "violations": [list(v) for v in cert.violations],
         "retries": list(cert.retries),
-        "evaluation": [[str(x) for x in row] for row in cert.evaluation],
+        "evaluation": cert.evaluation,
     }
-    report = _report("certify", {"max_retries": ns.max_retries}, digest, ns.seed, results)
-    return report, 0 if cert.verdict else 1
+    return {"max_retries": ns.max_retries}, digest, results, 0 if cert.verdict else 1
 
 
-def _cmd_bounds(ns) -> tuple[dict, int]:
-    rows = [
-        {"n": n, "bound": str(sums.recursive_bound(n, ns.d))} for n in _parse_range(ns.n)
-    ]
-    results = {"d": ns.d, "rows": rows}
-    report = _report("bounds", {"n": ns.n, "d": ns.d}, None, ns.seed, results)
-    return report, 0
+def _cmd_bounds(ns) -> Outcome:
+    rows = [{"n": n, "bound": sums.recursive_bound(n, ns.d)} for n in _parse_range(ns.n)]
+    return {"n": ns.n, "d": ns.d}, None, {"d": ns.d, "rows": rows}, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("certify", help="size-bound certificate for a uniform skew family")
-    p.add_argument("--max-retries", type=int, default=32)
+    p.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("bounds", help="tabulate the exact sum bound over n")
@@ -307,11 +297,12 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        report, code = ns.fn(ns)
+        args, digest, results, code = ns.fn(ns)
+        report = dict(command=ns.command, args=args, input_digest=digest, seed=ns.seed, results=results)
+        _emit(report, ns.output)
     except (BollobasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, ns.output)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     return code

@@ -127,11 +127,9 @@ def _grow_family(
     two_sided: bool,
 ) -> Family:
     if sizes is not None:
-        sizes = tuple(sizes)
         if len(sizes) != d:
-            raise ArityError(f"type {sizes} has arity {len(sizes)}, requested d = {d}")
-        if sum(sizes) > n:
-            raise DomainError(f"type {sizes} does not fit in a ground set of {n}")
+            raise ArityError(f"type {tuple(sizes)} has arity {len(sizes)}, requested d = {d}")
+        sizes = _checked_type(n, sizes)
     if d < 2:
         raise ArityError(f"need d >= 2, got {d}")
     rng = random.Random(seed)

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, FormatError, GradeError
+from .wire import fields, rational
 
 Vec = tuple[Fraction, ...]
 IntRow = tuple[int, ...]
@@ -34,13 +35,6 @@ Rational = Fraction | int | str
 def vector(xs: Iterable[Rational]) -> Vec:
     """Coerce ints / 'p/q' strings / Fractions into a rational row vector."""
     return tuple(Fraction(x) for x in xs)
-
-
-def _rational(x) -> Fraction:
-    """A JSON number or "p/q" string as a Fraction; JSON booleans are not numbers here."""
-    if isinstance(x, bool):
-        raise TypeError(f"boolean {x!r} is not a rational")
-    return Fraction(x)
 
 
 def _clear_row(row: Sequence[Rational]) -> tuple[IntRow, int]:
@@ -300,23 +294,12 @@ def blade_to_json(b: Blade) -> dict:
 
 def blade_from_json(obj: dict) -> Blade:
     """Rebuild a coordinate-only blade (no generators are stored in the wire format)."""
-    if not isinstance(obj, dict):
-        raise FormatError("blade JSON must be an object")
-    for key in ("n", "k", "coords"):
-        if key not in obj:
-            raise FormatError(f"blade JSON missing field {key!r}")
-    n, k, raw = obj["n"], obj["k"], obj["coords"]
-    if type(n) is not int or type(k) is not int or not isinstance(raw, list):
-        raise FormatError("blade JSON fields have wrong types")
+    n, k, raw = fields(obj, "blade", ("n", "k"), "coords")
     if not 0 <= k <= n:
         raise FormatError(f"blade JSON needs 0 <= k <= n, got n={n}, k={k}")
     if len(raw) != math.comb(n, k):
         raise FormatError(f"expected {math.comb(n, k)} coordinates, got {len(raw)}")
-    try:
-        coords = tuple(_rational(x) for x in raw)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise FormatError(f"bad rational in blade coords: {exc}") from exc
-    return Blade(n, (), coords, grade=k)
+    return Blade(n, (), tuple(rational(x) for x in raw), grade=k)
 
 
 def sum_rank(*spaces: SubspaceRep) -> int:

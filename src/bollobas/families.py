@@ -25,7 +25,6 @@ the Monte Carlo walk in `events` reads the same column bitsets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -36,6 +35,7 @@ from .errors import (
     OverlapError,
     RangeError,
 )
+from .wire import fields
 
 MAX_GROUND = 64
 
@@ -297,16 +297,7 @@ def family_to_json(f: Family) -> dict:
 
 
 def family_from_json(obj: dict) -> Family:
-    if not isinstance(obj, dict):
-        raise FormatError("family JSON must be an object")
-    for key in ("n", "d", "tuples"):
-        if key not in obj:
-            raise FormatError(f"family JSON missing field {key!r}")
-    n, d, raw = obj["n"], obj["d"], obj["tuples"]
-    if type(n) is not int or type(d) is not int:
-        raise FormatError("family JSON fields 'n' and 'd' must be integers")
-    if not isinstance(raw, list):
-        raise FormatError("family JSON field 'tuples' must be a list")
+    n, d, raw = fields(obj, "family", ("n", "d"), "tuples")
     tuples = []
     for idx, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != d:
@@ -317,12 +308,3 @@ def family_from_json(obj: dict) -> Family:
         tuples.append(validate_tuple(entry, n))
     return Family(n, d, tuple(tuples))
 
-
-def family_loads(text: str) -> Family:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise FormatError("invalid JSON: nested too deeply") from exc
-    return family_from_json(obj)

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, FormatError
-from .exterior import SubspaceRep, _rank, _rational, sum_rank
+from .exterior import SubspaceRep, _rank, sum_rank
 from .families import Family
+from .wire import fields, rational
 
 Entry = tuple[SubspaceRep, ...]
 
@@ -119,14 +120,7 @@ def subspace_family_to_json(f: SubspaceFamily) -> dict:
 
 
 def subspace_family_from_json(obj: dict) -> SubspaceFamily:
-    if not isinstance(obj, dict):
-        raise FormatError("subspace family JSON must be an object")
-    for key in ("n", "d", "entries"):
-        if key not in obj:
-            raise FormatError(f"subspace family JSON missing field {key!r}")
-    n, d, raw = obj["n"], obj["d"], obj["entries"]
-    if type(n) is not int or type(d) is not int or not isinstance(raw, list):
-        raise FormatError("subspace family JSON fields have wrong types")
+    n, d, raw = fields(obj, "subspace family", ("n", "d"), "entries")
     entries = []
     for idx, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != d:
@@ -135,10 +129,6 @@ def subspace_family_from_json(obj: dict) -> SubspaceFamily:
         for basis in entry:
             if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
                 raise FormatError(f"entry {idx + 1} has a basis that is not a list of rows")
-            try:
-                rows = tuple(tuple(_rational(x) for x in row) for row in basis)
-            except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-                raise FormatError(f"entry {idx + 1} has a bad rational: {exc}") from exc
-            parts.append(SubspaceRep(n, rows))
+            parts.append(SubspaceRep(n, tuple(tuple(rational(x) for x in row) for row in basis)))
         entries.append(tuple(parts))
     return SubspaceFamily(n, d, tuple(entries))

@@ -11,8 +11,13 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ArityError, DomainError
+from .errors import ArityError, DomainError, SizeError
 from .families import Family, type_of
+
+#: The largest d for which `recursive_bound` is computed.  B(n, d) >= (d - 2)!,
+#: which from d = 1,561 on has more than the 4,300 digits Python prints of an
+#: int, so no bound above this d could be printed.
+MAX_BOUND_ARITY = 1560
 
 
 def factorial(n: int) -> int:
@@ -105,6 +110,8 @@ def recursive_bound(n: int, d: int) -> Fraction:
         raise DomainError(f"recursive_bound needs n >= 1, got {n}")
     if d < 2:
         raise ArityError(f"recursive_bound needs d >= 2, got {d}")
+    if d > MAX_BOUND_ARITY:
+        raise SizeError(f"d = {d} exceeds the limit {MAX_BOUND_ARITY} of the exact bound")
     bound = Fraction(1)
     for dd in range(3, d + 1):
         bound = Fraction(binomial(n + dd - 2, dd - 2), dd - 1) + (dd - 2) * bound

@@ -45,7 +45,10 @@ def uniform_families(draw):
                 rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     if kind == "rational":
         scales = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
-        rows = [[draw(scales) * a for a in row] if draw(st.booleans()) else row for row in rows]
+        for r in range(n):
+            if draw(st.booleans()):
+                scale = draw(scales)
+                rows[r] = [scale * a for a in rows[r]]
     entries = []
     for order in draw(st.lists(st.permutations(range(n)), min_size=1, max_size=5)):
         parts, start = [], 0

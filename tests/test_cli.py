@@ -1,11 +1,26 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas.cli import main
+
+# The subcommands that read a JSON document.
+DOCUMENT_READERS = [
+    ["verify"],
+    ["sum", "--which", "conjecture"],
+    ["simulate", "--mode", "skew", "--trials", "5"],
+    ["certify"],
+]
+# 10^3000: fits the 4,300-digit limit, but the product of two has 6,001 digits.
+TEN_3000 = "1" + "0" * 3000
 
 
 def run(capsys, *argv):
@@ -113,6 +128,13 @@ class TestConstruct:
         assert main(["construct", *argv]) == 2
         assert "tuples exceed the limit 100000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["random-skew", "random-bollobas"])
+    def test_negative_part_size_is_exit_2(self, capsys, kind):
+        code = main(["--seed", "1", "construct", kind, "--n", "5", "--d", "2", "--sizes=-1,3"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "negative part size" in err
+
 
 class TestSearch:
     def test_tight_triple(self, capsys):
@@ -193,6 +215,26 @@ class TestBounds:
         rows = obj["results"]["rows"]
         assert [r["bound"] for r in rows] == ["2", "5/2", "3", "7/2", "4", "9/2", "5", "11/2"]
 
+    def test_long_range_is_refused_before_any_row(self, capsys, monkeypatch):
+        from bollobas import sums
+
+        def refuse(*args):
+            raise AssertionError("bound computed")
+
+        monkeypatch.setattr(sums, "recursive_bound", refuse)
+        assert main(["bounds", "--n", "1..1000001", "--d", "3"]) == 2
+        assert "more than 1000 values of n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["bounds", "--n", "1", "--d", "2000"], ["--input", "-", "sum", "--which", "conjecture"]]
+    )
+    def test_arity_limit_holds_for_bounds_and_the_conjecture_sum(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 1, "d": 2000, "tuples": []}'))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: d = 2000 exceeds the limit 1560")
+
 
 class TestErrorsAndDeterminism:
     def test_malformed_json_is_exit_2(self, capsys, tmp_path):
@@ -256,8 +298,6 @@ class TestMalformedInput:
     """Malformed documents end in exit 2 with an error line, never a traceback."""
 
     def run_stdin(self, capsys, monkeypatch, payload, *argv):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
         code = main(["--input", "-", *argv])
         err = capsys.readouterr().err
@@ -308,6 +348,35 @@ class TestMalformedInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def assert_refused(self, capsys, monkeypatch, payload, *argv):
+        """Exit 2 with an error line on stderr and nothing on stdout."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", DOCUMENT_READERS)
+    def test_integer_literal_past_the_digit_limit_is_exit_2(self, capsys, monkeypatch, argv):
+        payload = '{"n": ' + "1" * 5000 + ', "d": 2, "tuples": []}'
+        self.assert_refused(capsys, monkeypatch, payload, "--input", "-", *argv)
+
+    @pytest.mark.parametrize(
+        "payload,argv",
+        [
+            # B(64, 1560) has 4,305 digits
+            ("", ["bounds", "--n", "64", "--d", "1560"]),
+            ('{"n": 64, "d": 1560, "tuples": []}', ["--input", "-", "sum", "--which", "conjecture"]),
+            (
+                json.dumps({"n": 2, "d": 2, "entries": [[[[TEN_3000, "0"]], [["0", TEN_3000]]]]}),
+                ["--input", "-", "certify"],
+            ),
+        ],
+        ids=["bounds", "sum", "certify"],
+    )
+    def test_result_past_the_digit_limit_is_exit_2(self, capsys, monkeypatch, payload, argv):
+        self.assert_refused(capsys, monkeypatch, payload, *argv)
+
     def test_non_utf8_stdin_is_exit_2(self, capsys, monkeypatch):
         # a text stdin with errors="surrogateescape" hands invalid bytes on as lone surrogates
         code, err = self.run_stdin(capsys, monkeypatch, b"\xff\xfe".decode("utf-8", "surrogateescape"), "verify")
@@ -320,6 +389,43 @@ class TestMalformedInput:
         code = main(["--input", str(path), "verify"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+# Arbitrary JSON with the keys of both family formats.  Integers stay below
+# 100: certify's ambient dimension has no work budget yet, so a large valid n
+# is slow rather than wrong; integer literals past the digit limit have their
+# own tests above.
+_SCALARS = st.one_of(
+    st.integers(-2, 100),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1/2", "-3", "1/0", "x", ""]),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+)
+_KEYS = st.sampled_from(["n", "d", "tuples", "entries"])
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+_SMALL = st.integers(-1, 6)
+_DOCS = _JSON | st.fixed_dictionaries(
+    {},
+    optional={"n": _SMALL | _SCALARS, "d": _SMALL | _SCALARS, "tuples": _JSON, "entries": _JSON},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS, argv=st.sampled_from(DOCUMENT_READERS))
+def test_arbitrary_json_keeps_the_exit_contract(doc, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--input", "-", *argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
 
 
 class TestSubprocessPipeline:

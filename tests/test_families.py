@@ -204,9 +204,3 @@ class TestJson:
     def test_rejects_wrong_part_count(self):
         with pytest.raises(FormatError):
             family_from_json({"n": 3, "d": 3, "tuples": [[[1], [2]]]})
-
-    def test_loads_rejects_deep_nesting(self):
-        from bollobas.families import family_loads
-
-        with pytest.raises(FormatError):
-            family_loads("[" * 100_000 + "]" * 100_000)
