@@ -8,11 +8,15 @@ violation was found, 2 means usage or parse errors.
 
 All randomness flows from the single --seed flag; each stage derives its own
 child seed by labeled hashing, so adding a stage never perturbs another.
+
+`main` parses with one parser per process, built on its first call, so
+repeated in-process calls do not pay to build it again.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -292,9 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses for every call in a process, built on first use.
+
+    Sharing is safe: parsing only reads the parser, its defaults are
+    immutable values and module-level functions, and each call gets a fresh
+    Namespace.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _shared_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         args, digest, results, code = ns.fn(ns)

@@ -297,9 +297,25 @@ def blade_from_json(obj: dict) -> Blade:
     n, k, raw = fields(obj, "blade", ("n", "k"), "coords")
     if not 0 <= k <= n:
         raise FormatError(f"blade JSON needs 0 <= k <= n, got n={n}, k={k}")
-    if len(raw) != math.comb(n, k):
-        raise FormatError(f"expected {math.comb(n, k)} coordinates, got {len(raw)}")
+    count = _binomial_up_to(n, k, len(raw))
+    if count != len(raw):
+        expected = count if count < len(raw) else f"more than {len(raw)}"
+        raise FormatError(f"expected {expected} coordinates, got {len(raw)}")
     return Blade(n, (), tuple(rational(x) for x in raw), grade=k)
+
+
+def _binomial_up_to(n: int, k: int, cap: int) -> int:
+    """C(n, k) if it is at most cap, else some number above cap.
+
+    C(n, i) grows with i up to n/2, so the running product stops at the
+    first value above cap and never builds a larger number than that.
+    """
+    c = 1
+    for i in range(min(k, n - k)):
+        c = c * (n - i) // (i + 1)
+        if c > cap:
+            break
+    return c
 
 
 def sum_rank(*spaces: SubspaceRep) -> int:

@@ -26,6 +26,8 @@ the Monte Carlo walk in `events` reads the same column bitsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -296,8 +298,61 @@ def family_to_json(f: Family) -> dict:
     }
 
 
+#: _BIT[e] is the mask bit of element e; index 0 is never read.
+_BIT = (0,) + tuple(1 << e for e in range(MAX_GROUND))
+
+
 def family_from_json(obj: dict) -> Family:
+    """Read a family from its JSON object.
+
+    One flat pass over all the elements builds every part mask; a document
+    it refuses goes through `_family_from_checked_json`, which names the
+    first fault.
+    """
     n, d, raw = fields(obj, "family", ("n", "d"), "tuples")
+    masks = _flat_masks(raw, n, d)
+    if masks is None:
+        return _family_from_checked_json(raw, n, d)
+    return Family(n, d, tuple(map(DTuple, repeat(n), masks)))
+
+
+def _flat_masks(raw: list, n: int, d: int) -> list[tuple[int, ...]] | None:
+    """The part masks of each tuple of a well-formed family, or None if `raw` has any fault.
+
+    The type, shape and range checks each run over the whole family at
+    once.  A part mask is a difference of prefix sums of element bits.  A
+    tuple is repeat-free, so its parts are disjoint, exactly when the sum
+    of its element bits has one set bit per element: a repeat causes a
+    carry, and a carry lowers the popcount.  A part that lists an element
+    twice is refused here although the checked path accepts it.
+    """
+    if d < 2 or not 1 <= n <= MAX_GROUND:
+        return None
+    if not raw:
+        return []
+    if not set(map(type, raw)) <= {list} or set(map(len, raw)) != {d}:
+        return None
+    parts = list(chain.from_iterable(raw))
+    if not set(map(type, parts)) <= {list}:
+        return None
+    elements = list(chain.from_iterable(parts))
+    if not set(map(type, elements)) <= {int}:
+        return None
+    if elements and (min(elements) < 1 or max(elements) > n):
+        return None
+    sums = list(accumulate(map(_BIT.__getitem__, elements), initial=0))
+    ends = list(accumulate(map(len, parts), initial=0))
+    at_ends = list(map(sums.__getitem__, ends))
+    tuple_sums, tuple_ends = at_ends[::d], ends[::d]
+    counts = list(map(sub, tuple_ends[1:], tuple_ends[:-1]))
+    if list(map(int.bit_count, map(sub, tuple_sums[1:], tuple_sums[:-1]))) != counts:
+        return None
+    masks = map(sub, at_ends[1:], at_ends[:-1])
+    return list(zip(*[masks] * d))
+
+
+def _family_from_checked_json(raw: list, n: int, d: int) -> Family:
+    """Read a family one tuple at a time, raising the error for its first fault."""
     tuples = []
     for idx, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != d:
@@ -307,4 +362,3 @@ def family_from_json(obj: dict) -> Family:
                 raise FormatError(f"tuple {idx + 1} has a part that is not a list of ints")
         tuples.append(validate_tuple(entry, n))
     return Family(n, d, tuple(tuples))
-

@@ -9,12 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, SizeError
 from .exterior import SubspaceRep, _rank, sum_rank
 from .families import Family
 from .wire import fields, rational
 
 Entry = tuple[SubspaceRep, ...]
+
+#: The largest ambient dimension of a subspace family read from JSON.  The
+#: certificate draws an ambient x target integer matrix per try, so the work
+#: grows with it even when every basis is empty; the lift of a set family
+#: (n <= 64) is always within the limit.
+MAX_AMBIENT = 256
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,8 @@ def subspace_family_to_json(f: SubspaceFamily) -> dict:
 
 def subspace_family_from_json(obj: dict) -> SubspaceFamily:
     n, d, raw = fields(obj, "subspace family", ("n", "d"), "entries")
+    if n > MAX_AMBIENT:
+        raise SizeError(f"ambient dimension {n} exceeds the limit {MAX_AMBIENT} of a subspace family")
     entries = []
     for idx, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != d:

@@ -7,6 +7,7 @@ never floating point, so inequality checks are decisive.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Sequence
@@ -98,6 +99,23 @@ def pair_weighted_sum(f: Family) -> Fraction:
     return skew_sum(f)
 
 
+def _too_long_to_print(n: int, d: int) -> bool:
+    """True if B(n, d) has, by a lower bound, more digits than Python prints.
+
+    B(n, d) >= C(n+d-2, d-2)/(d-1) >= a^k/(d-1) > 2^E with k = d - 2,
+    a = floor((n+d-2)/k) and E = k*(len(a) - 1) - len(d - 1), where len is
+    the bit length.  The numerator of B is at least B, so it cannot be
+    printed once 2^E >= 10^L, for Python's limit of L digits; as
+    2^(10/3) > 10, that holds when 3E >= 10L.
+    """
+    limit = sys.get_int_max_str_digits()
+    if d == 2 or not limit:
+        return False
+    k = d - 2
+    e = k * (((n + k) // k).bit_length() - 1) - (d - 1).bit_length()
+    return 3 * e >= 10 * limit
+
+
 def recursive_bound(n: int, d: int) -> Fraction:
     """Exact upper bound for bollobas_sum of a d-tuple Bollobás system on [n].
 
@@ -112,6 +130,11 @@ def recursive_bound(n: int, d: int) -> Fraction:
         raise ArityError(f"recursive_bound needs d >= 2, got {d}")
     if d > MAX_BOUND_ARITY:
         raise SizeError(f"d = {d} exceeds the limit {MAX_BOUND_ARITY} of the exact bound")
+    if _too_long_to_print(n, d):
+        raise SizeError(
+            f"the bound at d = {d} and this n has more than {sys.get_int_max_str_digits()} digits,"
+            " more than Python prints"
+        )
     bound = Fraction(1)
     for dd in range(3, d + 1):
         bound = Fraction(binomial(n + dd - 2, dd - 2), dd - 1) + (dd - 2) * bound

@@ -1,14 +1,32 @@
-"""The original pairwise scanners, kept as test oracles.
+"""The original pairwise scanners and family reader, kept as test oracles.
 
 The package finds violations and builds search adjacency from bit-sliced
 crossing rows (`families._crossing_rows`).  These are the straightforward
 versions they replaced: one interpreted cross-condition test per ordered
-pair, in lexicographic order.
+pair, in lexicographic order.  The package reads a family in one flat pass
+over its elements; `family_from_json` here is the per-tuple reader it
+replaced.
 """
 
 from __future__ import annotations
 
-from bollobas.families import DTuple, Family
+from bollobas.errors import FormatError
+from bollobas.families import DTuple, Family, validate_tuple
+from bollobas.wire import fields
+
+
+def family_from_json(obj: dict) -> Family:
+    """Read a family one tuple at a time, each through `validate_tuple`."""
+    n, d, raw = fields(obj, "family", ("n", "d"), "tuples")
+    tuples = []
+    for idx, entry in enumerate(raw):
+        if not isinstance(entry, list) or len(entry) != d:
+            raise FormatError(f"tuple {idx + 1} must be a list of {d} parts")
+        for part in entry:
+            if not isinstance(part, list) or not all(type(e) is int for e in part):
+                raise FormatError(f"tuple {idx + 1} has a part that is not a list of ints")
+        tuples.append(validate_tuple(entry, n))
+    return Family(n, d, tuple(tuples))
 
 
 def _suffix_masks(t: DTuple) -> tuple[int, ...]:

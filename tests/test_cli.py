@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bollobas import cli
 from bollobas.cli import main
+from bollobas.spaces import MAX_AMBIENT
 
 # The subcommands that read a JSON document.
 DOCUMENT_READERS = [
@@ -207,6 +209,21 @@ class TestCertify:
         assert obj["results"]["verdict"] == "fail"
         assert obj["results"]["skew_ok"] is False
 
+    def test_ambient_dimension_limit_is_checked_within_a_second(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 5000000, "d": 2, "entries": [[[], []]]}'))
+        started = time.perf_counter()
+        code = main(["--input", "-", "certify"])
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: ambient dimension 5000000 exceeds the limit {MAX_AMBIENT}")
+
+    def test_ambient_dimension_at_the_limit_is_read(self, capsys, monkeypatch):
+        doc = {"n": MAX_AMBIENT, "d": 2, "entries": [[[], []]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, obj = run_json(capsys, "--input", "-", "certify")
+        assert code == 0 and obj["results"]["verdict"] == "pass"
+
 
 class TestBounds:
     def test_d3_table(self, capsys):
@@ -234,6 +251,45 @@ class TestBounds:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith("error: d = 2000 exceeds the limit 1560")
+
+    def test_unprintable_bound_is_refused_within_a_second(self, capsys):
+        started = time.perf_counter()
+        code = main(["bounds", "--n", "1" + "0" * 50, "--d", "1560"])
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "more than Python prints" in err
+
+
+def _run_captured(argv):
+    """Exit code and stdout of one `main` call; a usage error's SystemExit gives its code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_shared_parser_gives_the_reports_of_a_fresh_one(tmp_path):
+    # skew-valid, but tuple 2 does not cross into tuple 1
+    path = tmp_path / "skew_only.json"
+    path.write_text(json.dumps({"n": 3, "d": 2, "tuples": [[[1], [2]], [[3], [1]]]}))
+    calls = [
+        ["verify", "--mode", "nope"],
+        ["--input", str(path), "verify", "--mode", "skew"],
+        ["--input", str(path), "verify"],
+        ["--seed", "5", "--input", str(path), "simulate", "--mode", "skew", "--trials", "20"],
+        ["--input", str(path), "simulate", "--mode", "skew", "--trials", "20"],
+    ]
+    shared = [_run_captured(argv) for argv in calls]
+    assert cli._shared_parser() is cli._shared_parser()
+    with mock.patch.object(cli, "_shared_parser", cli.build_parser):
+        fresh = [_run_captured(argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _ in shared] == [2, 0, 1, 0, 0]
+    assert [json.loads(out)["seed"] for _, out in shared[3:]] == [5, 0]
 
 
 class TestErrorsAndDeterminism:
@@ -392,9 +448,9 @@ class TestMalformedInput:
 
 
 # Arbitrary JSON with the keys of both family formats.  Integers stay below
-# 100: certify's ambient dimension has no work budget yet, so a large valid n
-# is slow rather than wrong; integer literals past the digit limit have their
-# own tests above.
+# 100, so that a valid n stays cheap for certify (whose ambient dimension is
+# limited only at spaces.MAX_AMBIENT, with its own test above); integer
+# literals past the digit limit have their own tests above.
 _SCALARS = st.one_of(
     st.integers(-2, 100),
     st.floats(allow_nan=True, allow_infinity=True),

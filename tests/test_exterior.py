@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,23 @@ class TestBladeWireChecks:
 
         with pytest.raises(FormatError):
             blade_from_json(obj)
+
+    @pytest.mark.parametrize("k", [3, 5 * 10**3999])
+    def test_huge_binomial_is_refused_promptly(self, k):
+        from bollobas import blade_from_json
+        from bollobas.errors import FormatError
+
+        started = time.perf_counter()
+        with pytest.raises(FormatError, match="expected more than 0 coordinates, got 0"):
+            blade_from_json({"n": 10**4000, "k": k, "coords": []})
+        assert time.perf_counter() - started < 1.0
+
+    def test_too_many_coordinates_name_the_count(self):
+        from bollobas import blade_from_json
+        from bollobas.errors import FormatError
+
+        with pytest.raises(FormatError, match="expected 3 coordinates, got 4"):
+            blade_from_json({"n": 3, "k": 2, "coords": ["1"] * 4})
 
     @pytest.mark.parametrize("obj", [5, [1, 2], None, "coords"])
     def test_non_object_rejected(self, obj):

@@ -1,12 +1,16 @@
-"""Differential tests: the bit-sliced crossing rows against the pairwise oracles."""
+"""Differential tests: the bit-sliced crossing rows against the pairwise oracles,
+and the flat family reader against the per-tuple one."""
 
 import inspect
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bollobas import Family, bollobas_violation, cross_condition, skew_violation
-from bollobas.families import DTuple, _crossing_rows
+from bollobas.errors import BollobasError
+from bollobas.families import DTuple, _crossing_rows, _family_from_checked_json, family_from_json
 
 import scan_oracles
 
@@ -71,3 +75,98 @@ def test_rows_come_one_at_a_time():
     assert inspect.isgenerator(rows)
     assert next(rows) == 0b100
     assert bollobas_violation(f) == (1, 2)
+
+
+# Values that make an element, a part or a tuple malformed.
+_BAD_ELEMENTS = st.sampled_from(["0", "-1", "n+1", "65", True, 1.0, "1"])
+_NOT_LISTS = st.sampled_from([1, "x", None, {}, 1.0, True])
+_FAULTS = ["repeat", "overlap", "element", "part", "tuple", "arity", "n", "d"]
+
+
+@st.composite
+def family_documents(draw):
+    """Family JSON documents with n = 1..64 and d = 2..5, and at most one planted fault.
+
+    Parts may be empty and the family may be empty.  The faults are a part
+    that repeats an element, overlapping parts, an element out of range or
+    not an int, a part or a tuple that is not a list, a tuple of the wrong
+    arity, n outside 1..64 and d < 2.
+    """
+    n = draw(st.integers(1, 64))
+    d = draw(st.integers(2, 5))
+    tuples = []
+    for _ in range(draw(st.integers(0, 6))):
+        elements = draw(st.lists(st.integers(1, n), max_size=min(n, 8), unique=True))
+        parts = [[] for _ in range(d)]
+        for e in elements:
+            parts[draw(st.integers(0, d - 1))].append(e)
+        tuples.append(parts)
+    fault = draw(st.sampled_from([None, *_FAULTS]))
+    if fault not in (None, "n", "d") and not tuples:
+        tuples.append([[] for _ in range(d)])
+    t = draw(st.integers(0, len(tuples) - 1)) if tuples else 0
+    p = draw(st.integers(0, d - 1))
+    if fault == "repeat":
+        part = tuples[t][p]
+        if not part:
+            part.append(draw(st.integers(1, n)))
+        part.insert(draw(st.integers(0, len(part))), draw(st.sampled_from(part)))
+    elif fault == "overlap":
+        q = draw(st.integers(0, d - 1).filter(lambda q: q != p))
+        source = tuples[t][p]
+        if not source:
+            source.append(draw(st.integers(1, n)))
+        tuples[t][q].append(draw(st.sampled_from(source)))
+    elif fault == "element":
+        bad = draw(_BAD_ELEMENTS)
+        bad = {"0": 0, "-1": -1, "n+1": n + 1, "65": 65}.get(bad, bad)
+        part = tuples[t][p]
+        part.insert(draw(st.integers(0, len(part))), bad)
+    elif fault == "part":
+        tuples[t][p] = draw(_NOT_LISTS)
+    elif fault == "tuple":
+        tuples[t] = draw(_NOT_LISTS)
+    elif fault == "arity":
+        if draw(st.booleans()):
+            tuples[t].append([])
+        else:
+            tuples[t].pop()
+    elif fault == "n":
+        n = draw(st.sampled_from([0, -1, 65, 100]))
+    elif fault == "d":
+        d = draw(st.integers(-1, 1))
+        if draw(st.booleans()):  # tuples of exactly d parts
+            tuples = [entry[: max(d, 0)] for entry in tuples]
+    return fault, {"n": n, "d": d, "tuples": tuples}
+
+
+def _read(reader, doc):
+    try:
+        return reader(doc)
+    except BollobasError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(family_documents())
+def test_family_reader_matches_the_per_tuple_oracle(case):
+    fault, doc = case
+    checked = "bollobas.families._family_from_checked_json"
+    with mock.patch(checked, wraps=_family_from_checked_json) as spy:
+        got = _read(family_from_json, doc)
+    assert got == _read(scan_oracles.family_from_json, doc)
+    # the per-tuple loop is the error path only
+    assert spy.called == (fault is not None)
+
+
+def test_family_reader_keeps_parts_that_repeat_an_element():
+    f = family_from_json({"n": 3, "d": 2, "tuples": [[[1, 1], [2, 3, 3]]]})
+    assert f == Family.build(3, [[[1], [2, 3]]])
+
+
+@pytest.mark.parametrize("bad", [0, -1, 4, 64, 65, True, 1.0, "1", None, [1]])
+def test_family_reader_refuses_each_bad_element_as_the_oracle_does(bad):
+    doc = {"n": 3, "d": 2, "tuples": [[[1], [2]], [[3], [bad]]]}
+    got = _read(family_from_json, doc)
+    assert not isinstance(got, Family)
+    assert got == _read(scan_oracles.family_from_json, doc)

@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,9 @@ from bollobas import (
     recursive_bound,
     skew_sum,
 )
+from bollobas import sums
+from bollobas.errors import SizeError
+from bollobas.sums import MAX_BOUND_ARITY
 
 
 def slow_factorial(n):
@@ -153,6 +158,26 @@ class TestRecursiveBound:
             recursive_bound(0, 3)
         with pytest.raises(ArityError):
             recursive_bound(3, 1)
+
+    def test_bounds_that_print_are_not_refused(self):
+        for n in range(1, 65):
+            assert recursive_bound(n, MAX_BOUND_ARITY) > 0
+
+    def test_unprintable_bound_is_refused_before_the_recursion(self):
+        started = time.perf_counter()
+        with pytest.raises(SizeError, match="more than Python prints"):
+            recursive_bound(10**50, MAX_BOUND_ARITY)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("d", [3, 4, 40, MAX_BOUND_ARITY])
+    def test_the_first_refused_n_has_an_unprintable_bound(self, monkeypatch, d):
+        lo, hi = 1, 2**15000  # refused at hi, not at lo
+        assert not sums._too_long_to_print(lo, d) and sums._too_long_to_print(hi, d)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if sums._too_long_to_print(mid, d) else (mid, hi)
+        monkeypatch.setattr(sums, "_too_long_to_print", lambda n, d: False)
+        assert recursive_bound(hi, d).numerator >= 10 ** sys.get_int_max_str_digits()
 
     def test_layered_family_nearly_meets_it(self):
         for n in range(1, 9):
