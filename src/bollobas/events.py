@@ -44,6 +44,10 @@ from .sums import _event_weight
 
 EXACT_ENUMERATION_LIMIT = 10
 
+# trials x permutation size: a run at the limit takes tens of seconds on a
+# one-tuple family, minutes on thousands of tuples
+MAX_TRIAL_STEPS = 10**8
+
 MODES = ("skew", "d3", "general")
 
 
@@ -337,11 +341,36 @@ def _walk_masks(
     return rules, left, right
 
 
+def _shuffles(rng: random.Random, img: list[int], trials: int) -> Iterator[list[int]]:
+    """Shuffle img in place `trials` times, yielding it after each shuffle.
+
+    Each shuffle makes exactly the calls of `rng.shuffle(img)`: for i from
+    len(img) - 1 down to 1 it draws j = getrandbits(k), k = (i + 1).bit_length(),
+    until j <= i (the rejection loop of `Random._randbelow`), then swaps
+    img[i] and img[j].  Written out, it saves the Python call of `_randbelow`
+    per element, most of the cost of `shuffle`.
+    """
+    getrandbits = rng.getrandbits
+    steps = [(i, i + 1, (i + 1).bit_length()) for i in reversed(range(1, len(img)))]
+    for _ in range(trials):
+        for i, below, k in steps:
+            j = getrandbits(k)
+            while j >= below:
+                j = getrandbits(k)
+            img[i], img[j] = img[j], img[i]
+        yield img
+
+
 def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
     """Sample uniform permutations from `seed` and tally event memberships.
 
     Deterministic: fixed (family, mode, trials, seed) reproduce the report
-    bit for bit.  Trials are drawn from a single stream.
+    bit for bit.  Trials are drawn from a single stream: `_shuffles` writes
+    out `random.Random(seed).shuffle` inline, with the same `getrandbits`
+    draws, so every trial sees the permutation `shuffle` would give
+    (pinned by `test_shuffles_match_the_stdlib_shuffle`).  trials times the
+    permutation size may not exceed `MAX_TRIAL_STEPS`; past it `SizeError`
+    is raised before any draw.
 
     All tuples and variants are checked in one walk per trial (see
     `_walk_masks`): the elements are visited in permutation order, counting
@@ -353,8 +382,10 @@ def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
     """
     if trials < 0:
         raise DomainError(f"negative trials {trials}")
-    n, m = f.n, len(f.tuples)
     size = permutation_size(f, mode)
+    if trials * size > MAX_TRIAL_STEPS:
+        raise SizeError(f"{trials} trials of {size} elements exceed the limit of {MAX_TRIAL_STEPS} trial steps")
+    n, m = f.n, len(f.tuples)
     types = [type_of(t) for t in f.tuples]
     variants = {sizes: _variants(sizes, mode) for sizes in set(types)}
     formulas = tuple(len(variants[s]) * _probability(s, size - n) for s in types)
@@ -376,8 +407,7 @@ def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
     walked = [e for e in range(size) if e >= n or support >> e & 1]
     hits = [0] * m
     max_sim = 0
-    for _ in range(trials):
-        rng.shuffle(img)
+    for _ in _shuffles(rng, img, trials):
         bad = seen = level = 0
         rule = rules[0]
         for e in sorted(walked, key=position):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from bollobas import cli
 from bollobas.cli import main
+from bollobas.events import MAX_TRIAL_STEPS, MODES
 from bollobas.spaces import MAX_AMBIENT
 
 # The subcommands that read a JSON document.
@@ -23,6 +25,9 @@ DOCUMENT_READERS = [
 ]
 # 10^3000: fits the 4,300-digit limit, but the product of two has 6,001 digits.
 TEN_3000 = "1" + "0" * 3000
+# One tuple on n = 3 (skew permutations of 5 elements) and one pair on n = 2.
+ONE_TRIPLE = '{"n": 3, "d": 3, "tuples": [[[1], [2], [3]]]}'
+ONE_PAIR = '{"n": 2, "d": 2, "tuples": [[[1], [2]]]}'
 
 
 def run(capsys, *argv):
@@ -188,6 +193,15 @@ class TestSimulate:
             "simulate", "--mode", "d3", "--trials", "2000",
         )
         assert code == 0
+
+    def test_trial_budget_is_refused_within_a_second(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(ONE_TRIPLE))
+        started = time.perf_counter()
+        code = main(["--input", "-", "simulate", "--mode", "skew", "--trials", "1000000000"])
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: 1000000000 trials of 5 elements exceed the limit of {MAX_TRIAL_STEPS}")
 
 
 class TestCertify:
@@ -482,6 +496,64 @@ def test_arbitrary_json_keeps_the_exit_contract(doc, argv):
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
+
+
+class _Overtime(Exception):
+    """A fuzz case ran past its wall-time limit."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Interrupt the block with `_Overtime` once `seconds` of wall time pass."""
+
+    def overtime(signum, frame):
+        raise _Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Every simulate case must end within this limit.  An admitted run here is at
+# most 5,000 trials of 5 elements, a few tens of milliseconds; a trial count
+# past the budget must be refused before the first trial.
+SIMULATE_CASE_SECONDS = 1.0
+_TRIALS = st.one_of(
+    st.integers(-10, 5000).map(str),
+    st.integers(MAX_TRIAL_STEPS // 2 + 1, 10**18).map(str),
+    st.sampled_from(["1e9", "1.5", "", "ten", "0x10", "--"]),
+    st.text(max_size=4),
+)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+@settings(max_examples=150, deadline=None)
+@given(
+    doc=st.sampled_from([ONE_TRIPLE, ONE_PAIR]),
+    seed=st.integers(),
+    mode=st.sampled_from(MODES) | st.text(max_size=6),
+    trials=_TRIALS,
+)
+def test_simulate_flag_values_keep_the_exit_contract_in_time(doc, seed, mode, trials):
+    argv = ["--input", "-", "--seed", str(seed), "simulate", "--mode", mode, "--trials", trials]
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.suppress(_Overtime), _time_limit(SIMULATE_CASE_SECONDS):
+        with mock.patch("sys.stdin", io.StringIO(doc)):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: "<prog>: error: ..." after the usage line
+                    code = exc.code
+    assert code is not None, f"{argv} ran past {SIMULATE_CASE_SECONDS} s"
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert any(line.startswith("error:") or ": error: " in line for line in err.getvalue().splitlines())
 
 
 class TestSubprocessPipeline:

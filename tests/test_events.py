@@ -277,6 +277,30 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             monte_carlo(f, "skew", -1, seed=1)
 
+    def test_trial_budget_is_checked_before_any_work(self, monkeypatch):
+        from bollobas import events
+
+        def refuse(*args):
+            raise AssertionError("masks built")
+
+        monkeypatch.setattr(events, "_walk_masks", refuse)
+        f = one_tuple_family([[1], [2], [3]], 3)  # skew permutations of 5 elements
+        with pytest.raises(SizeError, match="1000000000 trials of 5 elements exceed the limit of 100000000 trial steps"):
+            monte_carlo(f, "skew", 10**9, seed=1)
+
+    def test_trial_budget_admits_exactly_its_limit(self, monkeypatch):
+        from bollobas import events
+
+        monkeypatch.setattr(events, "MAX_TRIAL_STEPS", 100)
+        f = one_tuple_family([[1], [2], [3]], 3)
+        assert monte_carlo(f, "skew", 20, seed=1).trials == 20
+        with pytest.raises(SizeError, match="21 trials of 5 elements"):
+            monte_carlo(f, "skew", 21, seed=1)
+        # d3 permutations carry one delimiter: 25 trials of 4 elements fit
+        assert monte_carlo(f, "d3", 25, seed=1).trials == 25
+        with pytest.raises(SizeError, match="26 trials of 4 elements"):
+            monte_carlo(f, "d3", 26, seed=1)
+
     def test_unknown_mode_rejected(self):
         from bollobas.errors import DomainError
 

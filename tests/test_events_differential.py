@@ -3,6 +3,7 @@ oracle against the per-tuple loop and the r! enumeration."""
 
 import ast
 import inspect
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from bollobas import Family, IndexRangeError, event_probability, exact_event_probability, monte_carlo
 from bollobas import events
-from bollobas.events import _arrangements
+from bollobas.events import _arrangements, _shuffles
 from bollobas.families import DTuple
 
 import event_oracles
@@ -69,6 +70,41 @@ def test_empty_family_and_zero_trials(d):
         rep = monte_carlo(f, mode, 0, 1)
         assert rep == event_oracles.monte_carlo(f, mode, 0, 1)
         assert rep.hits == (0, 0) and rep.max_simultaneous_hits == 0
+
+
+def _compare_with_stdlib_shuffle(items, seed, trials):
+    """Run `_shuffles` and `random.Random(seed).shuffle` side by side on copies
+    of items: the same list after every shuffle, the same generator state at
+    the end (so the same number of draws)."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    img, ref = list(items), list(items)
+    count = 0
+    for out in _shuffles(ours, img, trials):
+        theirs.shuffle(ref)
+        assert out is img
+        assert img == ref, f"shuffle {count + 1} of size {len(items)}, seed {seed}"
+        count += 1
+    assert count == trials
+    assert ours.getstate() == theirs.getstate()
+
+
+# Sizes 2^k + 1 (3, 5, 9, 17, 33) are the worst case for the rejection loop:
+# the first step draws k + 1 bits for a bound of 2^k + 1, so about half of
+# its draws are rejected.
+@pytest.mark.parametrize("size", range(1, 41))
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 3, 12345678901234567890])
+def test_shuffles_match_the_stdlib_shuffle(size, seed):
+    _compare_with_stdlib_shuffle(range(size), seed, 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 9), max_size=70) | st.integers(1, 7).map(lambda k: list(range(2**k + 1))),
+    st.integers(),
+    st.integers(0, 20),
+)
+def test_shuffles_match_the_stdlib_shuffle_on_any_list(items, seed, trials):
+    _compare_with_stdlib_shuffle(items, seed, trials)
 
 
 @st.composite
