@@ -25,6 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
+from .constructions import _checked_count
 from .errors import (
     BollobasError,
     DimensionError,
@@ -33,10 +34,19 @@ from .errors import (
     UniformityError,
 )
 from .exterior import IntRow, Rational, SubspaceRep, _det, _pivot_rows, _rank
-from .spaces import SubspaceFamily, skew_spaces_violation
+from .spaces import Rows, SubspaceFamily, skew_spaces_violation
 from .sums import tuple_weight
 
 DEFAULT_MAX_RETRIES = 32
+#: The most stage factors of the evaluation matrix, m^2 (d - 1), that
+#: `certify` computes.  Its time grows with them: lifted complete (3,2,2),
+#: m = 210, has 88,200 and is admitted; lifted complete (3,3,2), m = 560,
+#: has 627,200.
+MAX_EVALUATION_CELLS = 100_000
+#: The most pairs of distinct parts, P(P + 1)/2, whose spans `certify`
+#: tabulates (`SubspaceFamily.span_table`); lifted complete (3,2,2) has
+#: 1,596.
+MAX_PART_PAIRS = 20_000
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -72,6 +82,46 @@ class GeneralPositionMap:
         return SubspaceRep(self.target, tuple(rows[i] for i in _pivot_rows(rows, self.target)))
 
 
+def _draw(
+    ambient: int,
+    target: int,
+    required: dict[Rows, int],
+    seed: int,
+    max_retries: int,
+    entry_bound: int,
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Draw random ambient x target integer matrices with entries in
+    [-entry_bound, entry_bound] until one maps every basis U in `required`
+    to rows of rank required[U]; return that matrix and the failed draws
+    before it.
+
+    Each distinct basis row is projected once per draw, and each basis is
+    ranked once per draw, in the target space.  Over the rationals a fixed
+    draw fails with probability zero, so running out of retries flags a bug
+    or an infeasible requirement rather than bad luck.
+    """
+    rng = random.Random(seed)
+    for attempt in range(max_retries):
+        matrix = tuple(
+            tuple(rng.randint(-entry_bound, entry_bound) for _ in range(target))
+            for _ in range(ambient)
+        )
+        columns = tuple(zip(*matrix))
+        images: dict[IntRow, tuple] = {}
+        for basis, want in required.items():
+            rows = []
+            for r in basis:
+                img = images.get(r)
+                if img is None:
+                    img = images[r] = _project(r, columns)
+                rows.append(img)
+            if _rank(rows) != want:
+                break
+        else:
+            return matrix, attempt
+    raise RetriesExhausted(f"no general-position map found in {max_retries} draws")
+
+
 def sample_general_position(
     ambient: int,
     target: int,
@@ -81,45 +131,18 @@ def sample_general_position(
     entry_bound: int | None = None,
 ) -> GeneralPositionMap:
     """Draw random integer matrices until one preserves min(dim U, target) for
-    every constraint subspace U, verified by exact rank.
+    every constraint subspace U, verified by exact rank of its image.
 
-    Equal constraints are tested once per draw, and each distinct basis row
-    is projected once per draw.  Over the rationals a fixed draw fails with
-    probability zero, so running out of retries flags a bug or an infeasible
-    constraint set rather than bad luck.
+    Constraints with equal integer rows are tested once per draw.
     """
     if target > ambient:
         raise DimensionError(f"target dimension {target} exceeds ambient {ambient}")
     if entry_bound is None:
         entry_bound = 10 * (len(constraints) + 1) * ambient
-    distinct = list(dict.fromkeys(constraints))
-    rng = random.Random(seed)
-    for attempt in range(max_retries):
-        matrix = tuple(
-            tuple(rng.randint(-entry_bound, entry_bound) for _ in range(target))
-            for _ in range(ambient)
-        )
-        columns = tuple(zip(*matrix))
-        images: dict[IntRow, tuple] = {}
-        for sp in distinct:
-            rows = []
-            for r in sp.rows:
-                img = images.get(r)
-                if img is None:
-                    img = images[r] = _project(r, columns)
-                rows.append(img)
-            if _rank(rows) != min(sp.dim, target):
-                break
-        else:
-            verified = tuple((idx, min(sp.dim, target)) for idx, sp in enumerate(constraints))
-            return GeneralPositionMap(ambient, target, matrix, verified, attempt)
-    raise RetriesExhausted(f"no general-position map found in {max_retries} draws")
-
-
-def _span(rows: Sequence[IntRow], n: int) -> SubspaceRep:
-    """The span of integer rows, based on the pivot rows of their sorted distinct set."""
-    key = sorted(set(rows))
-    return SubspaceRep(n, tuple(key[i] for i in _pivot_rows(key, n)))
+    required = {sp.rows: min(sp.dim, target) for sp in constraints}
+    matrix, retries = _draw(ambient, target, required, seed, max_retries, entry_bound)
+    verified = tuple((idx, min(sp.dim, target)) for idx, sp in enumerate(constraints))
+    return GeneralPositionMap(ambient, target, matrix, verified, retries)
 
 
 def build_phi(
@@ -127,18 +150,28 @@ def build_phi(
 ) -> GeneralPositionMap:
     """General-position projection to dimension a_1 + ... + a_k for stage k.
 
-    Requires a uniform family and 2 <= k <= d.  The constraints are every
-    prefix sum A_i^(1) + ... + A_i^(k) and the sum A + B of every unordered
-    pair of distinct parts A, B among the first k parts of the entries, a
-    part paired with itself included.  After sampling, dimension preservation
-    of intersections is verified directly over the same pairs: whenever
-    A + B fits in the target dimension,
+    Requires a uniform family and 2 <= k <= d.  An accepted draw phi has
+    rank phi(U) = min(dim U, target) for every constraint U: every prefix sum
+    A_i^(1) + ... + A_i^(k), and the sum A + B of every unordered pair of
+    distinct parts A, B among the first k parts of the entries, a part
+    paired with itself included.  The pair sums come from the family's
+    `span_table`; a prefix sum's basis is its sorted rows, already
+    independent because the parts of an entry are.  No constraint is ranked
+    in the ambient space, and nothing is checked after the draw, because the
+    draw has already proved that intersections keep their dimension:
+    whenever dim(A + B) <= target,
 
-        dim(phi(A) ∩ phi(B)) == dim(A ∩ B).
+        dim(phi(A) ∩ phi(B)) = dim phi(A) + dim phi(B) - dim phi(A + B)
+                             = dim A + dim B - dim(A + B) = dim(A ∩ B),
 
-    (Parts at positions p != q always fit, as a_p + a_q <= target; two parts
-    at one position can exceed it, and then no map could preserve their sum.)
-    Each distinct part is projected and ranked once.
+    as the pairs (A, A) and (B, B) give dim phi(A) = dim A and
+    dim phi(B) = dim B (a part fits in the target), and the pair (A, B)
+    gives dim phi(A + B) = dim(A + B).  Parts at positions p != q always
+    fit, as a_p + a_q <= target; two parts at one position can exceed it,
+    and then no map could preserve their sum.
+
+    `verified_constraints` numbers the distinct constraints: the prefix sums
+    in entry order, then the pair sums not among them.
     """
     sizes = f.uniform_type()
     if sizes is None:
@@ -148,32 +181,15 @@ def build_phi(
         raise IndexRangeError(f"stage k must be in 2..{d}, got {k}")
     target = sum(sizes[:k])
     m = len(f.entries)
-    # each distinct part's rows, with its first (entry, part) position
-    first: dict[tuple[IntRow, ...], tuple[int, int]] = {}
-    for i, entry in enumerate(f.entries):
-        for p in range(k):
-            first.setdefault(entry[p].rows, (i + 1, p + 1))
-    pairs = list(itertools.combinations_with_replacement(first, 2))
-    sums = [_span(a + b, f.n) for a, b in pairs]
-    prefixes = [_span(sum((e[p].rows for p in range(k)), ()), f.n) for e in f.entries]
+    required = {tuple(sorted(sum((e[p].rows for p in range(k)), ()))): target for e in f.entries}
+    parts = dict.fromkeys(e[p].rows for e in f.entries for p in range(k))
+    for a, b in itertools.combinations_with_replacement(parts, 2):
+        basis = f.pair_span(a, b)
+        required[basis] = min(len(basis), target)
     # every recorded certificate was drawn with the bound for m + m^2 k^2 slots
     bound = 10 * (m + m * m * k * k + 1) * f.n
-    phi = sample_general_position(
-        f.n, target, prefixes + sums, seed, max_retries, entry_bound=bound
-    )
-    images = {a: phi.apply_rows(a) for a in first}
-    image_dims = {a: _rank(rows) for a, rows in images.items()}
-    for (a, b), joint in zip(pairs, sums):
-        if joint.dim > target:
-            continue  # no map into the target can preserve this sum
-        want = len(a) + len(b) - joint.dim
-        got = image_dims[a] + image_dims[b] - _rank(images[a] + images[b])
-        if image_dims[a] != len(a) or image_dims[b] != len(b) or got != want:
-            raise RetriesExhausted(
-                "verified constraints but intersection dims moved at parts "
-                f"(entry, part) = {first[a]} and {first[b]}"
-            )
-    return phi
+    matrix, retries = _draw(f.n, target, required, seed, max_retries, bound)
+    return GeneralPositionMap(f.n, target, matrix, tuple(enumerate(required.values())), retries)
 
 
 def evaluation_matrix(
@@ -251,18 +267,23 @@ def certify(
 
     The skew check failing does not abort; the matrix and its pattern
     violations are still reported for diagnosis, but the verdict can only
-    certify the size bound when the input family is valid.
+    certify the size bound when the input family is valid.  A family past
+    MAX_EVALUATION_CELLS or MAX_PART_PAIRS is refused with a SizeError
+    before any of this work starts.
     """
     sizes = f.uniform_type()
     if sizes is None:
         raise UniformityError("certificates are defined for uniform families")
+    m = len(f.entries)
+    _checked_count(m * m * (f.d - 1), MAX_EVALUATION_CELLS, "evaluation cells")
+    distinct = len({sp.rows for entry in f.entries for sp in entry})
+    _checked_count(distinct * (distinct + 1) // 2, MAX_PART_PAIRS, "pairs of distinct parts")
     violation = skew_spaces_violation(f)
     maps = {
         k: build_phi(f, k, derive_seed(seed, f"phi{k}"), max_retries)
         for k in range(2, f.d + 1)
     }
     matrix = evaluation_matrix(f, maps)
-    m = len(f.entries)
     bad: list[tuple[int, int]] = []
     for i in range(m):
         if matrix[i][i] == 0:

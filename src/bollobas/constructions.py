@@ -23,7 +23,7 @@ MAX_TUPLES = 100_000
 
 
 def _checked_count(count: int, limit: int, what: str) -> None:
-    """Refuse to enumerate more than `limit` tuples, before enumerating any."""
+    """Refuse more than `limit` units of work (tuples, cells, pairs), before doing any."""
     if count > limit:
         raise SizeError(f"{count} {what} exceed the limit {limit}")
 

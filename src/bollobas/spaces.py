@@ -7,14 +7,17 @@ condition then asks for p < q with dim(A_i^(p) ∩ A_j^(q)) > 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, FormatError, SizeError
-from .exterior import SubspaceRep, _rank, sum_rank
+from .exterior import IntRow, SubspaceRep, _pivot_rows, sum_rank
 from .families import Family
 from .wire import fields, rational
 
 Entry = tuple[SubspaceRep, ...]
+Rows = tuple[IntRow, ...]
 
 #: The largest ambient dimension of a subspace family read from JSON.  The
 #: certificate draws an ambient x target integer matrix per try, so the work
@@ -66,6 +69,29 @@ class SubspaceFamily:
                 return None
         return first
 
+    @cached_property
+    def span_table(self) -> dict[tuple[Rows, Rows], Rows]:
+        """The canonical basis of A + B for every unordered pair of distinct parts.
+
+        The parts are those at every position of every entry, told apart by
+        their integer rows, and a part is paired with itself.  The key is the
+        sorted pair of row tuples; the basis is the pivot rows of the sorted
+        distinct rows of A and B, so it depends on the pair alone, and A
+        meets B iff it has fewer than dim A + dim B rows.  The table is built
+        once per family, with one elimination per pair: the skew check and
+        every certificate stage read it instead of ranking the pair again.
+        """
+        parts = sorted({sp.rows for entry in self.entries for sp in entry})
+        table = {}
+        for a, b in itertools.combinations_with_replacement(parts, 2):
+            rows = sorted(set(a + b))
+            table[a, b] = tuple(rows[i] for i in _pivot_rows(rows, self.n))
+        return table
+
+    def pair_span(self, a: Rows, b: Rows) -> Rows:
+        """The canonical basis of the sum of the parts with rows a and b (see `span_table`)."""
+        return self.span_table[(a, b) if a <= b else (b, a)]
+
 
 def lift_to_spaces(f: Family) -> SubspaceFamily:
     """Replace each part A by the coordinate subspace spanned by {e_a | a in A}.
@@ -84,22 +110,17 @@ def lift_to_spaces(f: Family) -> SubspaceFamily:
 
 
 def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:
-    """First pair i < j (1-based) with no p < q giving dim(A_i^(p) ∩ A_j^(q)) > 0."""
-    m = len(f.entries)
-    d = f.d
-    for i in range(m):
-        for j in range(i + 1, m):
-            ok = False
-            for p in range(d - 1):
-                a = f.entries[i][p]
-                for q in range(p + 1, d):
-                    b = f.entries[j][q]
-                    if _rank(a.rows + b.rows) < a.dim + b.dim:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
+    """First pair i < j (1-based) with no p < q giving dim(A_i^(p) ∩ A_j^(q)) > 0.
+
+    A meets B iff the span of A + B in `SubspaceFamily.span_table` has fewer
+    rows than dim A + dim B; no pair is ranked here.
+    """
+    span = f.pair_span
+    slots = [(p, q) for p in range(f.d - 1) for q in range(p + 1, f.d)]
+    for i, ei in enumerate(f.entries):
+        for j in range(i + 1, len(f.entries)):
+            ej = f.entries[j]
+            if not any(len(span(ei[p].rows, ej[q].rows)) < ei[p].dim + ej[q].dim for p, q in slots):
                 return (i + 1, j + 1)
     return None
 

@@ -122,7 +122,13 @@ def recursive_bound(n: int, d: int) -> Fraction:
     B(n, 2) = 1 and B(n, d) = C(n+d-2, d-2)/(d-1) + (d-2) * B(n, d-1).
     For d = 3 this is (n + 3) / 2.  The recursion splits a system into the
     tuples with all middle parts nonempty (delimiter-event counting) and, for
-    each middle position, the sub-system of tuples empty there.
+    each middle position, the sub-system of tuples empty there.  Unrolled,
+
+        B(n, d) = [(d-1)! + sum_{j=3..d} C(n+j-2, j-2) (d-1)!/(j-1)!] / (d-1),
+
+    whose integer numerator is summed by Horner's rule (acc -> acc * (j-1) +
+    C(n+j-2, j-2)) with each binomial updated from the last, and divided
+    once at the end.
     """
     if n < 1:
         raise DomainError(f"recursive_bound needs n >= 1, got {n}")
@@ -135,7 +141,8 @@ def recursive_bound(n: int, d: int) -> Fraction:
             f"the bound at d = {d} and this n has more than {sys.get_int_max_str_digits()} digits,"
             " more than Python prints"
         )
-    bound = Fraction(1)
-    for dd in range(3, d + 1):
-        bound = Fraction(binomial(n + dd - 2, dd - 2), dd - 1) + (dd - 2) * bound
-    return bound
+    acc, c = 1, n + 1  # c = C(n+j-2, j-2), from j = 3
+    for j in range(3, d + 1):
+        acc = acc * (j - 1) + c
+        c = c * (n + j - 1) // (j - 1)
+    return Fraction(acc, d - 1)

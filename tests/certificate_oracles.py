@@ -1,15 +1,26 @@
-"""The original per-slot constraint list of `build_phi`, kept as a test oracle.
+"""The per-slot certificate stages that the span table replaced, kept as test oracles.
 
-The package builds each stage's constraints over the distinct parts of the
-family: the m prefix sums and one span per unordered pair of distinct parts.
-This is the list it replaced: one slot per prefix sum and one per
-(i, j, p, q), m + m^2 k^2 slots in all, whose length also set the default
-entry bound of the sampled matrices.
+The package spans each unordered pair of distinct parts once per family
+(`SubspaceFamily.span_table`), and both the skew check and every stage of
+`build_phi` read those spans.  These are the versions it replaced:
+
+- `phi_constraints`, the original per-slot list: one slot per prefix sum and
+  one per (i, j, p, q), m + m^2 k^2 slots in all, whose length also set the
+  default entry bound of the sampled matrices;
+- `build_phi` over the distinct parts, spanning every pair per stage as a
+  `SubspaceRep`, followed by a second pass that re-checked every
+  intersection dimension on the images, and the sampler it called;
+- `skew_spaces_violation`, ranking one stacked basis per (i, j, p < q).
 """
 
 from __future__ import annotations
 
-from bollobas.exterior import IntRow, SubspaceRep, _pivot_rows
+import itertools
+import random
+
+from bollobas.certificates import GeneralPositionMap, _project
+from bollobas.errors import DimensionError, IndexRangeError, RetriesExhausted, UniformityError
+from bollobas.exterior import IntRow, SubspaceRep, _pivot_rows, _rank
 from bollobas.spaces import SubspaceFamily
 
 
@@ -39,3 +50,78 @@ def phi_constraints(f: SubspaceFamily, k: int) -> list[SubspaceRep]:
         for q in range(k)
     )
     return constraints
+
+
+def sample_general_position(ambient, target, constraints, seed, max_retries, entry_bound):
+    """Draw until every distinct constraint keeps rank min(dim U, target) in its image."""
+    if target > ambient:
+        raise DimensionError(f"target dimension {target} exceeds ambient {ambient}")
+    distinct = list(dict.fromkeys(constraints))
+    rng = random.Random(seed)
+    for attempt in range(max_retries):
+        matrix = tuple(
+            tuple(rng.randint(-entry_bound, entry_bound) for _ in range(target))
+            for _ in range(ambient)
+        )
+        columns = tuple(zip(*matrix))
+        if all(_rank([_project(r, columns) for r in sp.rows]) == min(sp.dim, target) for sp in distinct):
+            verified = tuple((idx, min(sp.dim, target)) for idx, sp in enumerate(constraints))
+            return GeneralPositionMap(ambient, target, matrix, verified, attempt)
+    raise RetriesExhausted(f"no general-position map found in {max_retries} draws")
+
+
+def _span(rows, n: int) -> SubspaceRep:
+    key = sorted(set(rows))
+    return SubspaceRep(n, tuple(key[i] for i in _pivot_rows(key, n)))
+
+
+def build_phi(f: SubspaceFamily, k: int, seed: int, max_retries: int = 32, entry_bound: int | None = None):
+    """The stage-k map as drawn before the span table, second pass included.
+
+    `entry_bound` defaults to the bound for m + m^2 k^2 slots, the one every
+    recorded certificate was drawn with.
+    """
+    sizes = f.uniform_type()
+    if sizes is None:
+        raise UniformityError("general-position stages need a uniform (constant-type) family")
+    if not 2 <= k <= f.d:
+        raise IndexRangeError(f"stage k must be in 2..{f.d}, got {k}")
+    target = sum(sizes[:k])
+    m = len(f.entries)
+    first: dict[tuple[IntRow, ...], tuple[int, int]] = {}
+    for i, entry in enumerate(f.entries):
+        for p in range(k):
+            first.setdefault(entry[p].rows, (i + 1, p + 1))
+    pairs = list(itertools.combinations_with_replacement(first, 2))
+    sums = [_span(a + b, f.n) for a, b in pairs]
+    prefixes = [_span(sum((e[p].rows for p in range(k)), ()), f.n) for e in f.entries]
+    if entry_bound is None:
+        entry_bound = 10 * (m + m * m * k * k + 1) * f.n
+    phi = sample_general_position(f.n, target, prefixes + sums, seed, max_retries, entry_bound)
+    images = {a: phi.apply_rows(a) for a in first}
+    image_dims = {a: _rank(rows) for a, rows in images.items()}
+    for (a, b), joint in zip(pairs, sums):
+        if joint.dim > target:
+            continue
+        want = len(a) + len(b) - joint.dim
+        got = image_dims[a] + image_dims[b] - _rank(images[a] + images[b])
+        if image_dims[a] != len(a) or image_dims[b] != len(b) or got != want:
+            raise RetriesExhausted(
+                "verified constraints but intersection dims moved at parts "
+                f"(entry, part) = {first[a]} and {first[b]}"
+            )
+    return phi
+
+
+def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:
+    """First pair i < j (1-based) with no p < q whose stacked bases lose rank."""
+    m, d = len(f.entries), f.d
+    for i in range(m):
+        for j in range(i + 1, m):
+            if not any(
+                _rank(f.entries[i][p].rows + f.entries[j][q].rows) < f.entries[i][p].dim + f.entries[j][q].dim
+                for p in range(d - 1)
+                for q in range(p + 1, d)
+            ):
+                return (i + 1, j + 1)
+    return None

@@ -4,7 +4,8 @@ The package computes ranks, pivot rows, projections and determinants on
 denominator-cleared integer rows.  These are the straightforward versions
 they replaced: every row is coerced to `Fraction`, `rank` clears denominators
 on each call, `row_basis` recomputes the rank once per row, and projections
-multiply `Fraction` rows by the map's matrix.
+multiply `Fraction` rows by the map's matrix.  `recursive_bound` is the
+recursion that the package's one integer sum unrolls.
 """
 
 from __future__ import annotations
@@ -109,3 +110,11 @@ def evaluation_matrix(f, maps):
             row.append(value)
         out.append(tuple(row))
     return tuple(out)
+
+
+def recursive_bound(n: int, d: int) -> Fraction:
+    """B(n, 2) = 1 and B(n, d) = C(n+d-2, d-2)/(d-1) + (d-2) * B(n, d-1), one Fraction per step."""
+    bound = Fraction(1)
+    for dd in range(3, d + 1):
+        bound = Fraction(math.comb(n + dd - 2, dd - 2), dd - 1) + (dd - 2) * bound
+    return bound

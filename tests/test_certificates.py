@@ -18,6 +18,7 @@ from bollobas import (
     multinomial,
     sample_general_position,
 )
+from bollobas.errors import SizeError
 from bollobas.exterior import rank, sum_rank
 
 
@@ -183,3 +184,29 @@ class TestCertify:
         monkeypatch.setattr(certificates, "tuple_weight", lambda sizes: len(f.entries) - 1)
         with pytest.raises(BollobasError, match="bound"):
             certificates.certify(f, seed=0)
+
+
+class TestWorkBudget:
+    # lifted complete (1, 1): m = 2 and d = 2 give 4 cells; parts {1} and {2} give 3 pairs
+    @pytest.mark.parametrize(
+        "limit, count, message",
+        [("MAX_EVALUATION_CELLS", 4, "evaluation cells"), ("MAX_PART_PAIRS", 3, "pairs of distinct parts")],
+    )
+    def test_each_limit_admits_its_count_and_refuses_one_more(self, monkeypatch, limit, count, message):
+        import bollobas.certificates as certificates
+
+        f = lift_to_spaces(complete_family((1, 1)))
+        monkeypatch.setattr(certificates, limit, count)
+        assert certificates.certify(f, seed=0).verdict is True
+        monkeypatch.setattr(certificates, limit, count - 1)
+        monkeypatch.setattr(certificates, "skew_spaces_violation", pytest.fail)
+        with pytest.raises(SizeError, match=f"^{count} {message} exceed the limit {count - 1}$"):
+            certificates.certify(f, seed=0)
+
+    def test_complete_322_is_within_both_limits(self):
+        import bollobas.certificates as certificates
+
+        f = lift_to_spaces(complete_family((3, 2, 2)))
+        m, parts = len(f.entries), len({sp.rows for e in f.entries for sp in e})
+        assert m * m * (f.d - 1) == 88_200 <= certificates.MAX_EVALUATION_CELLS
+        assert parts * (parts + 1) // 2 == 1_596 <= certificates.MAX_PART_PAIRS

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bollobas import cli
+from bollobas.certificates import MAX_EVALUATION_CELLS
 from bollobas.cli import main
 from bollobas.events import MAX_TRIAL_STEPS, MODES
 from bollobas.spaces import MAX_AMBIENT
@@ -238,6 +239,17 @@ class TestCertify:
         code, obj = run_json(capsys, "--input", "-", "certify")
         assert code == 0 and obj["results"]["verdict"] == "pass"
 
+    def test_work_budget_is_checked_within_a_second(self, capsys, monkeypatch):
+        # 5,000 one-element pairs: 25,000,000 evaluation cells
+        doc = {"n": 64, "d": 2, "tuples": [[[e % 64 + 1], []] for e in range(5000)]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        started = time.perf_counter()
+        code = main(["--input", "-", "certify"])
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: 25000000 evaluation cells exceed the limit {MAX_EVALUATION_CELLS}")
+
 
 class TestBounds:
     def test_d3_table(self, capsys):
@@ -273,6 +285,15 @@ class TestBounds:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert "more than Python prints" in err
+
+    def test_bound_too_long_to_print_exits_within_a_second(self, capsys):
+        # n = 10^4 passes the lower-bound check; the exact sum shows the length
+        started = time.perf_counter()
+        code = main(["bounds", "--n", "10000", "--d", "1560"])
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "too large to print" in err
 
 
 def _run_captured(argv):

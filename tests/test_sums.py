@@ -25,6 +25,8 @@ from bollobas import sums
 from bollobas.errors import SizeError
 from bollobas.sums import MAX_BOUND_ARITY
 
+import fraction_oracles
+
 
 def slow_factorial(n):
     """Oracle: repeated multiplication."""
@@ -152,6 +154,11 @@ class TestRecursiveBound:
     def test_d4_hand_unrolled(self):
         # B(4,4) = C(6,2)/3 + 2 * B(4,3) = 5 + 2 * (7/2) = 12
         assert recursive_bound(4, 4) == Fraction(15, 3) + 2 * Fraction(7, 2) == 12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**4), st.integers(2, 200))
+    def test_one_sum_equals_the_recursion(self, n, d):
+        assert recursive_bound(n, d) == fraction_oracles.recursive_bound(n, d)
 
     def test_domain(self):
         with pytest.raises(DomainError):
