@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,12 @@ MAX_EVALUATION_CELLS = 100_000
 #: tabulates (`SubspaceFamily.span_table`); lifted complete (3,2,2) has
 #: 1,596.
 MAX_PART_PAIRS = 20_000
+#: The most parts the evaluation matrix stacks, m^2 (2 + 3 + ... + d): a
+#: cell's stage k stacks k parts, so one entry's run grows as d^2 even when
+#: every part is empty.  Lifted complete (3,2,2) stacks 220,500; one entry
+#: of d = 100,001 empty parts, within MAX_EVALUATION_CELLS, would stack
+#: about 5 * 10^9.
+MAX_STACKED_PARTS = 250_000
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -200,34 +207,41 @@ def evaluation_matrix(
     Each factor is realized as the determinant of the stacked projected bases
     of entry i's first k - 1 parts and entry j's k-th part (the top-grade
     coordinate of the corresponding wedge) rather than via a materialized
-    dual vector, which computes the same scalar.
+    dual vector, which computes the same scalar.  For each stage k, each
+    distinct row is projected once, and every entry's first k - 1 projected
+    parts are stacked once, so a cell only joins two lists.  The stack holds
+    integer rows, so its determinant is the factor times dp[i] dq[j], the
+    products of the `scale`s of the stacked parts; a cell stops at its first
+    zero factor.
     """
     sizes = f.uniform_type()
     if sizes is None:
         raise UniformityError("evaluation matrix needs a uniform family")
-    d = f.d
     m = len(f.entries)
-    # proj[k][i][p] = phi_k applied to A_i^(p).rows; a stack of these has the
-    # product of its parts' scales times the determinant of the rational images
-    proj = {
-        k: [[maps[k].apply_rows(f.entries[i][p].rows) for p in range(k)] for i in range(m)]
-        for k in range(2, d + 1)
-    }
+    # per stage: (images of entry i's first k - 1 parts, dp[i]) and
+    # (image of entry j's part k, dq[j]), for every entry
+    stages = []
+    for k in range(2, f.d + 1):
+        rows = list(dict.fromkeys(r for e in f.entries for p in range(k) for r in e[p].rows))
+        image = dict(zip(rows, maps[k].apply_rows(rows)))
+        heads = [
+            ([image[r] for p in range(k - 1) for r in e[p].rows], math.prod(e[p].scale for p in range(k - 1)))
+            for e in f.entries
+        ]
+        tails = [([image[r] for r in e[k - 1].rows], e[k - 1].scale) for e in f.entries]
+        stages.append((heads, tails))
     out = []
     for i in range(m):
         row = []
         for j in range(m):
             num, den = 1, 1
-            for k in range(2, d + 1):
-                stacked: list[tuple] = []
-                for p in range(k - 1):
-                    stacked.extend(proj[k][i][p])
-                    den *= f.entries[i][p].scale
-                stacked.extend(proj[k][j][k - 1])
-                den *= f.entries[j][k - 1].scale
-                num *= _det(stacked)
+            for heads, tails in stages:
+                head, dp = heads[i]
+                tail, dq = tails[j]
+                num *= _det(head + tail)
                 if num == 0:
                     break
+                den *= dp * dq
             row.append(Fraction(num, den))
         out.append(tuple(row))
     return tuple(out)
@@ -268,14 +282,15 @@ def certify(
     The skew check failing does not abort; the matrix and its pattern
     violations are still reported for diagnosis, but the verdict can only
     certify the size bound when the input family is valid.  A family past
-    MAX_EVALUATION_CELLS or MAX_PART_PAIRS is refused with a SizeError
-    before any of this work starts.
+    MAX_EVALUATION_CELLS, MAX_STACKED_PARTS or MAX_PART_PAIRS is refused
+    with a SizeError before any of this work starts.
     """
     sizes = f.uniform_type()
     if sizes is None:
         raise UniformityError("certificates are defined for uniform families")
     m = len(f.entries)
     _checked_count(m * m * (f.d - 1), MAX_EVALUATION_CELLS, "evaluation cells")
+    _checked_count(m * m * (f.d * (f.d + 1) // 2 - 1), MAX_STACKED_PARTS, "stacked parts")
     distinct = len({sp.rows for entry in f.entries for sp in entry})
     _checked_count(distinct * (distinct + 1) // 2, MAX_PART_PAIRS, "pairs of distinct parts")
     violation = skew_spaces_violation(f)

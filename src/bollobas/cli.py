@@ -79,18 +79,26 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _too_large(exc: ValueError) -> SizeError:
+    """The error for a number past the digit limit of int-to-str conversion."""
+    return SizeError(f"result too large to print: {exc}")
+
+
 def _exact(x: Fraction) -> str:
     """An exact rational as "p/q" text, the one JSON form of a Fraction in a report."""
     if not isinstance(x, Fraction):
         raise TypeError(f"{type(x).__name__} is not JSON serializable")
-    return str(x)
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise _too_large(exc) from exc
 
 
 def _emit(report: dict, output: str | None) -> None:
     try:
         text = json.dumps(report, indent=2, sort_keys=True, default=_exact) + "\n"
-    except ValueError as exc:  # an integer past the digit limit of int-to-str conversion
-        raise SizeError(f"result too large to print: {exc}") from exc
+    except ValueError as exc:  # an int in the report past the digit limit
+        raise _too_large(exc) from exc
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
@@ -235,7 +243,8 @@ def _cmd_certify(ns) -> Outcome:
         "skew_violation": list(cert.skew_violation) if cert.skew_violation else None,
         "violations": [list(v) for v in cert.violations],
         "retries": list(cert.retries),
-        "evaluation": cert.evaluation,
+        # as text up front: the indent=2 encoder would call `default` per cell
+        "evaluation": [[_exact(x) for x in row] for row in cert.evaluation],
     }
     return {"max_retries": ns.max_retries}, digest, results, 0 if cert.verdict else 1
 

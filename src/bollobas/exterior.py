@@ -9,7 +9,8 @@ is_zero / is_proportional_to rather than raw coordinates when the input is a
 subspace.
 
 Determinants and ranks use fraction-free (Bareiss-style) elimination on
-denominator-cleared integer matrices, exact at any size that fits in memory.
+denominator-cleared integer matrices, exact at any size that fits in memory;
+determinants up to 4 x 4 use closed forms instead.
 `rank`, `row_basis` and `det` accept rationals and clear denominators once
 per call; their integer kernels `_rank`, `_pivot_rows` and `_det` are what the
 subspace code calls, on the integer rows every `SubspaceRep` keeps.
@@ -26,10 +27,13 @@ from typing import Iterable, Sequence
 from .errors import DimensionError, DomainError, FormatError, GradeError
 from .wire import fields, rational
 
-Vec = tuple[Fraction, ...]
-IntRow = tuple[int, ...]
-
 Rational = Fraction | int | str
+
+#: A rational row vector; a `SubspaceRep` basis row may hold ints as well as
+#: Fractions (the lift builds integer rows, and so does the JSON reader for
+#: integer coordinates).
+Vec = tuple[Fraction | int, ...]
+IntRow = tuple[int, ...]
 
 
 def vector(xs: Iterable[Rational]) -> Vec:
@@ -71,7 +75,28 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
         p, q, r = rows[1]
         x, y, z = rows[2]
         return a * (q * z - r * y) - b * (p * z - r * x) + c * (p * y - q * x)
-    # Bareiss: every intermediate division is exact
+    if k == 4:
+        # Laplace expansion along the first two rows: each 2 x 2 minor on
+        # columns S times its complementary minor on the last two rows
+        a0, a1, a2, a3 = rows[0]
+        b0, b1, b2, b3 = rows[1]
+        c0, c1, c2, c3 = rows[2]
+        e0, e1, e2, e3 = rows[3]
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * e3 - c3 * e2)
+            - (a0 * b2 - a2 * b0) * (c1 * e3 - c3 * e1)
+            + (a0 * b3 - a3 * b0) * (c1 * e2 - c2 * e1)
+            + (a1 * b2 - a2 * b1) * (c0 * e3 - c3 * e0)
+            - (a1 * b3 - a3 * b1) * (c0 * e2 - c2 * e0)
+            + (a2 * b3 - a3 * b2) * (c0 * e1 - c1 * e0)
+        )
+    return _bareiss(rows)
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix of size >= 2 by Bareiss elimination,
+    in which every intermediate division is exact."""
+    k = len(rows)
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -247,10 +272,12 @@ def wedge_concat(a: Blade, b: Blade) -> Blade:
 class SubspaceRep:
     """A subspace of Q^n given by an independent basis of row vectors (dim = row count).
 
-    At construction each basis row is scaled by the lcm of its denominators:
-    `rows` holds those integer rows (same span, row for row) and `scale` the
-    product of the row factors, so a determinant of `rows` is `scale` times
-    the determinant of `basis`.  Every rank and projection runs on `rows`.
+    A basis row may hold ints, Fractions or both.  At construction each basis
+    row is scaled by the lcm of its denominators (a row of ints alone is kept
+    as it is): `rows` holds those integer rows (same span, row for row) and
+    `scale` the product of the row factors, so a determinant of `rows` is
+    `scale` times the determinant of `basis`.  Every rank and projection runs
+    on `rows`.
     """
 
     n: int

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, FormatError, SizeError
@@ -99,14 +100,12 @@ def lift_to_spaces(f: Family) -> SubspaceFamily:
     Dimensions equal part sizes and dim(s(A) ∩ s(B)) = |A ∩ B| for every pair
     of parts, so the (skew) cross structure transfers verbatim.
     """
-    entries = []
-    for t in f.tuples:
-        entry = []
-        for part in t.parts():
-            basis = tuple(tuple(1 if c == a - 1 else 0 for c in range(f.n)) for a in part)
-            entry.append(SubspaceRep(f.n, basis))
-        entries.append(tuple(entry))
-    return SubspaceFamily(f.n, f.d, tuple(entries))
+    units = [tuple(int(c == a) for c in range(f.n)) for a in range(f.n)]
+    entries = tuple(
+        tuple(SubspaceRep(f.n, tuple(units[a - 1] for a in part)) for part in t.parts())
+        for t in f.tuples
+    )
+    return SubspaceFamily(f.n, f.d, entries)
 
 
 def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:
@@ -146,6 +145,25 @@ def subspace_family_to_json(f: SubspaceFamily) -> dict:
     }
 
 
+def _coordinate(x) -> int | Fraction:
+    """A JSON coordinate: an int for a JSON integer or a string of ASCII digits
+    with an optional sign, else the Fraction (or FormatError) of `wire.rational`.
+
+    Integer coordinates stay ints, so an integer basis row is already the
+    `SubspaceRep.rows` row and is not cleared through Fractions.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is str:
+        digits = x[1:] if x[:1] in ("+", "-") else x
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(x)
+            except ValueError:  # past the digit limit: rational() gives the FormatError
+                pass
+    return rational(x)
+
+
 def subspace_family_from_json(obj: dict) -> SubspaceFamily:
     n, d, raw = fields(obj, "subspace family", ("n", "d"), "entries")
     if n > MAX_AMBIENT:
@@ -158,6 +176,6 @@ def subspace_family_from_json(obj: dict) -> SubspaceFamily:
         for basis in entry:
             if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
                 raise FormatError(f"entry {idx + 1} has a basis that is not a list of rows")
-            parts.append(SubspaceRep(n, tuple(tuple(rational(x) for x in row) for row in basis)))
+            parts.append(SubspaceRep(n, tuple(tuple(_coordinate(x) for x in row) for row in basis)))
         entries.append(tuple(parts))
     return SubspaceFamily(n, d, tuple(entries))

@@ -1,4 +1,4 @@
-"""The per-slot certificate stages that the span table replaced, kept as test oracles.
+"""The certificate code that later versions replaced, kept as test oracles.
 
 The package spans each unordered pair of distinct parts once per family
 (`SubspaceFamily.span_table`), and both the skew check and every stage of
@@ -11,17 +11,36 @@ The package spans each unordered pair of distinct parts once per family
   `SubspaceRep`, followed by a second pass that re-checked every
   intersection dimension on the images, and the sampler it called;
 - `skew_spaces_violation`, ranking one stacked basis per (i, j, p < q).
+
+The package also keeps integer coordinates as ints from the JSON reader to
+the report, and stacks each entry's projected parts once per stage.  These
+are the versions that did not:
+
+- `subspace_family_from_json`, reading every coordinate through
+  `wire.rational` as a `Fraction`;
+- `lift_to_spaces`, building each unit row anew for every element;
+- `evaluation_matrix`, re-stacking entry i's projected prefix in every cell
+  and taking each cell's denominator part by part.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from bollobas.certificates import GeneralPositionMap, _project
-from bollobas.errors import DimensionError, IndexRangeError, RetriesExhausted, UniformityError
-from bollobas.exterior import IntRow, SubspaceRep, _pivot_rows, _rank
-from bollobas.spaces import SubspaceFamily
+from bollobas.errors import (
+    DimensionError,
+    FormatError,
+    IndexRangeError,
+    RetriesExhausted,
+    SizeError,
+    UniformityError,
+)
+from bollobas.exterior import IntRow, SubspaceRep, _bareiss, _det, _pivot_rows, _rank
+from bollobas.spaces import MAX_AMBIENT, SubspaceFamily
+from bollobas.wire import fields, rational
 
 
 def phi_constraints(f: SubspaceFamily, k: int) -> list[SubspaceRep]:
@@ -125,3 +144,65 @@ def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:
             ):
                 return (i + 1, j + 1)
     return None
+
+
+def subspace_family_from_json(obj: dict) -> SubspaceFamily:
+    """The reader that turned every coordinate into a `Fraction`."""
+    n, d, raw = fields(obj, "subspace family", ("n", "d"), "entries")
+    if n > MAX_AMBIENT:
+        raise SizeError(f"ambient dimension {n} exceeds the limit {MAX_AMBIENT} of a subspace family")
+    entries = []
+    for idx, entry in enumerate(raw):
+        if not isinstance(entry, list) or len(entry) != d:
+            raise FormatError(f"entry {idx + 1} must be a list of {d} bases")
+        parts = []
+        for basis in entry:
+            if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
+                raise FormatError(f"entry {idx + 1} has a basis that is not a list of rows")
+            parts.append(SubspaceRep(n, tuple(tuple(rational(x) for x in row) for row in basis)))
+        entries.append(tuple(parts))
+    return SubspaceFamily(n, d, tuple(entries))
+
+
+def lift_to_spaces(f) -> SubspaceFamily:
+    """The lift that built each unit row anew for every element of every part."""
+    entries = []
+    for t in f.tuples:
+        entry = []
+        for part in t.parts():
+            basis = tuple(tuple(1 if c == a - 1 else 0 for c in range(f.n)) for a in part)
+            entry.append(SubspaceRep(f.n, basis))
+        entries.append(tuple(entry))
+    return SubspaceFamily(f.n, f.d, tuple(entries))
+
+
+def evaluation_matrix(f: SubspaceFamily, maps: dict[int, GeneralPositionMap]) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix that re-stacked entry i's projected prefix in every cell (i, j)."""
+    sizes = f.uniform_type()
+    if sizes is None:
+        raise UniformityError("evaluation matrix needs a uniform family")
+    d = f.d
+    m = len(f.entries)
+    proj = {
+        k: [[maps[k].apply_rows(f.entries[i][p].rows) for p in range(k)] for i in range(m)]
+        for k in range(2, d + 1)
+    }
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            num, den = 1, 1
+            for k in range(2, d + 1):
+                stacked: list[tuple] = []
+                for p in range(k - 1):
+                    stacked.extend(proj[k][i][p])
+                    den *= f.entries[i][p].scale
+                stacked.extend(proj[k][j][k - 1])
+                den *= f.entries[j][k - 1].scale
+                # closed forms up to 3 x 3 and Bareiss beyond, as `_det` had
+                num *= _det(stacked) if len(stacked) < 4 else _bareiss(stacked)
+                if num == 0:
+                    break
+            row.append(Fraction(num, den))
+        out.append(tuple(row))
+    return tuple(out)

@@ -187,10 +187,15 @@ class TestCertify:
 
 
 class TestWorkBudget:
-    # lifted complete (1, 1): m = 2 and d = 2 give 4 cells; parts {1} and {2} give 3 pairs
+    # lifted complete (1, 1): m = 2 and d = 2 give 4 cells of 2 stacked parts
+    # each; parts {1} and {2} give 3 pairs
     @pytest.mark.parametrize(
         "limit, count, message",
-        [("MAX_EVALUATION_CELLS", 4, "evaluation cells"), ("MAX_PART_PAIRS", 3, "pairs of distinct parts")],
+        [
+            ("MAX_EVALUATION_CELLS", 4, "evaluation cells"),
+            ("MAX_STACKED_PARTS", 8, "stacked parts"),
+            ("MAX_PART_PAIRS", 3, "pairs of distinct parts"),
+        ],
     )
     def test_each_limit_admits_its_count_and_refuses_one_more(self, monkeypatch, limit, count, message):
         import bollobas.certificates as certificates
@@ -210,3 +215,10 @@ class TestWorkBudget:
         m, parts = len(f.entries), len({sp.rows for e in f.entries for sp in e})
         assert m * m * (f.d - 1) == 88_200 <= certificates.MAX_EVALUATION_CELLS
         assert parts * (parts + 1) // 2 == 1_596 <= certificates.MAX_PART_PAIRS
+
+    def test_complete_322_is_within_the_stacked_parts_limit(self):
+        import bollobas.certificates as certificates
+
+        f = lift_to_spaces(complete_family((3, 2, 2)))
+        # 210^2 cells, each stacking 2 parts at stage 2 and 3 at stage 3
+        assert len(f.entries) ** 2 * (2 + 3) == 220_500 <= certificates.MAX_STACKED_PARTS

@@ -1,16 +1,35 @@
-"""Differential tests: the span-table stages of `build_phi` and the skew
-check against the per-slot oracles they replaced (`certificate_oracles`)."""
+"""Differential tests against the versions the certificate code replaced
+(`certificate_oracles`): the span-table stages of `build_phi` and the skew
+check against the per-slot code, and the integer-row reader, lift and
+evaluation matrix against the `Fraction` reader, the per-element lift and the
+per-cell stacking."""
 
+import contextlib
 import inspect
+import io
 import itertools
+import json
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import bollobas.certificates as certificates
-from bollobas import RetriesExhausted, SubspaceFamily, SubspaceRep, skew_spaces_violation
+from bollobas import (
+    BollobasError,
+    GeneralPositionMap,
+    RetriesExhausted,
+    SubspaceFamily,
+    SubspaceRep,
+    cli,
+    complete_family,
+    evaluation_matrix,
+    lift_to_spaces,
+    random_skew_family,
+    skew_spaces_violation,
+    subspace_family_from_json,
+)
 
 import certificate_oracles
 import fraction_oracles
@@ -27,17 +46,23 @@ def coefficients(draw, rational):
 
 
 @st.composite
-def uniform_families(draw):
+def uniform_families(draw, types=None):
     """Uniform subspace families with d = 2..4 and m = 1..5: each part is
     spanned by the rows of an invertible matrix at the part's elements.
 
-    The matrix is the identity (a lifted set family), an integer unimodular
-    one (rows mixed by integer row operations), or a rational one (rows mixed
-    by rational row operations and scaled by nonzero rationals).  Entries may
-    repeat, and the ambient dimension may exceed the sum of the part sizes.
+    The type is drawn from `types`, or else has d = 2..4 parts of 0..2
+    elements, 1..5 in all.  The matrix is the identity (a lifted set family),
+    an integer unimodular one (rows mixed by integer row operations), or a
+    rational one (rows mixed by rational row operations and scaled by nonzero
+    rationals).  Entries may repeat, and the ambient dimension may exceed the
+    sum of the part sizes.
     """
-    d = draw(st.integers(2, 4))
-    sizes = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d).filter(lambda s: 0 < sum(s) <= 5))
+    if types is None:
+        d = draw(st.integers(2, 4))
+        sizes = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d).filter(lambda s: 0 < sum(s) <= 5))
+    else:
+        sizes = draw(types)
+        d = len(sizes)
     n = sum(sizes) + draw(st.integers(0, 2))
     kind = draw(st.sampled_from(["lifted", "rotated", "rational"]))
     rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
@@ -183,3 +208,135 @@ def test_span_table_holds_one_basis_of_each_pair_sum(f):
         assert set(basis) <= set(a + b)
         assert len(basis) == _dim(basis) == _dim(a + b)
         assert f.pair_span(b, a) is basis
+
+
+# Types with a 4 x 4 stage (the closed form of `_det`), and two without.
+FOUR_BY_FOUR = [(1, 1, 1, 1), (2, 2), (3, 1), (1, 3), (2, 1, 1), (1, 1, 2)]
+
+
+@st.composite
+def staged_maps(draw, f):
+    """The certificate's own maps for f, or arbitrary maps with entries in -1..1,
+    under which many factors vanish, the first factor of a cell included."""
+    sizes = f.uniform_type()
+    if draw(st.booleans()):
+        return {k: certificates.build_phi(f, k, draw(st.integers(0, 2**64 - 1))) for k in range(2, f.d + 1)}
+    maps = {}
+    for k in range(2, f.d + 1):
+        target = sum(sizes[:k])
+        matrix = tuple(tuple(draw(st.integers(-1, 1)) for _ in range(target)) for _ in range(f.n))
+        maps[k] = GeneralPositionMap(f.n, target, matrix, (), 0)
+    return maps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluation_matrix_matches_per_cell_stacking(data):
+    """The same matrix as the per-cell version, entry for entry, on lifted,
+    rotated and rational families (where `scale` != 1), with 4 x 4 stages
+    and zero factors."""
+    f = data.draw(uniform_families(st.sampled_from(FOUR_BY_FOUR)) | uniform_families())
+    maps = data.draw(staged_maps(f))
+    want = certificate_oracles.evaluation_matrix(f, maps)
+    got = evaluation_matrix(f, maps)
+    assert got == want
+    assert all(type(x) is Fraction for row in got for x in row)
+    if any(sp.scale != 1 for e in f.entries for sp in e):
+        event("scale != 1")
+    if any(x == 0 for row in want for x in row):
+        event("a zero cell")
+    stage2 = maps[2]
+    if any(
+        certificates._det(stage2.apply_rows(ei[0].rows + ej[1].rows)) == 0
+        for ei in f.entries
+        for ej in f.entries
+    ):
+        event("a zero first factor")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(1, 1), (2, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1)]),
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+)
+def test_lift_matches_the_per_element_lift(sizes, seed, complete):
+    n = sum(sizes) + (0 if complete else 2)
+    fam = complete_family(sizes) if complete else random_skew_family(n, len(sizes), sizes, seed=seed, target=8)
+    got, want = lift_to_spaces(fam), certificate_oracles.lift_to_spaces(fam)
+    assert got == want
+    for eg, ew in zip(got.entries, want.entries):
+        for a, b in zip(eg, ew):
+            assert (a.basis, a.rows, a.scale) == (b.basis, b.rows, b.scale)
+
+
+# JSON texts of coordinates: integers as numbers and as strings, and every
+# other form a coordinate may take, well formed or not.  Integer strings and
+# literals run past the 4,300-digit limit of int-to-str conversion.
+_COORDINATES = st.one_of(
+    st.integers(-(10**6), 10**6).map(json.dumps),
+    st.integers(-(10**30), 10**30).map(lambda x: json.dumps(str(x))),
+    st.integers(0, 99).map(lambda x: json.dumps(f"+{x:03d}")),
+    st.sampled_from(["1/2", " 2", "1_000", "\u0663", "+3", "-0", "1/0", "", "+", "-", "x", "3/-4", "2 "]).map(
+        json.dumps
+    ),
+    st.floats(allow_nan=True, allow_infinity=True).map(json.dumps),
+    st.booleans().map(json.dumps),
+    st.just("null"),
+    st.sampled_from(["1" * 4301, "-" + "9" * 5000]).flatmap(lambda x: st.sampled_from([x, json.dumps(x)])),
+)
+
+
+@st.composite
+def subspace_documents(draw):
+    """The JSON text of a small subspace family with d = 2 whose bases hold
+    0 or 1 rows of drawn coordinates."""
+    n = draw(st.integers(1, 3))
+    entries = []
+    for _ in range(draw(st.integers(1, 2))):
+        bases = []
+        for _ in range(2):
+            rows = draw(st.lists(st.lists(_COORDINATES, min_size=n, max_size=n), max_size=1))
+            bases.append("[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]")
+        entries.append("[" + ", ".join(bases) + "]")
+    return '{"n": %d, "d": 2, "entries": [%s]}' % (n, ", ".join(entries))
+
+
+def _read(reader, obj):
+    """Each part's basis values, rows, scale and dim, or the error's type and text."""
+    try:
+        f = reader(obj)
+    except BollobasError as exc:
+        return type(exc), str(exc)
+    return f.n, f.d, [
+        [(tuple(tuple(map(Fraction, r)) for r in sp.basis), sp.rows, sp.scale, sp.dim) for sp in e]
+        for e in f.entries
+    ]
+
+
+def _certify(text):
+    """Exit code, stdout and the first stderr line of `certify` on the text."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["--input", "-", "certify"])
+    return code, out.getvalue(), err.getvalue().splitlines()[0] if code == 2 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_documents())
+def test_reader_matches_the_all_rational_reader(text):
+    """The same family (basis values, rows, scales, dims) as the all-`rational`
+    reader, or the same error text; and through `certify`, the same exit
+    code, stdout and error line."""
+    got = _certify(text)
+    with mock.patch.object(cli, "subspace_family_from_json", certificate_oracles.subspace_family_from_json):
+        assert got == _certify(text)
+    try:
+        obj = json.loads(text)
+    except ValueError:  # an integer literal past the digit limit: exit 2 above, on both sides
+        assert got[0] == 2
+        return
+    want = _read(certificate_oracles.subspace_family_from_json, obj)
+    assert _read(subspace_family_from_json, obj) == want
+    event("read" if isinstance(want[0], int) else "refused")

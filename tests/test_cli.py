@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bollobas import cli
-from bollobas.certificates import MAX_EVALUATION_CELLS
+from bollobas.certificates import MAX_EVALUATION_CELLS, MAX_STACKED_PARTS
 from bollobas.cli import main
 from bollobas.events import MAX_TRIAL_STEPS, MODES
 from bollobas.spaces import MAX_AMBIENT
@@ -249,6 +249,19 @@ class TestCertify:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith(f"error: 25000000 evaluation cells exceed the limit {MAX_EVALUATION_CELLS}")
+
+    def test_stacked_parts_are_checked_within_a_second(self, capsys, monkeypatch):
+        # one entry of d = 100,001 empty parts: 100,000 evaluation cells, within
+        # their limit, but each cell's stages stack 2 + 3 + ... + d parts
+        d = 100_001
+        doc = json.dumps({"n": 1, "d": d, "entries": [[[] for _ in range(d)]]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        started = time.perf_counter()
+        code = main(["--input", "-", "certify"])
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {d * (d + 1) // 2 - 1} stacked parts exceed the limit {MAX_STACKED_PARTS}")
 
 
 class TestBounds:
@@ -571,6 +584,92 @@ def test_simulate_flag_values_keep_the_exit_contract_in_time(doc, seed, mode, tr
                 except SystemExit as exc:  # argparse: "<prog>: error: ..." after the usage line
                     code = exc.code
     assert code is not None, f"{argv} ran past {SIMULATE_CASE_SECONDS} s"
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert any(line.startswith("error:") or ": error: " in line for line in err.getvalue().splitlines())
+
+
+# Every subcommand's flags, as the fuzz test below mixes them.
+_OWN_FLAGS = {
+    "verify": ["--mode"],
+    "sum": ["--which"],
+    "construct": ["--sizes", "--n", "--d", "--count", "--lift"],
+    "search": ["--mode", "--n", "--type", "--node-budget"],
+    "simulate": ["--mode", "--trials"],
+    "certify": ["--max-retries"],
+    "bounds": ["--n", "--d"],
+}
+_ALL_FLAGS = sorted({flag for flags in _OWN_FLAGS.values() for flag in flags})
+# Every case must end within this limit.  Numbers stay at most 8, or are 64
+# or 10^10, far past a limit that must refuse them before the work starts:
+# admitted runs with larger values can take seconds (`construct
+# layered-triples --n 12`), and text holds no decimal digits, which `int`
+# reads in any script.
+CLI_CASE_SECONDS = 1.0
+_NUMBERS = st.integers(-2, 8).map(str) | st.sampled_from(["64", "10000000000"])
+_TYPES = st.sampled_from(["1,1", "2,1", "1,1,1", "2,2", "2,1,1", "0,1", "-1,2", "1,,1"])
+_KINDS = st.sampled_from(["complete-uniform", "layered-triples", "random-skew", "random-bollobas"])
+# the values each flag takes, drawn as often as any value at all
+_GOOD = {
+    "--mode": st.sampled_from(sorted({"bollobas", "skew", *MODES})),
+    "--which": st.sampled_from(["conjecture", "skew", "pair_weighted"]),
+    "--sizes": _TYPES,
+    "--type": _TYPES,
+    "--n": _NUMBERS | st.sampled_from(["1..5", "3..1", "0..64"]),
+}
+_VALUES = st.one_of(
+    _NUMBERS,
+    _TYPES,
+    _KINDS,
+    _GOOD["--mode"],
+    _GOOD["--which"],
+    st.sampled_from(["", "-", "1e3", "0x10", "1..5"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4),
+)
+_DOCS = [ONE_TRIPLE, ONE_PAIR, '{"n": 2, "d": 2, "entries": [[[[1, 0]], [["0", "1/2"]]]]}']
+
+
+def _often(draw) -> bool:
+    """True three times in four."""
+    return draw(st.integers(0, 3)) > 0
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand with its own flags, each drawn or not, and at most one
+    flag of another subcommand, with values meant for the flag or any other."""
+    command = draw(st.sampled_from(sorted(_OWN_FLAGS)))
+    argv = ["--input", "-", "--seed", draw(st.integers().map(str) if _often(draw) else _VALUES), command]
+    if command == "construct":
+        argv.append(draw(_KINDS if _often(draw) else _VALUES))
+    flags = [flag for flag in _OWN_FLAGS[command] if _often(draw)]
+    if not _often(draw):
+        flags.append(draw(st.sampled_from(_ALL_FLAGS)))
+    for flag in flags:
+        argv.extend([flag] if flag == "--lift" else [flag, draw(_GOOD.get(flag, _NUMBERS) if _often(draw) else _VALUES)])
+    return argv
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), argv=_command_lines())
+def test_every_subcommand_keeps_the_exit_contract_in_time(data, argv):
+    """Arbitrary bytes or a small family on stdin, and any subcommand's flag
+    values: exit 0, 1 or 2 within the time limit, and on exit 2 no stdout and
+    an error line."""
+    stdin = data.draw(st.sampled_from(_DOCS).map(str.encode) if _often(data.draw) else st.binary(max_size=64))
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    text = stdin.decode("utf-8", "surrogateescape")
+    with contextlib.suppress(_Overtime), _time_limit(CLI_CASE_SECONDS):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: usage errors, or --help
+                    code = exc.code
+    assert code is not None, f"{argv} ran past {CLI_CASE_SECONDS} s"
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 from bollobas import GeneralPositionMap, SubspaceFamily, SubspaceRep, evaluation_matrix, rank
-from bollobas.exterior import _pivot_rows, _rank, row_basis
+from bollobas.exterior import _bareiss, _det, _pivot_rows, _rank, row_basis
 
 # small values and zeros make dependent rows and dimension drops common
 entries = st.one_of(
@@ -60,6 +60,23 @@ def test_pivot_rows_match_rank_per_row_loop(m):
     assert row_basis(rows, ncols) == want
     kept = _pivot_rows(oracle.int_rows(rows)[0], ncols)
     assert tuple(tuple(Fraction(x) for x in rows[i]) for i in kept) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-3, 3) | st.integers(-(10**20), 10**20), min_size=4, max_size=4),
+        min_size=4,
+        max_size=4,
+    ),
+    st.booleans(),
+)
+def test_det_closed_form_at_four_matches_bareiss_and_laplace(rows, dependent):
+    if dependent:  # a repeated row combination makes the determinant zero
+        rows = rows[:3] + [[a - 2 * b for a, b in zip(rows[0], rows[2])]]
+    want = oracle.det(rows)
+    assert _det(rows) == _bareiss(rows) == want
+    assert _det([tuple(r) for r in rows]) == want
 
 
 @settings(max_examples=300, deadline=None)
