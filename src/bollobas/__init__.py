@@ -28,7 +28,6 @@ from .errors import (
     DimensionError,
     DomainError,
     FormatError,
-    GradeError,
     IndexRangeError,
     MismatchError,
     OverlapError,
@@ -52,15 +51,11 @@ from .events import (
 from .exterior import (
     Blade,
     SubspaceRep,
-    blade_from_json,
-    blade_to_json,
     det,
     intersection_dim,
     is_independent,
     rank,
-    subspace_blade,
     wedge,
-    wedge_concat,
 )
 from .families import (
     DTuple,

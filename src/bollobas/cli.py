@@ -74,6 +74,8 @@ def _parse_range(text: str) -> range:
         lo, hi = int(lo), int(hi if sep else lo)
     except ValueError as exc:
         raise FormatError(f"bad range {text!r}") from exc
+    if lo > hi:
+        raise FormatError(f"bad range {text!r}: {lo} > {hi}")
     if hi - lo >= MAX_BOUND_ROWS:
         raise SizeError(f"range {text!r} holds more than {MAX_BOUND_ROWS} values of n")
     return range(lo, hi + 1)
@@ -156,8 +158,9 @@ def _cmd_construct(ns) -> Outcome:
     if kind == "complete-uniform":
         if ns.sizes is None:
             raise FormatError("construct complete-uniform needs --sizes")
-        fam = constructions.complete_family(_parse_sizes(ns.sizes))
-        args = {"kind": kind, "sizes": list(_parse_sizes(ns.sizes))}
+        sizes = _parse_sizes(ns.sizes)
+        fam = constructions.complete_family(sizes)
+        args = {"kind": kind, "sizes": list(sizes)}
     elif kind == "layered-triples":
         if ns.n is None:
             raise FormatError("construct layered-triples needs --n")

@@ -43,10 +43,6 @@ class DimensionError(BollobasError):
     """Vectors or matrices have incompatible ambient dimensions."""
 
 
-class GradeError(BollobasError):
-    """Blade grades are incompatible (e.g. concatenated grade exceeds the dimension)."""
-
-
 class UniformityError(BollobasError):
     """A family required to have one common type does not."""
 

@@ -3,17 +3,15 @@
 A *blade* is the wedge product of an ordered list of row vectors, represented
 by its vector of k x k minors indexed by the k-subsets of columns in
 lexicographic order.  The wedge of k = n vectors is the determinant; the
-empty wedge is the unit scalar.  Blades of two bases of the same subspace
-differ by a nonzero rational factor only, so consumers should rely on
-is_zero / is_proportional_to rather than raw coordinates when the input is a
-subspace.
+empty wedge is the unit scalar.  The wedge is zero exactly when the vectors
+are dependent, which is what `is_independent` tests.
 
 Determinants and ranks use fraction-free (Bareiss-style) elimination on
 denominator-cleared integer matrices, exact at any size that fits in memory;
 determinants up to 4 x 4 use closed forms instead.
-`rank`, `row_basis` and `det` accept rationals and clear denominators once
-per call; their integer kernels `_rank`, `_pivot_rows` and `_det` are what the
-subspace code calls, on the integer rows every `SubspaceRep` keeps.
+`rank` and `det` accept rationals and clear denominators once per call; their
+integer kernels `_rank`, `_pivot_rows` and `_det` are what the subspace code
+calls, on the integer rows every `SubspaceRep` keeps.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, DomainError, FormatError, GradeError
-from .wire import fields, rational
+from .errors import DimensionError, DomainError
 
 Rational = Fraction | int | str
 
@@ -169,60 +166,21 @@ def rank(rows: Sequence[Sequence[Rational]]) -> int:
     return _rank(_cleared(rows)[0])
 
 
-def row_basis(rows: Sequence[Sequence[Rational]], n: int) -> tuple[Vec, ...]:
-    """An independent spanning subset of the given rows (the pivot rows)."""
-    fr = [vector(r) for r in rows]
-    for r in fr:
-        if len(r) != n:
-            raise DimensionError(f"row of length {len(r)} in ambient dimension {n}")
-    return tuple(fr[i] for i in _pivot_rows(_cleared(fr)[0], n))
-
-
 @dataclass(frozen=True)
 class Blade:
-    """Wedge product of `generators`, stored as minors over lexicographic k-subsets.
-
-    Blades parsed back from the wire format keep their grade but lose the
-    generators (the format only carries coordinates); such blades support the
-    zero/proportionality queries but cannot be wedged further.
-    """
+    """A wedge product of row vectors in Q^n, stored as its minors over lexicographic k-subsets."""
 
     n: int
-    generators: tuple[Vec, ...]
-    coords: tuple[Fraction, ...] = field(compare=False)
-    grade: int = -1
-
-    def __post_init__(self):
-        if self.grade < 0:
-            object.__setattr__(self, "grade", len(self.generators))
+    coords: tuple[Fraction, ...]
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def is_proportional_to(self, other: "Blade") -> bool:
-        """True iff one blade is a nonzero rational multiple of the other (or both are zero)."""
-        if self.n != other.n:
-            raise DimensionError("blades in different ambient dimensions")
-        if self.grade != other.grade:
-            raise GradeError(f"blades of grades {self.grade} and {other.grade}")
-        a, b = self.coords, other.coords
-        ratio = None
-        for x, y in zip(a, b):
-            if (x == 0) != (y == 0):
-                return False
-            if x != 0:
-                r = x / y
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return False
-        return True
 
 
 def wedge(vectors: Sequence[Sequence[Rational]], n: int | None = None) -> Blade:
     """Wedge the given row vectors into a blade of minors.
 
-    With k = n generators the single coordinate is the determinant; with
+    With k = n vectors the single coordinate is the determinant; with
     k = 0 the blade is the unit scalar (coordinate vector (1,)).
     """
     gens = tuple(vector(v) for v in vectors)
@@ -240,7 +198,7 @@ def wedge(vectors: Sequence[Sequence[Rational]], n: int | None = None) -> Blade:
         det([[g[c] for c in cols] for g in gens])
         for cols in itertools.combinations(range(n), k)
     )
-    return Blade(n, gens, coords)
+    return Blade(n, coords)
 
 
 def is_independent(vectors: Sequence[Sequence[Rational]]) -> bool:
@@ -255,17 +213,6 @@ def is_independent(vectors: Sequence[Sequence[Rational]]) -> bool:
     if len(gens) > n:
         return False
     return not wedge(gens, n).is_zero()
-
-
-def wedge_concat(a: Blade, b: Blade) -> Blade:
-    """Blade on the concatenated generator lists of a and b."""
-    if a.n != b.n:
-        raise DimensionError(f"blades in dimensions {a.n} and {b.n}")
-    if a.grade != len(a.generators) or b.grade != len(b.generators):
-        raise DomainError("cannot wedge a coordinates-only blade")
-    if a.grade + b.grade > a.n:
-        raise GradeError(f"grades {a.grade} + {b.grade} exceed dimension {a.n}")
-    return wedge(a.generators + b.generators, a.n)
 
 
 @dataclass(frozen=True)
@@ -302,47 +249,6 @@ class SubspaceRep:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]], n: int) -> "SubspaceRep":
         return cls(n, tuple(vector(r) for r in rows))
-
-
-def subspace_blade(w: SubspaceRep) -> Blade:
-    """The blade of the stored basis; well defined up to a nonzero scalar factor.
-
-    A zero-dimensional subspace yields the unit scalar blade.
-    """
-    if w.dim == 0:
-        return Blade(w.n, (), (Fraction(1),))
-    return wedge(w.basis, w.n)
-
-
-def blade_to_json(b: Blade) -> dict:
-    """`{"n", "k", "coords"}` with coordinates over lexicographic k-subsets as "p/q" strings."""
-    return {"n": b.n, "k": b.grade, "coords": [str(c) for c in b.coords]}
-
-
-def blade_from_json(obj: dict) -> Blade:
-    """Rebuild a coordinate-only blade (no generators are stored in the wire format)."""
-    n, k, raw = fields(obj, "blade", ("n", "k"), "coords")
-    if not 0 <= k <= n:
-        raise FormatError(f"blade JSON needs 0 <= k <= n, got n={n}, k={k}")
-    count = _binomial_up_to(n, k, len(raw))
-    if count != len(raw):
-        expected = count if count < len(raw) else f"more than {len(raw)}"
-        raise FormatError(f"expected {expected} coordinates, got {len(raw)}")
-    return Blade(n, (), tuple(rational(x) for x in raw), grade=k)
-
-
-def _binomial_up_to(n: int, k: int, cap: int) -> int:
-    """C(n, k) if it is at most cap, else some number above cap.
-
-    C(n, i) grows with i up to n/2, so the running product stops at the
-    first value above cap and never builds a larger number than that.
-    """
-    c = 1
-    for i in range(min(k, n - k)):
-        c = c * (n - i) // (i + 1)
-        if c > cap:
-            break
-    return c
 
 
 def sum_rank(*spaces: SubspaceRep) -> int:

@@ -385,7 +385,9 @@ class TestErrorsAndDeterminism:
         assert main(["search", "--mode", "skew", "--n", "2", "--type", "2,1"]) == 2
 
     def test_bad_range_is_exit_2(self, capsys):
-        assert main(["bounds", "--n", "x..y", "--d", "3"]) == 2
+        for text in ("x..y", "5..3"):
+            assert main(["bounds", "--n", text, "--d", "3"]) == 2
+            assert capsys.readouterr().out == ""
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
