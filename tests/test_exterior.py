@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,11 +8,13 @@ from bollobas import (
     DimensionError,
     SubspaceRep,
     det,
+    intersection_dim,
     is_independent,
     rank,
     wedge,
 )
 from bollobas.errors import DomainError
+from bollobas.exterior import sum_rank
 
 
 def oracle_rank(rows):
@@ -49,6 +52,11 @@ def oracle_det(rows):
     return total
 
 
+def proportional(a, b):
+    """True iff the coordinate vectors a and b are proportional (2 x 2 minors vanish)."""
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i + 1, len(a)))
+
+
 class TestDetRank:
     def test_det_small(self):
         assert det([[2]]) == 2
@@ -70,6 +78,26 @@ class TestDetRank:
         with pytest.raises(DimensionError):
             det([[1, 2, 3], [4, 5, 6]])
 
+    def test_det_rows_of_wrong_length(self):
+        with pytest.raises(DimensionError):
+            det([[1, 2], [3]])
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_det_swaps_past_zero_pivots(self, k):
+        # the cyclic shift has zeros on the diagonal, so elimination must swap
+        rows = [[int(c == (r + 1) % k) for c in range(k)] for r in range(k)]
+        assert det(rows) == (-1) ** (k - 1)
+
+    def test_det_scales_with_one_row(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            k = rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+            i = rng.randrange(k)
+            scaled = list(rows)
+            scaled[i] = [Fraction(x, 3) for x in rows[i]]
+            assert det(scaled) == det(rows) / 3
+
     def test_rank_basics(self):
         assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
         assert rank([[0, 0], [0, 0]]) == 0
@@ -83,6 +111,21 @@ class TestDetRank:
             ncols = rng.randint(1, 6)
             rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
             assert rank(rows) == oracle_rank(rows)
+
+    def test_rank_with_fractions_matches_oracle(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            nrows = rng.randint(1, 4)
+            ncols = rng.randint(1, 5)
+            rows = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+            assert rank(rows) == oracle_rank(rows)
+
+    def test_rank_needs_rectangular(self):
+        with pytest.raises(DimensionError):
+            rank([[1, 2], [3]])
 
 
 class TestWedge:
@@ -107,6 +150,44 @@ class TestWedge:
         with pytest.raises(DimensionError):
             wedge([(1, 0), (0, 1, 0)])
 
+    def test_wrong_length_for_given_dimension(self):
+        with pytest.raises(DimensionError):
+            wedge([(1, 0)], 3)
+
+    @pytest.mark.parametrize("n,k", [(3, 0), (3, 1), (4, 2), (5, 3), (5, 5)])
+    def test_one_minor_per_column_subset(self, n, k):
+        rows = [[int(c == r) for c in range(n)] for r in range(k)]
+        assert len(wedge(rows, n).coords) == math.comb(n, k)
+
+    def test_single_vector_coords_are_its_entries(self):
+        assert wedge([(3, -1, Fraction(1, 2))]).coords == (3, -1, Fraction(1, 2))
+
+    def test_string_and_fraction_entries(self):
+        assert wedge([("1/2", 0), (0, "2")]).coords == (Fraction(1),)
+        assert wedge([(Fraction(1, 3), 1, 0), (0, 0, 2)]).coords == (
+            Fraction(0),
+            Fraction(2, 3),
+            Fraction(2),
+        )
+
+    def test_zero_vector_wedge_is_zero(self):
+        assert wedge([(0, 0, 0), (1, 2, 3)]).is_zero()
+
+    def test_stacked_rows_wedge_is_determinant(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            assert wedge(rows, n).coords == (oracle_det(rows),)
+
+    def test_zero_iff_rows_dependent(self):
+        assert wedge([(1, 1, 0), (2, 2, 0)]).is_zero()
+        assert not wedge([(1, 1, 0), (0, 1, 1)]).is_zero()
+
+    def test_scaling_one_row_scales_every_minor(self):
+        base = wedge([(1, 2, 0), (0, 1, 1)]).coords
+        assert wedge([(3, 6, 0), (0, 1, 1)]).coords == tuple(3 * c for c in base)
+
     def test_empty_wedge_is_unit_scalar(self):
         assert wedge([], 3).coords == (Fraction(1),)
 
@@ -124,6 +205,13 @@ class TestWedge:
             n = rng.randint(k, 6)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
             assert is_independent(rows) == (oracle_rank(rows) == k)
+
+    def test_independence_of_mixed_lengths(self):
+        with pytest.raises(DimensionError):
+            is_independent([(1, 0), (0, 1, 0)])
+
+    def test_more_vectors_than_dimension_are_dependent(self):
+        assert is_independent([(1, 0), (0, 1), (1, 1)]) is False
 
     def test_dependent_pairs(self):
         assert is_independent([(1, 2), (2, 4)]) is False
@@ -163,7 +251,104 @@ class TestWedge:
             assert wedge(swapped, n).coords == tuple(-c for c in wedge(rows, n).coords)
 
 
+class TestSubspaceWedges:
+    """The wedge of a subspace basis: its Plücker coordinates, fixed up to scale."""
+
+    def test_two_bases_of_one_plane_proportional(self):
+        w1 = SubspaceRep.from_rows([(1, 0, 1), (0, 1, 0)], 3)
+        w2 = SubspaceRep.from_rows([(1, 1, 1), (2, -1, 2)], 3)
+        b1 = wedge(w1.basis, 3).coords
+        b2 = wedge(w2.basis, 3).coords
+        assert proportional(b1, b2)
+        # the factor is the determinant of the change of basis
+        assert b2 == tuple(-3 * c for c in b1)
+
+    def test_different_planes_not_proportional(self):
+        w1 = SubspaceRep.from_rows([(1, 0, 0), (0, 1, 0)], 3)
+        w2 = SubspaceRep.from_rows([(1, 0, 0), (0, 0, 1)], 3)
+        assert not proportional(wedge(w1.basis, 3).coords, wedge(w2.basis, 3).coords)
+
+    def test_zero_dimensional_subspace_is_unit(self):
+        w = SubspaceRep(3, ())
+        assert wedge(w.basis, w.n).coords == (Fraction(1),)
+
+    def test_coordinate_plane_minors(self):
+        w = SubspaceRep.from_rows([(1, 0, 0), (0, 0, 1)], 3)
+        coords = wedge(w.basis, 3).coords
+        nonzero = [i for i, c in enumerate(coords) if c != 0]
+        assert nonzero == [1]  # the {1,3} minor, lexicographically second
+
+    def test_integer_rows_scale_the_wedge(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            k = rng.randint(1, n)
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)] for _ in range(k)]
+            if not is_independent(rows):
+                continue
+            w = SubspaceRep.from_rows(rows, n)
+            assert wedge(w.rows, n).coords == tuple(w.scale * c for c in wedge(w.basis, n).coords)
+
+
 class TestSubspaceRep:
     def test_dependent_basis_rejected(self):
         with pytest.raises(DomainError):
             SubspaceRep.from_rows([(1, 2), (2, 4)], 2)
+
+    def test_row_of_wrong_length_rejected(self):
+        with pytest.raises(DimensionError):
+            SubspaceRep(3, ((1, 0),))
+
+    def test_integer_basis_is_its_own_rows(self):
+        w = SubspaceRep(3, ((1, 2, 3), (0, 1, 0)))
+        assert w.rows == w.basis and w.scale == 1 and w.dim == 2
+
+    def test_fraction_rows_cleared_row_by_row(self):
+        w = SubspaceRep.from_rows([(Fraction(1, 2), Fraction(1, 3), 0), (0, Fraction(1, 4), 1)], 3)
+        assert w.rows == ((3, 2, 0), (0, 1, 4))
+        assert w.scale == 6 * 4
+
+    def test_string_rows_read_as_rationals(self):
+        w = SubspaceRep.from_rows([("1/2", "-3")], 2)
+        assert w.basis == ((Fraction(1, 2), Fraction(-3)),)
+
+    def test_equality_ignores_integer_rows(self):
+        assert SubspaceRep(2, ((1, 0),)) == SubspaceRep.from_rows([(1, 0)], 2)
+        assert SubspaceRep(2, ((1, 0),)) != SubspaceRep(2, ((2, 0),))
+
+
+class TestSumAndIntersection:
+    def test_two_planes_meet_in_a_line(self):
+        a = SubspaceRep.from_rows([(1, 0, 0), (0, 1, 0)], 3)
+        b = SubspaceRep.from_rows([(0, 1, 0), (0, 0, 1)], 3)
+        assert sum_rank(a, b) == 3
+        assert intersection_dim(a, b) == 1
+
+    def test_line_inside_plane(self):
+        plane = SubspaceRep.from_rows([(1, 0, 1), (0, 1, 0)], 3)
+        line = SubspaceRep.from_rows([(2, 3, 2)], 3)
+        assert sum_rank(plane, line) == 2
+        assert intersection_dim(plane, line) == 1
+
+    def test_sum_rank_ambient_mismatch(self):
+        with pytest.raises(DimensionError):
+            sum_rank(SubspaceRep(2, ((1, 0),)), SubspaceRep(3, ((1, 0, 0),)))
+
+    def test_intersection_dim_ambient_mismatch(self):
+        with pytest.raises(DimensionError):
+            intersection_dim(SubspaceRep(2, ((1, 0),)), SubspaceRep(3, ((1, 0, 0),)))
+
+    def test_intersection_dim_matches_oracle(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            parts = []
+            for _ in range(2):
+                rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))]
+                if not is_independent(rows):
+                    rows = []
+                parts.append(SubspaceRep.from_rows(rows, n))
+            a, b = parts
+            stacked = list(a.basis + b.basis)
+            assert sum_rank(a, b) == oracle_rank(stacked)
+            assert intersection_dim(a, b) == a.dim + b.dim - oracle_rank(stacked)

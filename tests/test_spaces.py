@@ -15,7 +15,8 @@ from bollobas import (
     subspace_family_from_json,
     subspace_family_to_json,
 )
-from bollobas.errors import DomainError, FormatError
+from bollobas.errors import DimensionError, DomainError, FormatError, SizeError
+from bollobas.spaces import MAX_AMBIENT
 
 
 def axis(i, n):
@@ -87,3 +88,47 @@ class TestJson:
     def test_missing_field_rejected(self):
         with pytest.raises(FormatError):
             subspace_family_from_json({"n": 2, "entries": []})
+
+    @pytest.mark.parametrize("obj", [5, [1, 2], None, "entries"])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(FormatError, match="must be an object"):
+            subspace_family_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": True, "d": 2, "entries": []},
+            {"n": 2, "d": True, "entries": []},
+            {"n": 2, "d": 2, "entries": [[[[True, 0]], []]]},
+        ],
+    )
+    def test_booleans_rejected(self, obj):
+        with pytest.raises(FormatError):
+            subspace_family_from_json(obj)
+
+    def test_ambient_past_the_limit_refused(self):
+        with pytest.raises(SizeError):
+            subspace_family_from_json({"n": MAX_AMBIENT + 1, "d": 2, "entries": []})
+        assert subspace_family_from_json({"n": MAX_AMBIENT, "d": 2, "entries": []}).n == MAX_AMBIENT
+
+    def test_entry_with_wrong_part_count_rejected(self):
+        with pytest.raises(FormatError, match="entry 1 must be a list of 2 bases"):
+            subspace_family_from_json({"n": 2, "d": 2, "entries": [[[]]]})
+
+    def test_basis_not_a_list_of_rows_rejected(self):
+        with pytest.raises(FormatError, match="not a list of rows"):
+            subspace_family_from_json({"n": 2, "d": 2, "entries": [[[1, 0], []]]})
+
+    def test_row_of_wrong_length_rejected(self):
+        with pytest.raises(DimensionError):
+            subspace_family_from_json({"n": 2, "d": 2, "entries": [[[[1, 0, 0]], []]]})
+
+    def test_coordinate_past_the_digit_limit_is_format_error(self):
+        with pytest.raises(FormatError, match="bad rational"):
+            subspace_family_from_json({"n": 2, "d": 2, "entries": [[[["9" * 5000, "0"]], []]]})
+
+    def test_integer_coordinates_read_as_ints(self):
+        f = subspace_family_from_json({"n": 2, "d": 2, "entries": [[[[1, "-2"]], [["1/2", 0]]]]})
+        a, b = f.entries[0]
+        assert a.basis == ((1, -2),) and all(type(x) is int for x in a.basis[0])
+        assert b.basis == ((Fraction(1, 2), 0),) and b.rows == ((1, 0),)
