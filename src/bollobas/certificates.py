@@ -56,6 +56,17 @@ MAX_PART_PAIRS = 20_000
 MAX_STACKED_PARTS = 250_000
 
 
+def check_size(m: int, d: int) -> None:
+    """Refuse m entries of d parts past MAX_EVALUATION_CELLS or MAX_STACKED_PARTS.
+
+    Both counts need only m and d, so a reader can check them before it
+    builds any part; MAX_PART_PAIRS needs the distinct parts and is checked
+    in `certify`.
+    """
+    _checked_count(m * m * (d - 1), MAX_EVALUATION_CELLS, "evaluation cells")
+    _checked_count(m * m * (d * (d + 1) // 2 - 1), MAX_STACKED_PARTS, "stacked parts")
+
+
 def derive_seed(seed: int, label: str) -> int:
     """Stable 64-bit child seed for a named stage; adding stages never shifts earlier ones."""
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
@@ -289,8 +300,7 @@ def certify(
     if sizes is None:
         raise UniformityError("certificates are defined for uniform families")
     m = len(f.entries)
-    _checked_count(m * m * (f.d - 1), MAX_EVALUATION_CELLS, "evaluation cells")
-    _checked_count(m * m * (f.d * (f.d + 1) // 2 - 1), MAX_STACKED_PARTS, "stacked parts")
+    check_size(m, f.d)
     distinct = len({sp.rows for entry in f.entries for sp in entry})
     _checked_count(distinct * (distinct + 1) // 2, MAX_PART_PAIRS, "pairs of distinct parts")
     violation = skew_spaces_violation(f)

@@ -24,11 +24,12 @@ import time
 from fractions import Fraction
 
 from . import constructions, events, search, sums
-from .certificates import DEFAULT_MAX_RETRIES, derive_seed
+from .certificates import DEFAULT_MAX_RETRIES, check_size, derive_seed
 from .certificates import certify as run_certify
 from .errors import BollobasError, FormatError, SizeError
 from .families import bollobas_violation, family_from_json, family_to_json, skew_violation
 from .spaces import lift_to_spaces, subspace_family_from_json, subspace_family_to_json
+from .wire import fields
 
 
 def _load_input(path: str | None) -> tuple[object, str]:
@@ -229,9 +230,14 @@ def _cmd_certify(ns) -> Outcome:
     obj, digest = _load_input(ns.input)
     if not isinstance(obj, dict):
         raise FormatError("certify input JSON must be an object")
+    # the limits that need only m and d are checked before any subspace is built
     if "tuples" in obj:
-        fam = lift_to_spaces(family_from_json(obj))
+        sets = family_from_json(obj)
+        check_size(len(sets), sets.d)
+        fam = lift_to_spaces(sets)
     elif "entries" in obj:
+        _, d, entries = fields(obj, "subspace family", ("n", "d"), "entries")
+        check_size(len(entries), d)
         fam = subspace_family_from_json(obj)
     else:
         raise FormatError("input is neither a set family (tuples) nor a subspace family (entries)")

@@ -21,13 +21,20 @@ tuple's row (the set of tuples it crosses into) is an OR of a few of them.
 The (skew) validity scans and the adjacency of the extremal search in
 `search` both read these rows instead of testing pairs one at a time, and
 the Monte Carlo walk in `events` reads the same column bitsets.
+
+The JSON reader checks a whole family at once and sums each part's element
+bits straight into its mask; the tuples and the family it has checked are
+then built without re-running the per-tuple checks of the public
+constructors, which every other caller goes through.
 """
 
 from __future__ import annotations
 
+import struct
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
-from operator import sub
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -74,7 +81,7 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DTuple:
     """A d-tuple of pairwise-disjoint subsets of {1, ..., n}.
 
@@ -131,7 +138,7 @@ def type_of(t: DTuple) -> TupleType:
     return tuple(m.bit_count() for m in t.masks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Family:
     """An ordered sequence of d-tuples over one ground set.
 
@@ -193,17 +200,17 @@ def _columns(tuples: Sequence[Sequence[int]], n: int, q: int) -> list[int]:
     """Column bitsets of part q: col[e] holds bit i iff part q of tuple i
     contains element e + 1.
 
-    `tuples` holds each tuple's part masks over [n].  The transpose is read
-    off one binary string of all the tuples' part-q masks by strided slices,
-    one `int(..., 2)` per element.
+    `tuples` holds each tuple's part masks over [n].  The part-q masks are
+    packed once as 64-bit words into one int, tuple i at bits 64i..64i+63,
+    and written as one binary string; the column of element e is then one
+    strided slice of it, read by one `int(..., 2)`.
     """
     if not tuples:  # int("", 2) would raise
         return [0] * n
-    width = f"0{n}b"
-    # tuples last to first, element n first: the slice for element e reads
-    # tuple 0 as its lowest bit
-    bits = "".join([format(t[q], width) for t in reversed(tuples)])
-    return [int(bits[n - 1 - e :: n], 2) for e in range(n)]
+    packed = int.from_bytes(struct.pack(f"<{len(tuples)}Q", *map(itemgetter(q), tuples)), "little")
+    # most significant bit first: character 63 - e + 64k is bit e of tuple m - 1 - k
+    bits = format(packed, f"0{64 * len(tuples)}b")
+    return [int(bits[63 - e :: 64], 2) for e in range(n)]
 
 
 def _crossing_rows(tuples: Sequence[Sequence[int]], n: int, d: int) -> Iterator[int]:
@@ -298,33 +305,49 @@ def family_to_json(f: Family) -> dict:
     }
 
 
-#: _BIT[e] is the mask bit of element e; index 0 is never read.
-_BIT = (0,) + tuple(1 << e for e in range(MAX_GROUND))
+#: The mask bit of each element e in 1..64.
+_ELEMENT_BIT = {e: 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}
 
 
 def family_from_json(obj: dict) -> Family:
     """Read a family from its JSON object.
 
-    One flat pass over all the elements builds every part mask; a document
-    it refuses goes through `_family_from_checked_json`, which names the
-    first fault.
+    `_flat_masks` checks the whole family and builds every part mask; a
+    document it refuses goes through `_family_from_checked_json`, which
+    names the first fault.  The tuples and the family of a document it
+    accepts are already checked, so they are built here without the
+    dataclass `__init__` of each tuple and without `Family.__post_init__`
+    re-checking every tuple.  This is the one place that skips those checks.
     """
     n, d, raw = fields(obj, "family", ("n", "d"), "tuples")
     masks = _flat_masks(raw, n, d)
     if masks is None:
         return _family_from_checked_json(raw, n, d)
-    return Family(n, d, tuple(map(DTuple, repeat(n), masks)))
+    tuples = tuple(map(object.__new__, repeat(DTuple, len(masks))))
+    deque(map(DTuple.n.__set__, tuples, repeat(n)), maxlen=0)
+    deque(map(DTuple.masks.__set__, tuples, masks), maxlen=0)
+    family = object.__new__(Family)
+    Family.n.__set__(family, n)
+    Family.d.__set__(family, d)
+    Family.tuples.__set__(family, tuples)
+    return family
 
 
 def _flat_masks(raw: list, n: int, d: int) -> list[tuple[int, ...]] | None:
     """The part masks of each tuple of a well-formed family, or None if `raw` has any fault.
 
-    The type, shape and range checks each run over the whole family at
-    once.  A part mask is a difference of prefix sums of element bits.  A
-    tuple is repeat-free, so its parts are disjoint, exactly when the sum
-    of its element bits has one set bit per element: a repeat causes a
-    carry, and a carry lowers the popcount.  A part that lists an element
-    twice is refused here although the checked path accepts it.
+    The type and shape checks each run over the whole family at once.  A
+    part's mask is the sum of its elements' bits, one C-level `sum` per
+    part over the lookups in `_ELEMENT_BIT`; an element outside 1..64 is
+    missing there and raises KeyError.  The type check stays, since True
+    and 1.0 look up as 1.  A tuple is repeat-free, so its parts are
+    disjoint, exactly when the sum of its part masks has one set bit per
+    element: a repeat causes a carry, and a carry lowers the popcount.  No
+    tuple's popcount exceeds its element count, so comparing the totals
+    over the family checks every tuple.  Without a carry a tuple's sum is
+    the union of its parts, so an element above n shows as a bit at n or
+    above.  A part that lists an element twice is refused here although
+    the checked path accepts it.
     """
     if d < 2 or not 1 <= n <= MAX_GROUND:
         return None
@@ -335,20 +358,17 @@ def _flat_masks(raw: list, n: int, d: int) -> list[tuple[int, ...]] | None:
     parts = list(chain.from_iterable(raw))
     if not set(map(type, parts)) <= {list}:
         return None
-    elements = list(chain.from_iterable(parts))
-    if not set(map(type, elements)) <= {int}:
+    if not set(map(type, chain.from_iterable(parts))) <= {int}:
         return None
-    if elements and (min(elements) < 1 or max(elements) > n):
+    try:
+        masks = list(map(sum, map(map, repeat(_ELEMENT_BIT.__getitem__), parts)))
+    except KeyError:
         return None
-    sums = list(accumulate(map(_BIT.__getitem__, elements), initial=0))
-    ends = list(accumulate(map(len, parts), initial=0))
-    at_ends = list(map(sums.__getitem__, ends))
-    tuple_sums, tuple_ends = at_ends[::d], ends[::d]
-    counts = list(map(sub, tuple_ends[1:], tuple_ends[:-1]))
-    if list(map(int.bit_count, map(sub, tuple_sums[1:], tuple_sums[:-1]))) != counts:
+    tuples = list(zip(*[iter(masks)] * d))
+    unions = list(map(sum, tuples))
+    if sum(map(int.bit_count, unions)) != sum(map(len, parts)) or max(unions) >> n:
         return None
-    masks = map(sub, at_ends[1:], at_ends[:-1])
-    return list(zip(*[masks] * d))
+    return tuples
 
 
 def _family_from_checked_json(raw: list, n: int, d: int) -> Family:

@@ -166,6 +166,8 @@ def _coordinate(x) -> int | Fraction:
 
 def subspace_family_from_json(obj: dict) -> SubspaceFamily:
     n, d, raw = fields(obj, "subspace family", ("n", "d"), "entries")
+    if n < 0:
+        raise FormatError(f"ambient dimension must be >= 0, got {n}")
     if n > MAX_AMBIENT:
         raise SizeError(f"ambient dimension {n} exceeds the limit {MAX_AMBIENT} of a subspace family")
     entries = []

@@ -5,7 +5,8 @@ crossing rows (`families._crossing_rows`).  These are the straightforward
 versions they replaced: one interpreted cross-condition test per ordered
 pair, in lexicographic order.  The package reads a family in one flat pass
 over its elements; `family_from_json` here is the per-tuple reader it
-replaced.
+replaced.  `columns` is the per-bit transpose that `families._columns`
+reads off one packed binary string.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ def family_from_json(obj: dict) -> Family:
                 raise FormatError(f"tuple {idx + 1} has a part that is not a list of ints")
         tuples.append(validate_tuple(entry, n))
     return Family(n, d, tuple(tuples))
+
+
+def columns(tuples, n: int, q: int) -> list[int]:
+    """col[e] holds bit i iff part q of tuple i contains element e + 1, one bit at a time."""
+    cols = [0] * n
+    for i, t in enumerate(tuples):
+        for e in range(n):
+            if t[q] >> e & 1:
+                cols[e] |= 1 << i
+    return cols
 
 
 def _suffix_masks(t: DTuple) -> tuple[int, ...]:

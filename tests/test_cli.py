@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bollobas import cli
 from bollobas.certificates import MAX_EVALUATION_CELLS, MAX_STACKED_PARTS
+from bollobas.constructions import MAX_SAMPLED_ARITY
 from bollobas.cli import main
 from bollobas.events import MAX_TRIAL_STEPS, MODES
 from bollobas.spaces import MAX_AMBIENT
@@ -143,6 +144,14 @@ class TestConstruct:
         assert (code, out) == (2, "")
         assert "negative part size" in err
 
+    @pytest.mark.parametrize("kind", ["random-skew", "random-bollobas"])
+    def test_arity_past_the_sampling_limit_is_exit_2(self, capsys, monkeypatch, kind):
+        monkeypatch.setattr("bollobas.constructions._sample_tuple", pytest.fail)
+        code = main(["construct", kind, "--n", "1", "--d", "10000000000"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: d = 10000000000 exceeds the limit {MAX_SAMPLED_ARITY}")
+
 
 class TestSearch:
     def test_tight_triple(self, capsys):
@@ -262,6 +271,25 @@ class TestCertify:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {d * (d + 1) // 2 - 1} stacked parts exceed the limit {MAX_STACKED_PARTS}")
+
+    @pytest.mark.parametrize("key", ["entries", "tuples"])
+    def test_stacked_parts_are_checked_before_any_subspace_is_built(self, capsys, monkeypatch, key):
+        # no part of the one entry of d = 100,001 empty parts is read into a subspace
+        d = 100_001
+        doc = json.dumps({"n": 1, "d": d, key: [[[] for _ in range(d)]]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        monkeypatch.setattr("bollobas.spaces.SubspaceRep", pytest.fail)
+        code = main(["--input", "-", "certify"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {d * (d + 1) // 2 - 1} stacked parts exceed the limit {MAX_STACKED_PARTS}")
+
+    def test_negative_ambient_dimension_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"n": -1, "d": 2, "entries": [[[], []]]}'))
+        code = main(["--input", "-", "certify"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ambient dimension must be >= 0, got -1")
 
 
 class TestBounds:

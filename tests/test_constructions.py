@@ -18,6 +18,8 @@ from bollobas import (
     skew_sum,
     tuple_weight,
 )
+from bollobas.constructions import MAX_SAMPLED_ARITY
+from bollobas.errors import SizeError
 from bollobas.exterior import intersection_dim
 
 
@@ -135,6 +137,20 @@ class TestRandomFamilies:
     def test_bad_type_arity(self):
         with pytest.raises(ArityError):
             random_skew_family(6, 3, sizes=(1, 1), seed=0)
+
+    @pytest.mark.parametrize("fn", [random_skew_family, random_bollobas_family])
+    def test_arity_past_the_limit_is_refused_before_the_first_draw(self, monkeypatch, fn):
+        import bollobas.constructions as constructions
+
+        monkeypatch.setattr(constructions, "_sample_tuple", pytest.fail)
+        with pytest.raises(SizeError, match=f"d = 10000000000 exceeds the limit {MAX_SAMPLED_ARITY}"):
+            fn(1, 10**10, seed=0)
+        with pytest.raises(SizeError):
+            fn(64, MAX_SAMPLED_ARITY + 1, seed=0)
+
+    def test_arity_at_the_limit_is_sampled(self):
+        f = random_bollobas_family(6, MAX_SAMPLED_ARITY, seed=0, target=3)
+        assert f.d == MAX_SAMPLED_ARITY and len(f) == 3 and is_bollobas(f)
 
 
 class TestLift:

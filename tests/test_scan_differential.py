@@ -1,7 +1,10 @@
 """Differential tests: the bit-sliced crossing rows against the pairwise oracles,
-and the flat family reader against the per-tuple one."""
+the flat family reader against the per-tuple one, and the packed column
+transpose and popcount type counts against their one-at-a-time forms."""
 
+import dataclasses
 import inspect
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -10,7 +13,16 @@ from hypothesis import strategies as st
 
 from bollobas import Family, bollobas_violation, cross_condition, skew_violation
 from bollobas.errors import BollobasError
-from bollobas.families import DTuple, _crossing_rows, _family_from_checked_json, family_from_json
+from bollobas.families import (
+    DTuple,
+    _columns,
+    _crossing_rows,
+    _family_from_checked_json,
+    family_from_json,
+    family_to_json,
+    type_of,
+)
+from bollobas.sums import _type_counts
 
 import scan_oracles
 
@@ -170,3 +182,61 @@ def test_family_reader_refuses_each_bad_element_as_the_oracle_does(bad):
     got = _read(family_from_json, doc)
     assert not isinstance(got, Family)
     assert got == _read(scan_oracles.family_from_json, doc)
+
+
+@st.composite
+def part_masks(draw):
+    """Part masks of m = 0, 1, 2..64 or 65..130 tuples over n = 1..64, with
+    element n (bit n - 1, bit 63 at n = 64) set in some part q of some tuple."""
+    n = draw(st.sampled_from([64, *range(1, 64)]))
+    d = draw(st.integers(2, 4))
+    m = draw(st.sampled_from([0, 1, "few", "many"]))
+    if m == "few":
+        m = draw(st.integers(2, 64))
+    elif m == "many":
+        m = draw(st.integers(65, 130))
+    word = st.integers(0, (1 << n) - 1)
+    tuples = [tuple(draw(word) for _ in range(d)) for _ in range(m)]
+    q = draw(st.integers(0, d - 1))
+    if tuples:
+        i = draw(st.integers(0, m - 1))
+        tuples[i] = tuples[i][:q] + (tuples[i][q] | 1 << (n - 1),) + tuples[i][q + 1 :]
+    return tuples, n, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(part_masks())
+def test_columns_match_the_per_bit_transpose(case):
+    tuples, n, q = case
+    assert _columns(tuples, n, q) == scan_oracles.columns(tuples, n, q)
+
+
+def test_columns_keep_the_top_bit_of_a_full_word():
+    tuples = [(1 << 63, 0), (0, 1 << 63), (1 << 63 | 1, 0)]
+    cols = _columns(tuples, 64, 0)
+    assert cols[63] == 0b101 and cols[0] == 0b100 and not any(cols[1:63])
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_type_counts_match_one_type_per_tuple(f):
+    assert _type_counts(f) == Counter(map(type_of, f.tuples))
+
+
+@settings(max_examples=200, deadline=None)
+@given(families())
+def test_read_family_equals_the_checked_construction(f):
+    got = family_from_json(family_to_json(f))
+    want = Family(f.n, f.d, tuple(DTuple(f.n, t.masks) for t in f.tuples))
+    assert got == want and hash(got) == hash(want)
+    assert [type(t) for t in got.tuples] == [DTuple] * len(f)
+    assert [hash(t) for t in got.tuples] == [hash(t) for t in want.tuples]
+
+
+def test_read_tuples_and_family_stay_frozen():
+    f = family_from_json({"n": 3, "d": 2, "tuples": [[[1], [2, 3]]]})
+    (t,) = f.tuples
+    for obj, name, value in [(t, "n", 4), (t, "masks", (0, 0)), (f, "n", 4), (f, "d", 3), (f, "tuples", ())]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    assert (t.n, t.masks, f.n, f.d) == (3, (0b1, 0b110), 3, 2)

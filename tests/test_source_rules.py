@@ -33,3 +33,35 @@ def test_json_is_decoded_in_one_place():
             and node.func.value.id == "json"
         ]
     assert len(found) == 1, f"json.load(s) calls: {', '.join(found) or 'none'}"
+
+
+def _calls_that_skip_constructors(tree):
+    """(function, line) of each `__new__` or slot `__set__` reference, and of
+    each `object.__setattr__` outside a `__post_init__`: the ways to give an
+    object its fields without running its checks."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute):
+            on_object = isinstance(node.value, ast.Name) and node.value.id == "object"
+            setattr_outside_checks = node.attr == "__setattr__" and on_object and function != "__post_init__"
+            if node.attr in ("__new__", "__set__") or setattr_outside_checks:
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_family_reader_builds_objects_without_their_checks():
+    # family_from_json builds the tuples and the family it has already checked
+    # without their constructors; any other reader or constructor must run them
+    where = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function, line in _calls_that_skip_constructors(tree):
+            where.setdefault(f"{path.name}:{function}", []).append(line)
+    assert set(where) == {"families.py:family_from_json"}, where

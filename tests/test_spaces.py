@@ -111,6 +111,12 @@ class TestJson:
             subspace_family_from_json({"n": MAX_AMBIENT + 1, "d": 2, "entries": []})
         assert subspace_family_from_json({"n": MAX_AMBIENT, "d": 2, "entries": []}).n == MAX_AMBIENT
 
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_ambient_dimension_refused(self, n):
+        with pytest.raises(FormatError, match=f"ambient dimension must be >= 0, got {n}"):
+            subspace_family_from_json({"n": n, "d": 2, "entries": [[[], []]]})
+        assert subspace_family_from_json({"n": 0, "d": 2, "entries": [[[], []]]}).n == 0
+
     def test_entry_with_wrong_part_count_rejected(self):
         with pytest.raises(FormatError, match="entry 1 must be a list of 2 bases"):
             subspace_family_from_json({"n": 2, "d": 2, "entries": [[[]]]})
