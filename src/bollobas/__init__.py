@@ -39,13 +39,10 @@ from .errors import (
 from .events import (
     EventReport,
     Permutation,
-    d3_event_probability,
     event_probability,
     exact_event_probability,
-    general_event_probability,
+    in_event,
     in_event_d3,
-    in_event_general,
-    in_event_skew,
     monte_carlo,
 )
 from .exterior import (

@@ -34,7 +34,7 @@ from .errors import (
     RetriesExhausted,
     UniformityError,
 )
-from .exterior import IntRow, Rational, SubspaceRep, _det, _pivot_rows, _rank
+from .exterior import Rational, SubspaceRep, _det, _pivot_rows, _rank
 from .spaces import Rows, SubspaceFamily, skew_spaces_violation
 from .sums import tuple_weight
 
@@ -118,6 +118,7 @@ def _draw(
     draw fails with probability zero, so running out of retries flags a bug
     or an infeasible requirement rather than bad luck.
     """
+    distinct = dict.fromkeys(itertools.chain.from_iterable(required))
     rng = random.Random(seed)
     for attempt in range(max_retries):
         matrix = tuple(
@@ -125,17 +126,8 @@ def _draw(
             for _ in range(ambient)
         )
         columns = tuple(zip(*matrix))
-        images: dict[IntRow, tuple] = {}
-        for basis, want in required.items():
-            rows = []
-            for r in basis:
-                img = images.get(r)
-                if img is None:
-                    img = images[r] = _project(r, columns)
-                rows.append(img)
-            if _rank(rows) != want:
-                break
-        else:
+        images = {r: _project(r, columns) for r in distinct}
+        if all(_rank([images[r] for r in basis]) == want for basis, want in required.items()):
             return matrix, attempt
     raise RetriesExhausted(f"no general-position map found in {max_retries} draws")
 

@@ -18,12 +18,13 @@ part k must merely end before part k + 1 starts.  The modes choose k:
   delimiters;
 * ``d3``: general mode at d = 3, variant "E" being k = 2 and "F" k = 1.
 
-With g delimiters and s elements in the tuple's support, each variant has
-probability 1 / (C(s + g, g) * multinomial(s; sizes)).  Variants whose label
-patterns coincide (possible when a part is empty) are one event.  Empty
-parts impose no constraints of their own (vacuous quantification), so two
-delimiters may sit adjacent where a part is empty; the formula remains exact
-in that case.
+`in_event` decides membership for a given k.  With g delimiters and s
+elements in the tuple's support, each variant has probability
+1 / (C(s + g, g) * multinomial(s; sizes)), given by `event_probability`.
+Variants whose label patterns coincide (possible when a part is empty) are
+one event.  Empty parts impose no constraints of their own (vacuous
+quantification), so two delimiters may sit adjacent where a part is empty;
+the formula remains exact in that case.
 
 The Monte Carlo estimator checks all tuples at once: the family is transposed
 into column bitsets, and each trial walks the elements in permutation order,
@@ -39,7 +40,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import ArityError, DomainError, IndexRangeError, SizeError
-from .families import DTuple, Family, TupleType, _columns, type_of
+from .families import MAX_GROUND, DTuple, Family, TupleType, _columns, type_of
 from .sums import _event_weight
 
 EXACT_ENUMERATION_LIMIT = 10
@@ -47,6 +48,10 @@ EXACT_ENUMERATION_LIMIT = 10
 # trials x permutation size: a run at the limit takes tens of seconds on a
 # one-tuple family, minutes on thousands of tuples
 MAX_TRIAL_STEPS = 10**8
+
+# parts per tuple: the walk tables grow as d^2, and a family on at most
+# MAX_GROUND elements has at most MAX_GROUND nonempty parts
+MAX_EVENT_ARITY = MAX_GROUND
 
 MODES = ("skew", "d3", "general")
 
@@ -74,7 +79,11 @@ class Permutation:
 
     @classmethod
     def from_mapping(cls, mapping: dict[int, int], size: int) -> "Permutation":
-        return cls(tuple(mapping[e] for e in range(1, size + 1)))
+        try:
+            images = tuple(mapping[e] for e in range(1, size + 1))
+        except KeyError as exc:
+            raise DomainError(f"mapping has no image for element {exc.args[0]}") from None
+        return cls(images)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +104,10 @@ def _gaps(d: int, mode: str) -> tuple[int, ...]:
     raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-def _delimiters(d: int, k: int) -> int:
-    return d - 1 if k == 0 else d - 2
+def _delimiters(d: int, mode: str) -> int:
+    """g(d, mode), the delimiters of each of the mode's variants: one in
+    every gap between consecutive parts but the undelimited one."""
+    return d - 1 if _gaps(d, mode) == (0,) else d - 2
 
 
 def _level(l: int, k: int) -> int:
@@ -117,17 +128,23 @@ def _variants(sizes: TupleType, mode: str) -> dict[tuple[int, ...], int]:
     return out
 
 
-def _signatures(sizes: TupleType, mode: str) -> list[tuple[int, ...]]:
-    """Distinct label patterns (part index per slot, 0 = delimiter) for the mode's variants."""
-    return list(_variants(sizes, mode))
+def in_event(sigma: Permutation, t: DTuple, k: int = 0) -> bool:
+    """True iff the parts of t appear as ordered blocks with a delimiter in
+    every gap between consecutive parts except the undelimited gap k, where
+    part k merely ends before part k + 1 starts.
 
-
-def _hit(img: Sequence[int], parts: Sequence[Sequence[int]], n: int, k: int) -> bool:
-    """True iff the parts lie in their delimiter intervals under the image
-    table img (delimiters are the elements after n) and, for k > 0, part k
-    ends before part k + 1 starts."""
-    d = len(parts)
-    bounds = [0, *sorted(img[n : n + _delimiters(d, k)]), len(img) + 1]
+    k = 0 is the skew event (no undelimited gap, d - 1 delimiters); k in
+    1..d-1 is the general event of gap k (d - 2 delimiters).  sigma must act
+    on n elements plus the delimiters, the elements above n, whose mutual
+    order is free.  Empty parts constrain nothing.
+    """
+    if not 0 <= k <= t.d - 1:
+        raise IndexRangeError(f"gap index k must be in 0..{t.d - 1}, got {k}")
+    need = t.n + _delimiters(t.d, "general" if k else "skew")
+    if sigma.size != need:
+        raise SizeError(f"permutation of size {sigma.size}, expected {need}")
+    img, parts = sigma.images, t.parts()
+    bounds = [0, *sorted(img[t.n :]), need + 1]
     for l, part in enumerate(parts):
         lo, hi = bounds[_level(l, k)], bounds[_level(l, k) + 1]
         for a in part:
@@ -140,25 +157,9 @@ def _hit(img: Sequence[int], parts: Sequence[Sequence[int]], n: int, k: int) -> 
     return True
 
 
-def _member(sigma: Permutation, t: DTuple, k: int) -> bool:
-    need = t.n + _delimiters(t.d, k)
-    if sigma.size != need:
-        raise SizeError(f"permutation of size {sigma.size}, expected {need}")
-    return _hit(sigma.images, t.parts(), t.n, k)
-
-
-def in_event_skew(sigma: Permutation, t: DTuple) -> bool:
-    """True iff the parts of t appear as ordered blocks with one delimiter in
-    every gap between consecutive parts.
-
-    sigma must act on n + d - 1 elements; the d - 1 elements above n are the
-    delimiters (their mutual order is free).  Empty parts constrain nothing.
-    """
-    return _member(sigma, t, 0)
-
-
 def in_event_d3(sigma: Permutation, t: DTuple, variant: str) -> bool:
-    """Single-delimiter triple events.
+    """The paper's single-delimiter triple events: `in_event` at k = 2
+    (variant "E") or k = 1 (variant "F").
 
     Variant "E": part 1, delimiter, part 2, part 3 (parts 2 and 3 in block
     order after the delimiter).  Variant "F": part 1, part 2, delimiter,
@@ -168,57 +169,19 @@ def in_event_d3(sigma: Permutation, t: DTuple, variant: str) -> bool:
         raise ArityError(f"d3 events need d = 3, got d = {t.d}")
     if variant not in ("E", "F"):
         raise DomainError(f"variant must be 'E' or 'F', got {variant!r}")
-    return _member(sigma, t, 2 if variant == "E" else 1)
+    return in_event(sigma, t, 2 if variant == "E" else 1)
 
 
-def in_event_general(sigma: Permutation, t: DTuple, k: int) -> bool:
-    """Parts in block order with one delimiter in every gap except gap k.
-
-    sigma must act on n + d - 2 elements (d - 2 delimiters).  For d = 3 this
-    reduces to the d3 events: k = 2 is variant "E", k = 1 is variant "F".
-    """
-    if not 1 <= k <= t.d - 1:
-        raise IndexRangeError(f"gap index k must be in 1..{t.d - 1}, got {k}")
-    return _member(sigma, t, k)
-
-
-# ---------------------------------------------------------------------------
-# Exact probabilities.
-
-
-def _probability(sizes: TupleType, delimiters: int) -> Fraction:
-    return Fraction(1, _event_weight(sizes, delimiters))
-
-
-def event_probability(sizes: TupleType, d: int | None = None) -> Fraction:
-    """P of the skew event: 1 / (C(s + d - 1, d - 1) * multinomial(s, sizes))."""
-    sizes = tuple(sizes)
-    if d is None:
-        d = len(sizes)
-    elif d != len(sizes):
-        raise ArityError(f"type {sizes} has arity {len(sizes)}, not {d}")
-    if d < 2:
-        raise ArityError(f"need d >= 2, got {d}")
-    return _probability(sizes, d - 1)
-
-
-def d3_event_probability(sizes: TupleType) -> Fraction:
-    """P of either single-delimiter triple event: 1 / ((s + 1) * multinomial(s, sizes))."""
-    sizes = tuple(sizes)
-    if len(sizes) != 3:
-        raise ArityError(f"d3 events need arity 3, got {len(sizes)}")
-    return _probability(sizes, 1)
-
-
-def general_event_probability(sizes: TupleType) -> Fraction:
-    """P of each gap-k event: 1 / (C(s + d - 2, d - 2) * multinomial(s, sizes)).
+def event_probability(sizes: TupleType, mode: str = "skew") -> Fraction:
+    """P of each of the mode's events for a tuple of type `sizes`:
+    1 / (C(s + g, g) * multinomial(s, sizes)), g = `_delimiters(d, mode)`.
 
     The same value for every gap k, by symmetry of the block pattern.
     """
     sizes = tuple(sizes)
     if len(sizes) < 2:
         raise ArityError(f"need d >= 2, got {len(sizes)}")
-    return _probability(sizes, len(sizes) - 2)
+    return Fraction(1, _event_weight(sizes, _delimiters(len(sizes), mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +222,13 @@ def exact_event_probability(f: Family, index: int, mode: str = "skew") -> Fracti
     """
     if not 1 <= index <= len(f.tuples):
         raise IndexRangeError(f"tuple index must be in 1..{len(f.tuples)}, got {index}")
-    targets = _signatures(type_of(f.tuples[index - 1]), mode)
-    r = len(targets[0])
+    sizes = type_of(f.tuples[index - 1])
+    r = sum(sizes) + _delimiters(f.d, mode)
     if r > EXACT_ENUMERATION_LIMIT:
         raise SizeError(f"{r} relevant elements exceed the enumeration limit {EXACT_ENUMERATION_LIMIT}")
-    counts = dict.fromkeys(targets, 0)
+    counts = dict.fromkeys(_variants(sizes, mode), 0)
     total = 0
-    for arrangement in _arrangements(targets[0]):
+    for arrangement in _arrangements(next(iter(counts))):
         total += 1
         if arrangement in counts:
             counts[arrangement] += 1
@@ -303,7 +266,7 @@ class EventReport:
 
 def permutation_size(f: Family, mode: str) -> int:
     """Size of the extended ground set the mode's permutations act on."""
-    return f.n + _delimiters(f.d, _gaps(f.d, mode)[0])
+    return f.n + _delimiters(f.d, mode)
 
 
 def _walk_masks(
@@ -368,9 +331,10 @@ def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
     bit for bit.  Trials are drawn from a single stream: `_shuffles` writes
     out `random.Random(seed).shuffle` inline, with the same `getrandbits`
     draws, so every trial sees the permutation `shuffle` would give
-    (pinned by `test_shuffles_match_the_stdlib_shuffle`).  trials times the
-    permutation size may not exceed `MAX_TRIAL_STEPS`; past it `SizeError`
-    is raised before any draw.
+    (pinned by `test_shuffles_match_the_stdlib_shuffle`).  d may not exceed
+    `MAX_EVENT_ARITY`, and trials times the permutation size may not exceed
+    `MAX_TRIAL_STEPS`; past either `SizeError` is raised before any mask is
+    built or permutation drawn.
 
     All tuples and variants are checked in one walk per trial (see
     `_walk_masks`): the elements are visited in permutation order, counting
@@ -382,20 +346,24 @@ def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
     """
     if trials < 0:
         raise DomainError(f"negative trials {trials}")
-    size = permutation_size(f, mode)
+    if f.d > MAX_EVENT_ARITY:
+        raise SizeError(f"{f.d} parts per tuple exceed the limit of {MAX_EVENT_ARITY}")
+    g = _delimiters(f.d, mode)
+    n, m = f.n, len(f.tuples)
+    size = n + g
     if trials * size > MAX_TRIAL_STEPS:
         raise SizeError(f"{trials} trials of {size} elements exceed the limit of {MAX_TRIAL_STEPS} trial steps")
-    n, m = f.n, len(f.tuples)
     types = [type_of(t) for t in f.tuples]
     variants = {sizes: _variants(sizes, mode) for sizes in set(types)}
-    formulas = tuple(len(variants[s]) * _probability(s, size - n) for s in types)
+    chance = {sizes: len(v) * event_probability(sizes, mode) for sizes, v in variants.items()}
+    formulas = tuple(map(chance.__getitem__, types))
     uses = dict.fromkeys(_gaps(f.d, mode), 0)
     for i, sizes in enumerate(types):
         for k in variants[sizes].values():
             uses[k] |= 1 << i
     masks = [t.masks for t in f.tuples]
     cols = [_columns(masks, n, q) for q in range(f.d)]
-    rules, left, right = _walk_masks(cols, uses, m, size - n + 1)
+    rules, left, right = _walk_masks(cols, uses, m, g + 1)
     use = sum(u << v * m for v, u in enumerate(uses.values()))
     rng = random.Random(seed)
     img = list(range(1, size + 1))

@@ -15,7 +15,7 @@ from bollobas import cli
 from bollobas.certificates import MAX_EVALUATION_CELLS, MAX_STACKED_PARTS
 from bollobas.constructions import MAX_SAMPLED_ARITY
 from bollobas.cli import main
-from bollobas.events import MAX_TRIAL_STEPS, MODES
+from bollobas.events import MAX_EVENT_ARITY, MAX_TRIAL_STEPS, MODES
 from bollobas.spaces import MAX_AMBIENT
 
 # The subcommands that read a JSON document.
@@ -212,6 +212,24 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith(f"error: 1000000000 trials of 5 elements exceed the limit of {MAX_TRIAL_STEPS}")
+
+    @pytest.mark.parametrize("mode", ["skew", "general"])
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    def test_arity_past_the_limit_is_refused_within_a_second(self, capsys, monkeypatch, mode, trials):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 3, "d": 4000, "tuples": []}'))
+        started = time.perf_counter()
+        code = main(["--input", "-", "simulate", "--mode", mode, "--trials", trials])
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: 4000 parts per tuple exceed the limit of {MAX_EVENT_ARITY}")
+
+    @pytest.mark.parametrize("mode", ["skew", "general"])
+    def test_arity_at_the_limit_is_admitted(self, capsys, monkeypatch, mode):
+        doc = {"n": 3, "d": MAX_EVENT_ARITY, "tuples": [[[1], [2], [3]] + [[]] * (MAX_EVENT_ARITY - 3)]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, obj = run_json(capsys, "--input", "-", "simulate", "--mode", mode, "--trials", "1")
+        assert code == 0 and obj["results"]["trials"] == 1
 
 
 class TestCertify:

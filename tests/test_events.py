@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,10 @@ from bollobas import (
     Permutation,
     SizeError,
     complete_family,
-    d3_event_probability,
     event_probability,
     exact_event_probability,
-    general_event_probability,
+    in_event,
     in_event_d3,
-    in_event_general,
-    in_event_skew,
     monte_carlo,
     random_bollobas_family,
     random_skew_family,
@@ -31,28 +29,28 @@ class TestSkewMembership:
     def test_identity_misses(self):
         # delimiter 3 lands after both parts: no block split
         t = validate_tuple([[1], [2]], 2)
-        assert in_event_skew(Permutation.identity(3), t) is False
+        assert in_event(Permutation.identity(3), t) is False
 
     def test_split_order_hits(self):
         t = validate_tuple([[1], [2]], 2)
         sigma = perm_of({1: 1, 3: 2, 2: 3}, 3)
-        assert in_event_skew(sigma, t) is True
+        assert in_event(sigma, t) is True
 
     def test_empty_parts_always_hit(self):
         t = validate_tuple([[], []], 2)
         for images in itertools.permutations(range(1, 4)):
-            assert in_event_skew(Permutation(tuple(images)), t) is True
+            assert in_event(Permutation(tuple(images)), t) is True
 
     def test_wrong_size_rejected(self):
         t = validate_tuple([[1], [2]], 2)
         with pytest.raises(SizeError):
-            in_event_skew(Permutation.identity(4), t)
+            in_event(Permutation.identity(4), t)
 
     def test_exhaustive_probability_pair(self):
         # oracle: walk all of S_3 by hand for the (1,0)-delimiter pattern
         t = validate_tuple([[1], [2]], 2)
         hits = sum(
-            in_event_skew(Permutation(p), t) for p in itertools.permutations(range(1, 4))
+            in_event(Permutation(p), t) for p in itertools.permutations(range(1, 4))
         )
         assert Fraction(hits, 6) == Fraction(1, 6) == event_probability((1, 1))
 
@@ -87,7 +85,7 @@ class TestD3Membership:
             hits_f += f
             both += e and f
             total += 1
-        assert Fraction(hits_e, total) == Fraction(hits_f, total) == d3_event_probability((1, 1, 1))
+        assert Fraction(hits_e, total) == Fraction(hits_f, total) == event_probability((1, 1, 1), "d3")
         assert both == 0  # middle part nonempty
 
     def test_arity_guard(self):
@@ -103,28 +101,37 @@ class TestGeneralMembership:
         t = validate_tuple([[1], [2], [3]], 3)
         for images in itertools.permutations(range(1, 5)):
             sigma = Permutation(tuple(images))
-            assert in_event_general(sigma, t, 2) == in_event_d3(sigma, t, "E")
-            assert in_event_general(sigma, t, 1) == in_event_d3(sigma, t, "F")
+            assert in_event(sigma, t, 2) == in_event_d3(sigma, t, "E")
+            assert in_event(sigma, t, 1) == in_event_d3(sigma, t, "F")
 
-    def test_gap_index_bounds(self):
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_gap_index_bounds(self, k):
         t = validate_tuple([[1], [2], [3]], 3)
         with pytest.raises(IndexError):
-            in_event_general(Permutation.identity(4), t, 3)
+            in_event(Permutation.identity(4), t, k)
 
-    def test_gap_index_error_is_a_package_error(self):
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_gap_index_error_is_a_package_error(self, k):
         from bollobas import BollobasError
 
         t = validate_tuple([[1], [2], [3]], 3)
         with pytest.raises(BollobasError):
-            in_event_general(Permutation.identity(4), t, 0)
+            in_event(Permutation.identity(4), t, k)
+
+    def test_gap_zero_is_the_skew_event(self):
+        t = validate_tuple([[1], [2], [3]], 3)
+        with pytest.raises(SizeError):
+            in_event(Permutation.identity(4), t, 0)
+        # blocks 1 | delim | 2 | delim | 3
+        assert in_event(perm_of({1: 1, 4: 2, 2: 3, 5: 4, 3: 5}, 5), t, 0) is True
 
     def test_d2_case_has_no_delimiters(self):
         t = validate_tuple([[1], [2]], 2)
         hits = sum(
-            in_event_general(Permutation(p), t, 1)
+            in_event(Permutation(p), t, 1)
             for p in itertools.permutations(range(1, 3))
         )
-        assert Fraction(hits, 2) == general_event_probability((1, 1)) == Fraction(1, 2)
+        assert Fraction(hits, 2) == event_probability((1, 1), "general") == Fraction(1, 2)
 
 
 class TestProbabilityFormulas:
@@ -134,13 +141,19 @@ class TestProbabilityFormulas:
         assert event_probability((0, 0)) == 1
 
     def test_d3_value(self):
-        assert d3_event_probability((1, 1, 1)) == Fraction(1, 24)
+        assert event_probability((1, 1, 1), "d3") == Fraction(1, 24)
 
     def test_arity_checks(self):
         with pytest.raises(ArityError):
-            event_probability((1, 1), d=3)
+            event_probability((1, 1), "d3")
         with pytest.raises(ArityError):
-            d3_event_probability((1, 1))
+            event_probability((1,), "general")
+
+    def test_unknown_mode(self):
+        from bollobas.errors import DomainError
+
+        with pytest.raises(DomainError):
+            event_probability((1, 1), "sideways")
 
 
 def one_tuple_family(parts, n):
@@ -160,8 +173,8 @@ class TestExactOracle:
         f = one_tuple_family([[1, 2], [3], []], 4)
         sizes = (2, 1, 0)
         assert exact_event_probability(f, 1, "skew") == event_probability(sizes)
-        assert exact_event_probability(f, 1, "d3") == d3_event_probability(sizes)
-        assert exact_event_probability(f, 1, "general") == general_event_probability(sizes)
+        assert exact_event_probability(f, 1, "d3") == event_probability(sizes, "d3")
+        assert exact_event_probability(f, 1, "general") == event_probability(sizes, "general")
 
     def test_small_sweep_all_modes(self):
         # full sweeps live in the acceptance suite; keep a quick cross-check here
@@ -174,7 +187,7 @@ class TestExactOracle:
                 nxt += a
             f = one_tuple_family(parts, n)
             assert exact_event_probability(f, 1, "skew") == event_probability(sizes)
-            assert exact_event_probability(f, 1, "general") == general_event_probability(sizes)
+            assert exact_event_probability(f, 1, "general") == event_probability(sizes, "general")
 
     def test_gap_event_formula_sweep(self):
         # every triple and quadruple type with at most 7 relevant elements,
@@ -190,14 +203,27 @@ class TestExactOracle:
                         parts.append(list(range(nxt, nxt + a)))
                         nxt += a
                     f = one_tuple_family(parts, max(1, total))
-                    assert exact_event_probability(f, 1, "general") == general_event_probability(sizes)
+                    assert exact_event_probability(f, 1, "general") == event_probability(sizes, "general")
                     if d == 3:
-                        assert exact_event_probability(f, 1, "d3") == d3_event_probability(sizes)
+                        assert exact_event_probability(f, 1, "d3") == event_probability(sizes, "d3")
 
     def test_enumeration_limit(self):
         f = one_tuple_family([list(range(1, 7)), list(range(7, 12))], 11)
         with pytest.raises(SizeError):
             exact_event_probability(f, 1, "skew")
+
+    def test_enumeration_limit_is_checked_before_any_pattern(self, monkeypatch):
+        from bollobas import events
+
+        def refuse(*args):
+            raise AssertionError("patterns built")
+
+        f = one_tuple_family([[1], [2]] + [[]] * 3998, 2)
+        monkeypatch.setattr(events, "_variants", refuse)
+        started = time.perf_counter()
+        with pytest.raises(SizeError, match="4000 relevant elements"):
+            exact_event_probability(f, 1, "general")
+        assert time.perf_counter() - started < 0.1
 
 
 class TestPredicateSignatureConsistency:
@@ -217,7 +243,7 @@ class TestPredicateSignatureConsistency:
     def test_all_modes_agree_on_random_permutations(self):
         import random as rnd
 
-        from bollobas.events import _signatures
+        from bollobas.events import _variants
 
         rng = rnd.Random(31)
         tuples = [
@@ -228,28 +254,29 @@ class TestPredicateSignatureConsistency:
         ]
         for t in tuples:
             sizes = t.type()
-            skew_sig = _signatures(sizes, "skew")[0]
+            (skew_sig,) = _variants(sizes, "skew")
             for _ in range(300):
                 base = list(range(1, t.n + t.d))
                 rng.shuffle(base)
                 sigma = Permutation(tuple(base))
-                assert in_event_skew(sigma, t) == self._label_hit(sigma, t, skew_sig)
+                assert in_event(sigma, t) == self._label_hit(sigma, t, skew_sig)
         t = tuples[0]
-        e_sig, f_sig = _signatures(t.type(), "d3")
+        e_sig, f_sig = _variants(t.type(), "d3")
         for _ in range(300):
             base = list(range(1, t.n + 2))
             rng.shuffle(base)
             sigma = Permutation(tuple(base))
             assert in_event_d3(sigma, t, "E") == self._label_hit(sigma, t, e_sig)
             assert in_event_d3(sigma, t, "F") == self._label_hit(sigma, t, f_sig)
+        # no part of this tuple is empty, so gap k's pattern is the k-th
         t = tuples[2]
-        for k in range(1, 4):
-            sig = _signatures(t.type(), "general")[k - 1]
+        sigs = [*_variants(t.type(), "skew"), *_variants(t.type(), "general")]
+        for k in range(t.d):
             for _ in range(300):
-                base = list(range(1, t.n + t.d - 1))
+                base = list(range(1, t.n + t.d - bool(k)))
                 rng.shuffle(base)
                 sigma = Permutation(tuple(base))
-                assert in_event_general(sigma, t, k) == self._label_hit(sigma, t, sig)
+                assert in_event(sigma, t, k) == self._label_hit(sigma, t, sigs[k])
 
 
 class TestPermutationType:
@@ -262,6 +289,12 @@ class TestPermutationType:
     def test_identity_and_mapping(self):
         assert Permutation.identity(3).images == (1, 2, 3)
         assert Permutation.from_mapping({1: 2, 2: 1}, 2).images == (2, 1)
+
+    def test_mapping_without_an_element_is_a_domain_error(self):
+        from bollobas.errors import DomainError
+
+        with pytest.raises(DomainError, match="no image for element 2"):
+            Permutation.from_mapping({1: 2}, 2)
 
 
 class TestMonteCarlo:
@@ -301,6 +334,24 @@ class TestMonteCarlo:
         with pytest.raises(SizeError, match="26 trials of 4 elements"):
             monte_carlo(f, "d3", 26, seed=1)
 
+    @pytest.mark.parametrize("mode", ["skew", "general"])
+    def test_arity_is_checked_before_any_gap_column_or_mask(self, monkeypatch, mode):
+        from bollobas import events
+
+        def refuse(*args):
+            raise AssertionError("event tables built")
+
+        for name in ("_gaps", "_columns", "_walk_masks"):
+            monkeypatch.setattr(events, name, refuse)
+        f = Family.build(3, [], d=events.MAX_EVENT_ARITY + 1)
+        with pytest.raises(SizeError, match="65 parts per tuple exceed the limit of 64"):
+            monte_carlo(f, mode, 0, seed=1)
+
+    def test_arity_limit_is_admitted(self):
+        f = Family.build(3, [[[1], [2], [3]] + [[]] * 61])
+        for mode in ("skew", "general"):
+            assert monte_carlo(f, mode, 1, seed=1).trials == 1
+
     def test_unknown_mode_rejected(self):
         from bollobas.errors import DomainError
 
@@ -327,8 +378,8 @@ class TestMonteCarlo:
     def test_formula_values_count_distinct_variants(self):
         f = Family.build(3, [[[1], [2], [3]], [[1], [], [2]]])
         rep = monte_carlo(f, "d3", 0, seed=0)
-        assert rep.formula_values[0] == 2 * d3_event_probability((1, 1, 1))
-        assert rep.formula_values[1] == d3_event_probability((1, 0, 1))
+        assert rep.formula_values[0] == 2 * event_probability((1, 1, 1), "d3")
+        assert rep.formula_values[1] == event_probability((1, 0, 1), "d3")
 
     def test_estimates_near_formula(self):
         f = one_tuple_family([[1], [2]], 2)
