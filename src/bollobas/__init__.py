@@ -20,7 +20,6 @@ from .certificates import (
     certify,
     derive_seed,
     evaluation_matrix,
-    sample_general_position,
 )
 from .errors import (
     ArityError,

@@ -27,13 +27,7 @@ from operator import mul
 from typing import Sequence
 
 from .constructions import _checked_count
-from .errors import (
-    BollobasError,
-    DimensionError,
-    IndexRangeError,
-    RetriesExhausted,
-    UniformityError,
-)
+from .errors import BollobasError, IndexRangeError, RetriesExhausted, UniformityError
 from .exterior import Rational, SubspaceRep, _det, _pivot_rows, _rank
 from .spaces import Rows, SubspaceFamily, skew_spaces_violation
 from .sums import tuple_weight
@@ -80,13 +74,12 @@ def _project(row: Sequence[Rational], columns: Sequence[Sequence[int]]) -> tuple
 
 @dataclass(frozen=True)
 class GeneralPositionMap:
-    """A linear map Q^n -> Q^target (row vector times matrix) verified to
-    preserve min(dim, target) for every listed constraint subspace."""
+    """A linear map Q^n -> Q^target (row vector times matrix), drawn after
+    `retries` rejected draws."""
 
     n: int
     target: int
     matrix: tuple[tuple[int, ...], ...]  # n rows of length target
-    verified_constraints: tuple[tuple[int, int], ...]  # (constraint index, required dim)
     retries: int
 
     def apply_rows(self, rows: Sequence[Sequence[Rational]]) -> list[tuple]:
@@ -132,29 +125,6 @@ def _draw(
     raise RetriesExhausted(f"no general-position map found in {max_retries} draws")
 
 
-def sample_general_position(
-    ambient: int,
-    target: int,
-    constraints: Sequence[SubspaceRep],
-    seed: int,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    entry_bound: int | None = None,
-) -> GeneralPositionMap:
-    """Draw random integer matrices until one preserves min(dim U, target) for
-    every constraint subspace U, verified by exact rank of its image.
-
-    Constraints with equal integer rows are tested once per draw.
-    """
-    if target > ambient:
-        raise DimensionError(f"target dimension {target} exceeds ambient {ambient}")
-    if entry_bound is None:
-        entry_bound = 10 * (len(constraints) + 1) * ambient
-    required = {sp.rows: min(sp.dim, target) for sp in constraints}
-    matrix, retries = _draw(ambient, target, required, seed, max_retries, entry_bound)
-    verified = tuple((idx, min(sp.dim, target)) for idx, sp in enumerate(constraints))
-    return GeneralPositionMap(ambient, target, matrix, verified, retries)
-
-
 def build_phi(
     f: SubspaceFamily, k: int, seed: int, max_retries: int = DEFAULT_MAX_RETRIES
 ) -> GeneralPositionMap:
@@ -179,9 +149,6 @@ def build_phi(
     gives dim phi(A + B) = dim(A + B).  Parts at positions p != q always
     fit, as a_p + a_q <= target; two parts at one position can exceed it,
     and then no map could preserve their sum.
-
-    `verified_constraints` numbers the distinct constraints: the prefix sums
-    in entry order, then the pair sums not among them.
     """
     sizes = f.uniform_type()
     if sizes is None:
@@ -199,7 +166,7 @@ def build_phi(
     # every recorded certificate was drawn with the bound for m + m^2 k^2 slots
     bound = 10 * (m + m * m * k * k + 1) * f.n
     matrix, retries = _draw(f.n, target, required, seed, max_retries, bound)
-    return GeneralPositionMap(f.n, target, matrix, tuple(enumerate(required.values())), retries)
+    return GeneralPositionMap(f.n, target, matrix, retries)
 
 
 def evaluation_matrix(
@@ -322,6 +289,6 @@ def certify(
         maps=tuple(maps[k] for k in range(2, f.d + 1)),
         evaluation=matrix,
         verdict=verdict,
-        violations=tuple(sorted(bad)),
+        violations=tuple(bad),
         seed=seed,
     )

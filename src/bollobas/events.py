@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 
 from .errors import ArityError, DomainError, IndexRangeError, SizeError
 from .families import MAX_GROUND, DTuple, Family, TupleType, _columns, type_of
-from .sums import _event_weight
+from .sums import tuple_weight
 
 EXACT_ENUMERATION_LIMIT = 10
 
@@ -175,13 +175,15 @@ def in_event_d3(sigma: Permutation, t: DTuple, variant: str) -> bool:
 def event_probability(sizes: TupleType, mode: str = "skew") -> Fraction:
     """P of each of the mode's events for a tuple of type `sizes`:
     1 / (C(s + g, g) * multinomial(s, sizes)), g = `_delimiters(d, mode)`.
+    The delimiters are one more part of the multinomial, so the denominator
+    is `tuple_weight((*sizes, g))`.
 
     The same value for every gap k, by symmetry of the block pattern.
     """
     sizes = tuple(sizes)
     if len(sizes) < 2:
         raise ArityError(f"need d >= 2, got {len(sizes)}")
-    return Fraction(1, _event_weight(sizes, _delimiters(len(sizes), mode)))
+    return Fraction(1, tuple_weight((*sizes, _delimiters(len(sizes), mode))))
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +264,6 @@ class EventReport:
     estimates: tuple[Fraction, ...]
     formula_values: tuple[Fraction, ...]
     max_simultaneous_hits: int
-
-
-def permutation_size(f: Family, mode: str) -> int:
-    """Size of the extended ground set the mode's permutations act on."""
-    return f.n + _delimiters(f.d, mode)
 
 
 def _walk_masks(

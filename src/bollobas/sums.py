@@ -63,13 +63,6 @@ def tuple_weight(sizes: Sequence[int]) -> int:
     return multinomial(sum(sizes), sizes)
 
 
-def _event_weight(sizes: Sequence[int], delimiters: int) -> int:
-    """C(s + g, g) * multinomial(s, sizes), s = sum(sizes), g = delimiters: the
-    inverse probability of a delimiter event (see the events module)."""
-    s = sum(sizes)
-    return binomial(s + delimiters, delimiters) * multinomial(s, sizes)
-
-
 def _type_counts(f: Family) -> Counter[TupleType]:
     """How many tuples of f have each type.
 
@@ -94,10 +87,12 @@ def skew_sum(f: Family) -> Fraction:
     """Sum of (C(s_i + d - 1, d - 1) * multinomial(s_i, type_i))^-1 over tuples.
 
     At most 1 for every skew Bollobás system; each term is the probability of
-    the tuple's delimiter event (see the events module).
+    the tuple's delimiter event (see the events module).  The d - 1
+    delimiters are one more part of the multinomial, so each denominator is
+    `tuple_weight((*type_i, d - 1))`.
     """
     types = _type_counts(f)
-    return sum((Fraction(c, _event_weight(sizes, f.d - 1)) for sizes, c in types.items()), Fraction(0))
+    return sum((Fraction(c, tuple_weight((*sizes, f.d - 1))) for sizes, c in types.items()), Fraction(0))
 
 
 def pair_weighted_sum(f: Family) -> Fraction:

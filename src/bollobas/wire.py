@@ -5,9 +5,20 @@ JSON booleans are not numbers here, although Python's `bool` is an `int`.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import FormatError
+
+#: The largest decimal exponent a rational string may carry.  `Fraction`
+#: computes 10**exponent before anything else can look at it, so "1e100000000"
+#: would take minutes; an integer literal or a p/q string is already refused
+#: past the same count of digits.
+MAX_EXPONENT = sys.int_info.default_max_str_digits
+#: The exponent of a decimal string as `Fraction` reads it: either case of e,
+#: a sign, and digits with single underscores between them, at the end.
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def fields(obj, what: str, ints: tuple[str, ...], items: str) -> list:
@@ -30,10 +41,17 @@ def fields(obj, what: str, ints: tuple[str, ...], items: str) -> list:
 
 
 def rational(x) -> Fraction:
-    """A JSON number or "p/q" string as a Fraction."""
+    """A JSON number or "p/q" string as a Fraction.
+
+    A string whose decimal exponent lies beyond +-MAX_EXPONENT is refused
+    before `Fraction` sees it.
+    """
     if isinstance(x, bool):
         raise FormatError(f"boolean {x!r} is not a rational")
+    exponent = _EXPONENT.search(x) if isinstance(x, str) else None
     try:
+        if exponent and int(exponent[1]) > MAX_EXPONENT:
+            raise FormatError(f"bad rational: decimal exponent beyond {MAX_EXPONENT}")
         return Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise FormatError(f"bad rational: {exc}") from exc

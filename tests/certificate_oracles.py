@@ -84,8 +84,7 @@ def sample_general_position(ambient, target, constraints, seed, max_retries, ent
         )
         columns = tuple(zip(*matrix))
         if all(_rank([_project(r, columns) for r in sp.rows]) == min(sp.dim, target) for sp in distinct):
-            verified = tuple((idx, min(sp.dim, target)) for idx, sp in enumerate(constraints))
-            return GeneralPositionMap(ambient, target, matrix, verified, attempt)
+            return GeneralPositionMap(ambient, target, matrix, attempt)
     raise RetriesExhausted(f"no general-position map found in {max_retries} draws")
 
 

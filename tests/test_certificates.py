@@ -1,7 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+import bollobas.certificates as certificates
 from bollobas import (
     BollobasError,
     Family,
@@ -16,7 +18,6 @@ from bollobas import (
     evaluation_matrix,
     lift_to_spaces,
     multinomial,
-    sample_general_position,
 )
 from bollobas.errors import SizeError
 from bollobas.exterior import rank, sum_rank
@@ -33,29 +34,41 @@ class TestDeriveSeed:
         assert derive_seed(42, "phi2") != derive_seed(43, "phi2")
 
 
-class TestSampleGeneralPosition:
-    def test_full_target_needs_only_full_rank(self):
-        phi = sample_general_position(3, 3, [SubspaceRep(3, (axis(0, 3),))], seed=1)
+class TestGeneralPositionDraws:
+    def test_full_target_gives_a_full_rank_matrix(self):
+        # stage d of a lifted family projects Q^n onto Q^n
+        f = lift_to_spaces(complete_family((1, 1, 1)))
+        phi = build_phi(f, 3, seed=1)
+        assert phi.target == f.n == 3
         assert phi.retries == 0
         assert rank(phi.matrix) == 3
 
-    def test_single_constraint_first_try_over_many_seeds(self):
-        constraint = SubspaceRep.from_rows([(1, 2, 0, 1), (0, 1, 1, 1)], 4)
+    def test_first_draw_accepted_over_many_seeds(self):
+        a = SubspaceRep.from_rows([(1, 2, 0, 1)], 4)
+        b = SubspaceRep.from_rows([(0, 1, 1, 1)], 4)
+        f = SubspaceFamily(4, 2, ((a, b),))
         for seed in range(100):
-            phi = sample_general_position(4, 2, [constraint], seed=seed)
-            assert phi.retries == 0
+            assert build_phi(f, 2, seed=seed).retries == 0
 
-    def test_oversized_constraint_clamps_to_target(self):
-        big = SubspaceRep.from_rows([axis(0, 4), axis(1, 4), axis(2, 4)], 4)
-        phi = sample_general_position(4, 2, [big], seed=5)
-        assert phi.image(big).dim == 2
-        assert phi.verified_constraints == ((0, 2),)
+    def test_pair_span_past_the_target_is_required_at_rank_target(self):
+        # stage 2 of lifted complete (2,1,1): target 3 in Q^4, and two
+        # first parts such as {1, 2} and {3, 4} span all of Q^4
+        f = lift_to_spaces(complete_family((2, 1, 1)))
+        with mock.patch.object(certificates, "_draw", wraps=certificates._draw) as draw:
+            phi = build_phi(f, 2, seed=5)
+        assert phi.target == 3
+        draw.assert_called_once()
+        required = draw.call_args.args[2]
+        oversized = [basis for basis in required if len(basis) > phi.target]
+        assert oversized
+        for basis in oversized:
+            assert required[basis] == phi.target
+            assert phi.image(SubspaceRep(f.n, basis)).dim == phi.target
 
     def test_retries_exhausted_on_impossible_draws(self):
-        constraint = SubspaceRep.from_rows([(1, 0)], 2)
         with pytest.raises(RetriesExhausted):
-            # entry_bound 0 forces the zero matrix, which kills every image
-            sample_general_position(2, 1, [constraint], seed=0, entry_bound=0)
+            # entry bound 0 forces the zero matrix, which kills every image
+            certificates._draw(2, 1, {((1, 0),): 1}, seed=0, max_retries=32, entry_bound=0)
 
 
 class TestBuildPhi:

@@ -34,7 +34,6 @@ from bollobas import (
 import certificate_oracles
 import fraction_oracles
 
-REAL_SAMPLE = certificates.sample_general_position
 REAL_DRAW = certificates._draw
 
 
@@ -123,8 +122,9 @@ def test_build_phi_samples_as_the_per_slot_list_did(f, seed):
         oracle = certificate_oracles.phi_constraints(f, k)
         assert {SubspaceRep(f.n, basis) for basis in got["required"]} == set(oracle)
         assert all(want == min(len(basis), target) for basis, want in got["required"].items())
-        assert got["entry_bound"] == 10 * (len(oracle) + 1) * f.n
-        want = REAL_SAMPLE(f.n, target, oracle, seed)
+        bound = 10 * (len(oracle) + 1) * f.n
+        assert got["entry_bound"] == bound
+        want = certificate_oracles.sample_general_position(f.n, target, oracle, seed, 32, bound)
         assert phi.matrix == want.matrix
         assert phi.retries == want.retries
 
@@ -225,7 +225,7 @@ def staged_maps(draw, f):
     for k in range(2, f.d + 1):
         target = sum(sizes[:k])
         matrix = tuple(tuple(draw(st.integers(-1, 1)) for _ in range(target)) for _ in range(f.n))
-        maps[k] = GeneralPositionMap(f.n, target, matrix, (), 0)
+        maps[k] = GeneralPositionMap(f.n, target, matrix, 0)
     return maps
 
 

@@ -529,6 +529,13 @@ class TestMalformedInput:
     def test_result_past_the_digit_limit_is_exit_2(self, capsys, monkeypatch, payload, argv):
         self.assert_refused(capsys, monkeypatch, payload, *argv)
 
+    @pytest.mark.parametrize("exponent", ["1e100000000", "1E+100000000", "1e-100000000", "1e1_0000_0000"])
+    def test_decimal_exponent_past_the_digit_limit_exits_2_at_once(self, capsys, monkeypatch, exponent):
+        payload = json.dumps({"n": 2, "d": 2, "entries": [[[[exponent, 0]], [[0, 1]]]]})
+        start = time.perf_counter()
+        self.assert_refused(capsys, monkeypatch, payload, "--input", "-", "certify")
+        assert time.perf_counter() - start < CLI_CASE_SECONDS
+
     def test_non_utf8_stdin_is_exit_2(self, capsys, monkeypatch):
         # a text stdin with errors="surrogateescape" hands invalid bytes on as lone surrogates
         code, err = self.run_stdin(capsys, monkeypatch, b"\xff\xfe".decode("utf-8", "surrogateescape"), "verify")

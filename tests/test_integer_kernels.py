@@ -98,7 +98,7 @@ def test_image_dims_match_apply_rows_then_rank(data):
         tuple(data.draw(st.integers(-2, 2)) for _ in range(target)) for _ in range(n)
     )
     sp = data.draw(subspaces(n))
-    phi = GeneralPositionMap(n, target, matrix, (), 0)
+    phi = GeneralPositionMap(n, target, matrix, 0)
     want_rows = oracle.apply_rows(matrix, sp.basis)
     image = phi.image(sp)
     assert image.dim == oracle.rank(want_rows)
@@ -124,8 +124,7 @@ def test_evaluation_matrix_matches_fraction_determinants(data):
     f = SubspaceFamily(n, d, tuple(entries_))
     maps = {
         k: GeneralPositionMap(
-            n, k, tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(n)),
-            (), 0,
+            n, k, tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(n)), 0
         )
         for k in (2, 3)
     }

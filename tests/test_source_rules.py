@@ -65,3 +65,53 @@ def test_only_the_family_reader_builds_objects_without_their_checks():
         for function, line in _calls_that_skip_constructors(tree):
             where.setdefault(f"{path.name}:{function}", []).append(line)
     assert set(where) == {"families.py:family_from_json"}, where
+
+
+def _public_definitions(tree):
+    """The public names a module defines at its top level: functions, classes
+    and assigned names not starting with an underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _references(tree):
+    """Every name a module reads, imports from another module, or reads as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_public_name_is_exported_or_used():
+    # a public name that the package neither exports nor reads is dead code
+    # that still looks like part of the API
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    init = trees.pop("__init__.py")
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set().union(*map(_references, trees.values()))
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _public_definitions(tree)
+        if name not in exported and name not in used
+    ]
+    assert not unused, f"public names neither exported nor used: {', '.join(unused)}"

@@ -133,6 +133,18 @@ class TestJson:
         with pytest.raises(FormatError, match="bad rational"):
             subspace_family_from_json({"n": 2, "d": 2, "entries": [[[["9" * 5000, "0"]], []]]})
 
+    @pytest.mark.parametrize(
+        "x", ["1e100000000", "1E+100000000", "1e-100000000", "1e1_0000_0000", "1e4301", " 1E-4301 "]
+    )
+    def test_decimal_exponent_past_the_digit_limit_is_format_error(self, x):
+        # Fraction would first compute 10**exponent, which takes minutes at 10^8
+        with pytest.raises(FormatError, match="decimal exponent beyond 4300"):
+            subspace_family_from_json({"n": 2, "d": 2, "entries": [[[[x, 0]], []]]})
+
+    def test_decimal_exponents_within_the_limit_read(self):
+        f = subspace_family_from_json({"n": 3, "d": 2, "entries": [[[["1e3", "1E-2", "1e4300"]], []]]})
+        assert f.entries[0][0].basis == ((1000, Fraction(1, 100), 10**4300),)
+
     def test_integer_coordinates_read_as_ints(self):
         f = subspace_family_from_json({"n": 2, "d": 2, "entries": [[[[1, "-2"]], [["1/2", 0]]]]})
         a, b = f.entries[0]
