@@ -28,8 +28,10 @@ the formula remains exact in that case.
 
 The Monte Carlo estimator checks all tuples at once: the family is transposed
 into column bitsets, and each trial walks the elements in permutation order,
-OR-ing into one mask the tuples that each element rules out.  The exact
-oracle enumerates the distinct arrangements of a tuple's labels.
+OR-ing into one mask the tuples that each element rules out.  The shuffle
+keeps the inverse of the permutation it draws, so the walk reads the elements
+in rank order from it without sorting them.  The exact oracle enumerates the
+distinct arrangements of a tuple's labels.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from .sums import tuple_weight
 
 EXACT_ENUMERATION_LIMIT = 10
 
-# trials x permutation size: a run at the limit takes tens of seconds on a
-# one-tuple family, minutes on thousands of tuples
+# trials x permutation size x 64-bit words of a walk mask: a run at the limit
+# takes about 20 s on one triple (2-vCPU Xeon VM, Python 3.11), less where the
+# masks are wider
 MAX_TRIAL_STEPS = 10**8
 
 # parts per tuple: the walk tables grow as d^2, and a family on at most
@@ -302,23 +305,32 @@ def _walk_masks(
 
 
 def _shuffles(rng: random.Random, img: list[int], trials: int) -> Iterator[list[int]]:
-    """Shuffle img in place `trials` times, yielding it after each shuffle.
+    """Shuffle img, a permutation of range(len(img)), in place `trials` times,
+    yielding its inverse after each shuffle: order[r] = e where img[e] = r,
+    so `for e in order` visits the elements in rank order.
 
     Each shuffle makes exactly the calls of `rng.shuffle(img)`: for i from
     len(img) - 1 down to 1 it draws j = getrandbits(k), k = (i + 1).bit_length(),
     until j <= i (the rejection loop of `Random._randbelow`), then swaps
     img[i] and img[j].  Written out, it saves the Python call of `_randbelow`
-    per element, most of the cost of `shuffle`.
+    per element, most of the cost of `shuffle`; the same swaps keep `order`
+    the inverse of img.
     """
     getrandbits = rng.getrandbits
+    order = [0] * len(img)
+    for e, r in enumerate(img):
+        order[r] = e
     steps = [(i, i + 1, (i + 1).bit_length()) for i in reversed(range(1, len(img)))]
     for _ in range(trials):
         for i, below, k in steps:
             j = getrandbits(k)
             while j >= below:
                 j = getrandbits(k)
-            img[i], img[j] = img[j], img[i]
-        yield img
+            a, b = img[i], img[j]
+            img[i], img[j] = b, a
+            order[b] = i
+            order[a] = j
+        yield order
 
 
 def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
@@ -329,32 +341,39 @@ def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
     out `random.Random(seed).shuffle` inline, with the same `getrandbits`
     draws, so every trial sees the permutation `shuffle` would give
     (pinned by `test_shuffles_match_the_stdlib_shuffle`).  d may not exceed
-    `MAX_EVENT_ARITY`, and trials times the permutation size may not exceed
-    `MAX_TRIAL_STEPS`; past either `SizeError` is raised before any mask is
-    built or permutation drawn.
+    `MAX_EVENT_ARITY`, and trials times the permutation size times the
+    64-bit words of a walk mask (variants x m bits) may not exceed
+    `MAX_TRIAL_STEPS`; past either `SizeError` is raised before any column,
+    mask or permutation is built.
 
     All tuples and variants are checked in one walk per trial (see
-    `_walk_masks`): the elements are visited in permutation order, counting
-    the delimiters passed, and each one ORs into `bad` the copies it rules
-    out; for variants with an undelimited gap k it also rules out the copies
-    whose part k has an element after one of part k + 1.  The walk stops
-    once `bad` covers `use`; the copies of `use` left outside `bad` are the
-    hits.
+    `_walk_masks`): the elements are visited in permutation order, read from
+    the inverse permutation `_shuffles` keeps, counting the delimiters
+    passed, and each one ORs into `bad` the copies it rules out (none, for
+    an element outside every support); for variants with an undelimited gap
+    k it also rules out the copies whose part k has an element after one of
+    part k + 1.  The walk stops once `bad` covers `use`; the copies of `use`
+    left outside `bad` are the hits.
     """
     if trials < 0:
         raise DomainError(f"negative trials {trials}")
     if f.d > MAX_EVENT_ARITY:
         raise SizeError(f"{f.d} parts per tuple exceed the limit of {MAX_EVENT_ARITY}")
+    gaps = _gaps(f.d, mode)
     g = _delimiters(f.d, mode)
     n, m = f.n, len(f.tuples)
     size = n + g
-    if trials * size > MAX_TRIAL_STEPS:
-        raise SizeError(f"{trials} trials of {size} elements exceed the limit of {MAX_TRIAL_STEPS} trial steps")
+    words = max(1, -(-len(gaps) * m // 64))
+    if trials * size * words > MAX_TRIAL_STEPS:
+        width = f" of {words} mask words each" if words > 1 else ""
+        raise SizeError(
+            f"{trials} trials of {size} elements exceed the limit of {MAX_TRIAL_STEPS} trial steps{width}"
+        )
     types = [type_of(t) for t in f.tuples]
     variants = {sizes: _variants(sizes, mode) for sizes in set(types)}
     chance = {sizes: len(v) * event_probability(sizes, mode) for sizes, v in variants.items()}
     formulas = tuple(map(chance.__getitem__, types))
-    uses = dict.fromkeys(_gaps(f.d, mode), 0)
+    uses = dict.fromkeys(gaps, 0)
     for i, sizes in enumerate(types):
         for k in variants[sizes].values():
             uses[k] |= 1 << i
@@ -363,19 +382,12 @@ def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
     rules, left, right = _walk_masks(cols, uses, m, g + 1)
     use = sum(u << v * m for v, u in enumerate(uses.values()))
     rng = random.Random(seed)
-    img = list(range(1, size + 1))
-    position = img.__getitem__
-    # elements outside every support rule nothing out
-    support = 0
-    for t in f.tuples:
-        support |= t.support()
-    walked = [e for e in range(size) if e >= n or support >> e & 1]
     hits = [0] * m
     max_sim = 0
-    for _ in _shuffles(rng, img, trials):
+    for order in _shuffles(rng, list(range(size)), trials):
         bad = seen = level = 0
         rule = rules[0]
-        for e in sorted(walked, key=position):
+        for e in order:
             if e >= n:
                 level += 1
                 rule = rules[level]

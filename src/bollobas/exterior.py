@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError
+from .wire import rational
 
 Rational = Fraction | int | str
 
@@ -33,16 +34,23 @@ Vec = tuple[Fraction | int, ...]
 IntRow = tuple[int, ...]
 
 
+def _fraction(x: Rational) -> Fraction:
+    """x as a Fraction; a string is read by `wire.rational`, which refuses a
+    malformed one, or one with a decimal exponent past its limit, with
+    FormatError before `Fraction` computes the power of ten."""
+    return rational(x) if isinstance(x, str) else Fraction(x)
+
+
 def vector(xs: Iterable[Rational]) -> Vec:
     """Coerce ints / 'p/q' strings / Fractions into a rational row vector."""
-    return tuple(Fraction(x) for x in xs)
+    return tuple(map(_fraction, xs))
 
 
 def _clear_row(row: Sequence[Rational]) -> tuple[IntRow, int]:
     """The row times the lcm of its denominators, and that lcm (1 for an integer row)."""
     if all(type(x) is int for x in row):
         return tuple(row), 1
-    fr = [Fraction(x) for x in row]
+    fr = [_fraction(x) for x in row]
     lcm = math.lcm(*(x.denominator for x in fr))
     return tuple(x.numerator * (lcm // x.denominator) for x in fr), lcm
 

@@ -104,13 +104,6 @@ class DTuple:
         """Elements of part k (1-based)."""
         return elements_of(self.masks[k - 1])
 
-    def support(self) -> int:
-        """Mask of all elements used by any part."""
-        s = 0
-        for m in self.masks:
-            s |= m
-        return s
-
     def type(self) -> TupleType:
         return type_of(self)
 

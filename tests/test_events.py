@@ -334,6 +334,39 @@ class TestMonteCarlo:
         with pytest.raises(SizeError, match="26 trials of 4 elements"):
             monte_carlo(f, "d3", 26, seed=1)
 
+    def test_trial_budget_counts_mask_words(self, monkeypatch):
+        # the layered n = 10 family has 8,953 triples: its d3 walk masks are
+        # 2 x 8,953 bits, 280 words.  At the former budget of trials times
+        # the permutation size, 10^6 trials were admitted and took minutes.
+        from bollobas import events, layered_triple_family
+
+        def refuse(*args):
+            raise AssertionError("columns or masks built")
+
+        f = layered_triple_family(10)
+        monkeypatch.setattr(events, "_columns", refuse)
+        monkeypatch.setattr(events, "_walk_masks", refuse)
+        refused = "1000000 trials of 11 elements exceed the limit of 100000000 trial steps of 280 mask words each"
+        started = time.perf_counter()
+        with pytest.raises(SizeError, match=refused):
+            monte_carlo(f, "d3", 10**6, seed=1)
+        assert time.perf_counter() - started < 1.0
+
+    def test_trial_budget_in_mask_words_admits_exactly_its_limit(self, monkeypatch):
+        from bollobas import events
+
+        # 40 pairs in general mode: one variant each, 40 bits, one word;
+        # 33 triples in general mode: two variants each, 66 bits, two words
+        pairs = Family.build(2, [[[1], [2]]] * 40)
+        triples = Family.build(3, [[[1], [2], [3]]] * 33)
+        monkeypatch.setattr(events, "MAX_TRIAL_STEPS", 120)
+        assert monte_carlo(pairs, "general", 60, seed=1).trials == 60
+        with pytest.raises(SizeError, match="61 trials of 2 elements"):
+            monte_carlo(pairs, "general", 61, seed=1)
+        assert monte_carlo(triples, "general", 15, seed=1).trials == 15
+        with pytest.raises(SizeError, match="16 trials of 4 elements exceed the limit of 120 trial steps of 2 mask"):
+            monte_carlo(triples, "general", 16, seed=1)
+
     @pytest.mark.parametrize("mode", ["skew", "general"])
     def test_arity_is_checked_before_any_gap_column_or_mask(self, monkeypatch, mode):
         from bollobas import events

@@ -72,17 +72,41 @@ def test_empty_family_and_zero_trials(d):
         assert rep.hits == (0, 0) and rep.max_simultaneous_hits == 0
 
 
+def test_one_element_permutation_draws_nothing():
+    # n = 1, d = 2 in general mode has no delimiters: the permutation has one
+    # element and the shuffle no steps
+    f = Family.build(1, [[[1], []], [[], [1]]])
+    for seed in (0, 1, 7):
+        rep = monte_carlo(f, "general", 40, seed)
+        assert rep == event_oracles.monte_carlo(f, "general", 40, seed)
+        assert rep.hits == (40, 40)
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert [order[:] for order in _shuffles(rng, [0], 5)] == [[0]] * 5
+    assert rng.getstate() == state
+
+
+def test_elements_outside_every_support_rule_nothing_out():
+    # elements 1, 4, 6 and 8 lie in no tuple; the walk visits them too
+    f = Family.build(8, [[[2], [3, 5], [7]], [[5], [], [2, 3]], [[7], [2], []]])
+    for mode in ("skew", "d3", "general"):
+        for seed in (0, 5):
+            assert monte_carlo(f, mode, 2000, seed) == event_oracles.monte_carlo(f, mode, 2000, seed)
+
+
 def _compare_with_stdlib_shuffle(items, seed, trials):
-    """Run `_shuffles` and `random.Random(seed).shuffle` side by side on copies
-    of items: the same list after every shuffle, the same generator state at
-    the end (so the same number of draws)."""
+    """Run `_shuffles` on the index permutation of items and
+    `random.Random(seed).shuffle` on a copy of items side by side: after every
+    shuffle the indices spell the shuffled copy and the yielded list is their
+    inverse; at the end the generator states agree (so the same number of
+    draws)."""
     ours, theirs = random.Random(seed), random.Random(seed)
-    img, ref = list(items), list(items)
+    img, ref = list(range(len(items))), list(items)
     count = 0
-    for out in _shuffles(ours, img, trials):
+    for order in _shuffles(ours, img, trials):
         theirs.shuffle(ref)
-        assert out is img
-        assert img == ref, f"shuffle {count + 1} of size {len(items)}, seed {seed}"
+        assert [items[x] for x in img] == ref, f"shuffle {count + 1} of size {len(items)}, seed {seed}"
+        assert len(order) == len(img) and all(order[img[e]] == e for e in range(len(img)))
         count += 1
     assert count == trials
     assert ours.getstate() == theirs.getstate()

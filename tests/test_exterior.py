@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from bollobas import (
     rank,
     wedge,
 )
-from bollobas.errors import DomainError
-from bollobas.exterior import sum_rank
+from bollobas.errors import DomainError, FormatError
+from bollobas.exterior import sum_rank, vector
 
 
 def oracle_rank(rows):
@@ -311,6 +312,34 @@ class TestSubspaceRep:
     def test_string_rows_read_as_rationals(self):
         w = SubspaceRep.from_rows([("1/2", "-3")], 2)
         assert w.basis == ((Fraction(1, 2), Fraction(-3)),)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda x: vector([x]),
+            lambda x: SubspaceRep.from_rows([(x,)], 1),
+            lambda x: SubspaceRep(1, ((x,),)),
+            lambda x: det([[x]]),
+            lambda x: rank([[x]]),
+        ],
+        ids=["vector", "from_rows", "SubspaceRep", "det", "rank"],
+    )
+    def test_huge_decimal_exponent_is_format_error_at_once(self, read):
+        started = time.perf_counter()
+        with pytest.raises(FormatError, match="decimal exponent"):
+            read("1e3000000")
+        assert time.perf_counter() - started < 0.5
+
+    def test_string_int_and_fraction_entries_read_as_before(self):
+        entries = ["1/3", "1e3", 2, Fraction(3, 4)]
+        want = (Fraction(1, 3), Fraction(1000), Fraction(2), Fraction(3, 4))
+        got = vector(entries)
+        assert got == want and all(type(x) is Fraction for x in got)
+        w = SubspaceRep(4, (tuple(entries),))
+        assert w.rows == ((4, 12000, 24, 9),) and w.scale == 12
+        assert det([["1/3", 0], [0, "1e3"]]) == Fraction(1000, 3)
+        with pytest.raises(FormatError):
+            vector(["one third"])
 
     def test_equality_ignores_integer_rows(self):
         assert SubspaceRep(2, ((1, 0),)) == SubspaceRep.from_rows([(1, 0)], 2)

@@ -115,3 +115,26 @@ def test_every_public_name_is_exported_or_used():
         if name not in exported and name not in used
     ]
     assert not unused, f"public names neither exported nor used: {', '.join(unused)}"
+
+
+def test_no_sort_in_the_monte_carlo_trial_loop():
+    # each trial walks the inverse permutation that `_shuffles` keeps; a
+    # per-trial sort would cost about as much as the shuffle itself
+    tree = ast.parse((SOURCE / "events.py").read_text(encoding="utf-8"))
+    (monte_carlo,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "monte_carlo"]
+    loops = [
+        node
+        for node in ast.walk(monte_carlo)
+        if isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Name)
+        and node.iter.func.id == "_shuffles"
+    ]
+    assert len(loops) == 1, "monte_carlo has no single trial loop over _shuffles"
+    sorts = [
+        node.lineno
+        for stmt in loops[0].body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sorted"
+    ]
+    assert not sorts, f"sorted called in the trial loop at events.py lines {sorts}"
