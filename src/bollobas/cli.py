@@ -154,23 +154,41 @@ def _cmd_sum(ns) -> Outcome:
     return {"which": ns.which}, digest, results, 0 if value <= bound else 1
 
 
+#: The most coordinates `construct` prints: s elements for each of its m
+#: tuples of size s, and with --lift s basis rows of n coordinates more.  A
+#: coordinate takes 23 to 40 bytes of output and 2 to 6 us to build and print
+#: (2-vCPU Xeon VM, Python 3.11), so an admitted run takes well under a
+#: second: `construct layered-triples --n 10` (89,530 coordinates) is
+#: admitted and `--n 11` (282,183) is refused.
+MAX_OUTPUT_COORDINATES = 100_000
+
+
+def _checked_output(m: int, s: int, n: int, lift: bool) -> None:
+    """Refuse to construct m tuples of size s on [n] past MAX_OUTPUT_COORDINATES."""
+    coordinates = m * s * (1 + n) if lift else m * s
+    constructions._checked_count(coordinates, MAX_OUTPUT_COORDINATES, "output coordinates")
+
+
 def _cmd_construct(ns) -> Outcome:
     kind = ns.kind
     if kind == "complete-uniform":
         if ns.sizes is None:
             raise FormatError("construct complete-uniform needs --sizes")
         sizes = _parse_sizes(ns.sizes)
+        _checked_output(constructions.complete_family_size(sizes), sum(sizes), sum(sizes), ns.lift)
         fam = constructions.complete_family(sizes)
         args = {"kind": kind, "sizes": list(sizes)}
     elif kind == "layered-triples":
         if ns.n is None:
             raise FormatError("construct layered-triples needs --n")
+        _checked_output(constructions.layered_family_size(ns.n), ns.n, ns.n, ns.lift)
         fam = constructions.layered_triple_family(ns.n)
         args = {"kind": kind, "n": ns.n}
     else:
         if ns.n is None or ns.d is None:
             raise FormatError(f"construct {kind} needs --n and --d")
         sizes = _parse_sizes(ns.sizes) if ns.sizes else None
+        _checked_output(ns.count, sum(sizes) if sizes else ns.n, ns.n, ns.lift)
         child = derive_seed(ns.seed, "construct")
         maker = (
             constructions.random_skew_family

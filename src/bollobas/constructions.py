@@ -50,24 +50,39 @@ def all_tuples_of_type(n: int, sizes: Sequence[int]) -> list[DTuple]:
 
     Exactly once each, ordered lexicographically by (part_1, ..., part_d) as
     sorted element lists: the canonical enumeration order used everywhere.
+    Built part by part: each prefix, in order, is extended by every choice of
+    its next part among its free elements, in combination order, which is
+    lexicographic; so the prefixes of every length stay in lexicographic
+    order.  The count is checked against MAX_TUPLES before any prefix is built.
     """
-    sizes = _checked_type(_as_n(n), sizes)
-    out: list[DTuple] = []
-    chosen: list[tuple[int, ...]] = []
+    n = _as_n(n)
+    sizes = _checked_type(n, sizes)
+    _checked_count(multinomial(n, sizes), MAX_TUPLES, "tuples")
+    bits = [1 << e for e in range(n)]
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for a in sizes:
+        prefixes = [
+            (masks + (part,), used | part)
+            for masks, used in prefixes
+            for part in map(sum, itertools.combinations([b for b in bits if not b & used], a))
+        ]
+    return [DTuple(n, masks) for masks, _ in prefixes]
 
-    def fill(available: tuple[int, ...], k: int):
-        if k == len(sizes):
-            masks = tuple(mask_of(part, n) for part in chosen)
-            out.append(DTuple(n, masks))
-            return
-        for part in itertools.combinations(available, sizes[k]):
-            chosen.append(part)
-            rest = tuple(e for e in available if e not in part)
-            fill(rest, k + 1)
-            chosen.pop()
 
-    fill(tuple(range(1, n + 1)), 0)
-    return out
+def complete_family_size(sizes: Sequence[int]) -> int:
+    """multinomial(sum(sizes), sizes), the size of `complete_family(sizes)`.
+
+    Raises what `complete_family` raises for these sizes, its size limit
+    included, without building a tuple.
+    """
+    sizes = tuple(sizes)
+    if len(sizes) < 2:
+        raise ArityError(f"need d >= 2 part sizes, got {len(sizes)}")
+    if any(a < 1 for a in sizes):
+        raise DomainError(f"complete_family needs positive part sizes, got {sizes}")
+    m = multinomial(_as_n(sum(sizes)), sizes)
+    _checked_count(m, MAX_TUPLES, "tuples")
+    return m
 
 
 def complete_family(sizes: Sequence[int]) -> Family:
@@ -79,13 +94,21 @@ def complete_family(sizes: Sequence[int]) -> Family:
     multinomial(sum, sizes) for its type.
     """
     sizes = tuple(sizes)
-    if len(sizes) < 2:
-        raise ArityError(f"need d >= 2 part sizes, got {len(sizes)}")
-    if any(a < 1 for a in sizes):
-        raise DomainError(f"complete_family needs positive part sizes, got {sizes}")
-    n = _as_n(sum(sizes))
-    _checked_count(multinomial(n, sizes), MAX_TUPLES, "tuples")
+    complete_family_size(sizes)
+    n = sum(sizes)
     return Family(n, len(sizes), tuple(all_tuples_of_type(n, sizes)))
+
+
+def _layers(n: int) -> list[TupleType]:
+    """The types (l, n - 2l, l), l = 0..floor(n/2), of the layered triple family on [n]."""
+    return [(l, n - 2 * l, l) for l in range(_as_n(n) // 2 + 1)]
+
+
+def layered_family_size(n: int) -> int:
+    """The size of `layered_triple_family(n)`, checked against MAX_TUPLES without building a tuple."""
+    m = sum(multinomial(n, sizes) for sizes in _layers(n))
+    _checked_count(m, MAX_TUPLES, "tuples")
+    return m
 
 
 def layered_triple_family(n: int) -> Family:
@@ -96,13 +119,8 @@ def layered_triple_family(n: int) -> Family:
     for large n.  This is the standard witness that the unit upper bound for
     set pairs fails for d-tuples.
     """
-    n = _as_n(n)
-    layers = [(l, n - 2 * l, l) for l in range(n // 2 + 1)]
-    _checked_count(sum(multinomial(n, sizes) for sizes in layers), MAX_TUPLES, "tuples")
-    tuples: list[DTuple] = []
-    for sizes in layers:
-        tuples.extend(all_tuples_of_type(n, sizes))
-    return Family(n, 3, tuple(tuples))
+    layered_family_size(n)
+    return Family(n, 3, tuple(t for sizes in _layers(n) for t in all_tuples_of_type(n, sizes)))
 
 
 def _sample_tuple(rng: random.Random, n: int, d: int, sizes: TupleType | None) -> DTuple:

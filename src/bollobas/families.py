@@ -72,12 +72,10 @@ def mask_of(elements: Iterable[int], n: int) -> int:
 def elements_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based elements of a bitmask."""
     out = []
-    e = 1
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 

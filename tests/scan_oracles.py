@@ -6,14 +6,58 @@ versions they replaced: one interpreted cross-condition test per ordered
 pair, in lexicographic order.  The package reads a family in one flat pass
 over its elements; `family_from_json` here is the per-tuple reader it
 replaced.  `columns` is the per-bit transpose that `families._columns`
-reads off one packed binary string.
+reads off one packed binary string.  `all_tuples_of_type` is the recursive
+enumerator over element lists that the level-wise mask enumerator replaced,
+and `elements_of` the one-bit-at-a-time reader that the lowest-set-bit loop
+replaced.
 """
 
 from __future__ import annotations
 
+import itertools
+from typing import Sequence
+
+from bollobas.constructions import _checked_type
 from bollobas.errors import FormatError
-from bollobas.families import DTuple, Family, validate_tuple
+from bollobas.families import DTuple, Family, _as_n, mask_of, validate_tuple
 from bollobas.wire import fields
+
+
+def all_tuples_of_type(n: int, sizes: Sequence[int]) -> list[DTuple]:
+    """Every pairwise-disjoint d-tuple of subsets of [n] with the given part sizes.
+
+    Exactly once each, ordered lexicographically by (part_1, ..., part_d) as
+    sorted element lists: the canonical enumeration order used everywhere.
+    """
+    sizes = _checked_type(_as_n(n), sizes)
+    out: list[DTuple] = []
+    chosen: list[tuple[int, ...]] = []
+
+    def fill(available: tuple[int, ...], k: int):
+        if k == len(sizes):
+            masks = tuple(mask_of(part, n) for part in chosen)
+            out.append(DTuple(n, masks))
+            return
+        for part in itertools.combinations(available, sizes[k]):
+            chosen.append(part)
+            rest = tuple(e for e in available if e not in part)
+            fill(rest, k + 1)
+            chosen.pop()
+
+    fill(tuple(range(1, n + 1)), 0)
+    return out
+
+
+def elements_of(mask: int) -> tuple[int, ...]:
+    """Sorted 1-based elements of a bitmask."""
+    out = []
+    e = 1
+    while mask:
+        if mask & 1:
+            out.append(e)
+        mask >>= 1
+        e += 1
+    return tuple(out)
 
 
 def family_from_json(obj: dict) -> Family:

@@ -137,6 +137,47 @@ class TestConstruct:
         assert main(["construct", *argv]) == 2
         assert "tuples exceed the limit 100000" in capsys.readouterr().err
 
+    def test_output_past_the_budget_is_refused_before_enumerating(self, capsys, monkeypatch):
+        from bollobas import constructions
+
+        def refuse(*args):
+            raise AssertionError("tuples enumerated")
+
+        monkeypatch.setattr(constructions, "all_tuples_of_type", refuse)
+        started = time.perf_counter()
+        code = main(["construct", "complete-uniform", "--sizes", "4,4,4", "--lift"])
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        # 34,650 tuples of 12 elements, each lifted to 12 rows of 12 coordinates
+        assert err.startswith(f"error: 5405400 output coordinates exceed the limit {cli.MAX_OUTPUT_COORDINATES}")
+
+    @pytest.mark.parametrize(
+        "argv, coordinates",
+        [
+            # 19 triples of 4 elements, lifted to rows of 4 coordinates
+            (["layered-triples", "--n", "4", "--lift"], 19 * 4 * 5),
+            (["complete-uniform", "--sizes", "2,1"], 3 * 3),
+            # the requested count, not the members drawn, with a tuple size of n
+            (["random-skew", "--n", "6", "--d", "3", "--count", "7", "--lift"], 7 * 6 * 7),
+            (["random-bollobas", "--n", "6", "--d", "2", "--sizes", "1,2", "--count", "5"], 5 * 3),
+        ],
+    )
+    def test_output_budget_admits_exactly_its_limit(self, capsys, monkeypatch, argv, coordinates):
+        monkeypatch.setattr(cli, "MAX_OUTPUT_COORDINATES", coordinates)
+        assert main(["construct", *argv]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_OUTPUT_COORDINATES", coordinates - 1)
+        assert main(["construct", *argv]) == 2
+        assert f"{coordinates} output coordinates exceed the limit" in capsys.readouterr().err
+
+    def test_huge_count_of_a_random_kind_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr("bollobas.constructions._sample_tuple", pytest.fail)
+        code = main(["construct", "random-skew", "--n", "64", "--d", "2", "--count", "10000000000"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "640000000000 output coordinates exceed the limit" in err
+
     @pytest.mark.parametrize("kind", ["random-skew", "random-bollobas"])
     def test_negative_part_size_is_exit_2(self, capsys, kind):
         code = main(["--seed", "1", "construct", kind, "--n", "5", "--d", "2", "--sizes=-1,3"])
@@ -656,13 +697,13 @@ _OWN_FLAGS = {
     "bounds": ["--n", "--d"],
 }
 _ALL_FLAGS = sorted({flag for flags in _OWN_FLAGS.values() for flag in flags})
-# Every case must end within this limit.  Numbers stay at most 8, or are 64
+# Every case must end within this limit.  Numbers stay at most 12, or are 64
 # or 10^10, far past a limit that must refuse them before the work starts:
-# admitted runs with larger values can take seconds (`construct
-# layered-triples --n 12`), and text holds no decimal digits, which `int`
-# reads in any script.
+# `construct`'s output budget refuses the runs in that range that would take
+# seconds, such as `construct layered-triples --n 12`; and text holds no
+# decimal digits, which `int` reads in any script.
 CLI_CASE_SECONDS = 1.0
-_NUMBERS = st.integers(-2, 8).map(str) | st.sampled_from(["64", "10000000000"])
+_NUMBERS = st.integers(-2, 12).map(str) | st.sampled_from(["64", "10000000000"])
 _TYPES = st.sampled_from(["1,1", "2,1", "1,1,1", "2,2", "2,1,1", "0,1", "-1,2", "1,,1"])
 _KINDS = st.sampled_from(["complete-uniform", "layered-triples", "random-skew", "random-bollobas"])
 # the values each flag takes, drawn as often as any value at all

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from bollobas import (
     skew_sum,
     tuple_weight,
 )
-from bollobas.constructions import MAX_SAMPLED_ARITY
+from bollobas.constructions import MAX_SAMPLED_ARITY, complete_family_size, layered_family_size
 from bollobas.errors import SizeError
 from bollobas.exterior import intersection_dim
 
@@ -47,6 +48,18 @@ class TestEnumeration:
     def test_arity_guard(self):
         with pytest.raises(ArityError):
             all_tuples_of_type(3, (2,))
+
+    def test_count_is_checked_before_enumerating(self):
+        started = time.perf_counter()
+        with pytest.raises(SizeError, match="11732745024 tuples exceed the limit 100000"):
+            all_tuples_of_type(20, (5, 5, 5))
+        assert time.perf_counter() - started < 1.0
+
+    def test_count_at_the_limit_is_admitted(self, monkeypatch):
+        monkeypatch.setattr("bollobas.constructions.MAX_TUPLES", multinomial(6, (2, 2)))
+        assert len(all_tuples_of_type(6, (2, 2))) == 90
+        with pytest.raises(SizeError):
+            all_tuples_of_type(6, (2, 2, 1))
 
 
 class TestCompleteFamily:
@@ -87,6 +100,17 @@ class TestCompleteFamily:
         with pytest.raises(DomainError):
             complete_family((1, 0, 1))
 
+    def test_size_is_counted_and_checked_without_building(self, monkeypatch):
+        for t in [(1, 1), (2, 1), (1, 1, 1), (2, 2, 1)]:
+            assert complete_family_size(t) == len(complete_family(t))
+        monkeypatch.setattr("bollobas.constructions.all_tuples_of_type", pytest.fail)
+        with pytest.raises(SizeError, match="369600 tuples exceed the limit 100000"):
+            complete_family_size((3, 3, 3, 3))
+        with pytest.raises(DomainError):
+            complete_family_size((1, 0, 1))
+        with pytest.raises(ArityError):
+            complete_family_size((3,))
+
 
 class TestLayeredTriples:
     def test_n4_layer_counts(self):
@@ -107,6 +131,13 @@ class TestLayeredTriples:
     def test_validity_through_n8(self):
         for n in range(1, 9):
             assert is_bollobas(layered_triple_family(n))
+
+    def test_size_is_counted_and_checked_without_building(self, monkeypatch):
+        for n in range(1, 9):
+            assert layered_family_size(n) == len(layered_triple_family(n))
+        monkeypatch.setattr("bollobas.constructions.all_tuples_of_type", pytest.fail)
+        with pytest.raises(SizeError, match="616227 tuples exceed the limit 100000"):
+            layered_family_size(14)
 
 
 class TestRandomFamilies:

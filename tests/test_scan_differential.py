@@ -1,6 +1,8 @@
 """Differential tests: the bit-sliced crossing rows against the pairwise oracles,
-the flat family reader against the per-tuple one, and the packed column
-transpose and popcount type counts against their one-at-a-time forms."""
+the flat family reader against the per-tuple one, the packed column
+transpose and popcount type counts against their one-at-a-time forms, and
+the level-wise mask enumerator and lowest-set-bit element reader against
+the recursive and per-bit ones."""
 
 import dataclasses
 import inspect
@@ -12,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bollobas import Family, bollobas_violation, cross_condition, skew_violation
+from bollobas.constructions import all_tuples_of_type
 from bollobas.errors import BollobasError
 from bollobas.families import (
     DTuple,
     _columns,
     _crossing_rows,
     _family_from_checked_json,
+    elements_of,
     family_from_json,
     family_to_json,
     type_of,
@@ -240,3 +244,33 @@ def test_read_tuples_and_family_stay_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, value)
     assert (t.n, t.masks, f.n, f.d) == (3, (0b1, 0b110), 3, 2)
+
+
+@st.composite
+def tuple_types(draw):
+    """(n, sizes) with n = 1..7 and d = 2..4 parts, zero parts allowed, fitting in [n]."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(2, 4))
+    sizes = []
+    free = n
+    for _ in range(d):
+        a = draw(st.integers(0, free))
+        sizes.append(a)
+        free -= a
+    return n, tuple(draw(st.permutations(sizes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuple_types())
+def test_mask_enumerator_matches_the_recursive_oracle(case):
+    n, sizes = case
+    assert all_tuples_of_type(n, sizes) == scan_oracles.all_tuples_of_type(n, sizes)
+
+
+_SPARSE_MASKS = st.sets(st.integers(0, 63), max_size=6).map(lambda bits: sum(1 << e for e in bits))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 64).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)) | _SPARSE_MASKS)
+def test_elements_of_matches_the_per_bit_oracle(mask):
+    assert elements_of(mask) == scan_oracles.elements_of(mask)
