@@ -3,15 +3,17 @@
 The certificate realizes the exterior-algebra proof of the multinomial size
 bound: for each k = 2..d, project the ambient space down to dimension
 a_1 + ... + a_k by a random map in general position with every sum the
-argument needs preserved; wedge the projected parts into blades; and evaluate
-the functionals
+argument needs preserved, and evaluate the functionals
 
     f_i(xi_j) = prod_k  det[ basis phi_k(A_i^(1)); ...; basis phi_k(A_i^(k-1)); basis phi_k(A_j^(k)) ]
 
-into an m x m matrix.  For a valid uniform skew family the diagonal is
-nonzero (each entry is a determinant of a direct-sum decomposition) and the
-strict upper triangle is zero (a shared direction collapses the wedge), which
-witnesses linear independence of f_1, ..., f_m and hence
+into an m x m matrix.  Each factor is the top-grade coordinate of the wedge
+of the projected parts, taken as the determinant (`_det`) of their stacked
+projected basis rows; no blade is built.  For a valid uniform skew family
+the diagonal is nonzero (each entry is a determinant of a direct-sum
+decomposition) and the strict upper triangle is zero (a shared direction
+makes the stacked rows dependent), which witnesses linear independence of
+f_1, ..., f_m and hence
 m <= multinomial(a_1 + ... + a_d, (a_1, ..., a_d)).
 """
 

@@ -20,10 +20,13 @@ MAX_CANDIDATES = 5000
 #: linear in its size, so the limit is above MAX_CANDIDATES: the complete
 #: family of type (1,) * 8 has 40,320 tuples.
 MAX_TUPLES = 100_000
+#: The draws a sampled family makes before it settles for fewer members
+#: than its target.
+SAMPLE_ATTEMPTS = 400
 #: The largest d of a sampled family.  Each draw allocates d masks and each
 #: cross test walks up to d parts, so a run's time grows with d: at n = 64
 #: and d = 64, `random_bollobas_family` takes about 0.3 s to exhaust its
-#: 400 attempts, and about 4.5 s at d = 1,000.
+#: SAMPLE_ATTEMPTS draws, and about 4.5 s at d = 1,000.
 MAX_SAMPLED_ARITY = 64
 
 
@@ -146,9 +149,10 @@ def _grow_family(
     sizes: TupleType | None,
     seed: int,
     target: int,
-    attempts: int,
     two_sided: bool,
 ) -> Family:
+    if target < 0:
+        raise DomainError(f"sample size must be >= 0, got {target}")
     if sizes is not None:
         if len(sizes) != d:
             raise ArityError(f"type {tuple(sizes)} has arity {len(sizes)}, requested d = {d}")
@@ -159,7 +163,7 @@ def _grow_family(
         raise SizeError(f"d = {d} exceeds the limit {MAX_SAMPLED_ARITY} of a sampled family")
     rng = random.Random(seed)
     members: list[DTuple] = []
-    for _ in range(attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         if len(members) >= target:
             break
         cand = _sample_tuple(rng, n, d, sizes)
@@ -177,16 +181,15 @@ def random_skew_family(
     sizes: TupleType | None = None,
     seed: int = 0,
     target: int = 10,
-    attempts: int = 400,
 ) -> Family:
     """Greedy seeded skew Bollobás family: append a sampled tuple iff every
     current member crosses into it.
 
     Deterministic for fixed arguments; may return fewer than `target` members
-    when the attempt budget runs out.  Not uniform over skew families; it is
-    a fuzz generator for inequality sweeps, not a sampler.
+    when its SAMPLE_ATTEMPTS draws run out.  Not uniform over skew families;
+    it is a fuzz generator for inequality sweeps, not a sampler.
     """
-    return _grow_family(_as_n(n), d, sizes, seed, target, attempts, two_sided=False)
+    return _grow_family(_as_n(n), d, sizes, seed, target, two_sided=False)
 
 
 def random_bollobas_family(
@@ -195,9 +198,8 @@ def random_bollobas_family(
     sizes: TupleType | None = None,
     seed: int = 0,
     target: int = 10,
-    attempts: int = 400,
 ) -> Family:
     """Like :func:`random_skew_family` but candidates must cross in both
     directions against every current member, yielding a full Bollobás system.
     """
-    return _grow_family(_as_n(n), d, sizes, seed, target, attempts, two_sided=True)
+    return _grow_family(_as_n(n), d, sizes, seed, target, two_sided=True)

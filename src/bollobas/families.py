@@ -40,6 +40,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     ArityError,
     FormatError,
+    IndexRangeError,
     MismatchError,
     OverlapError,
     RangeError,
@@ -100,6 +101,8 @@ class DTuple:
 
     def part(self, k: int) -> tuple[int, ...]:
         """Elements of part k (1-based)."""
+        if not 1 <= k <= self.d:
+            raise IndexRangeError(f"part index k must be in 1..{self.d}, got {k}")
         return elements_of(self.masks[k - 1])
 
     def type(self) -> TupleType:

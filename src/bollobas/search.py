@@ -12,6 +12,7 @@ bound for the type is attained, since no uniform system can exceed it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .constructions import MAX_CANDIDATES, _checked_count, _checked_type, all_tuples_of_type
 from .errors import SizeError
@@ -65,6 +66,21 @@ def _greedy_color_order(p: int, adj: list[int]) -> list[tuple[int, int]]:
     return order
 
 
+def _run(root: Iterator[Iterator], best: list[int], bound: int) -> None:
+    """Walk a search tree depth first on an explicit stack of open nodes.
+
+    A node is a generator that yields each child node in turn, between the
+    `append` and the `pop` of its vertex on the shared path.  The walk stops
+    once `best` attains the bound, since no uniform system can exceed it.
+    """
+    stack = [root]
+    while stack and len(best) < bound:
+        if (child := next(stack[-1], None)) is None:
+            stack.pop()
+        else:
+            stack.append(child)
+
+
 def max_bollobas_uniform(
     n: int, sizes: TupleType, node_budget: int | None = None
 ) -> SearchResult:
@@ -83,31 +99,23 @@ def max_bollobas_uniform(
     bound = tuple_weight(sizes)
     budget = _Budget(node_budget)
     best: list[int] = []
-    done = False
+    r: list[int] = []
 
-    def expand(r: list[int], p: int):
-        nonlocal best, done
-        if done:
-            return
+    def expand(p: int) -> Iterator[Iterator]:
         budget.tick()
         if not p:
             if len(r) > len(best):
-                best = r.copy()
-                if len(best) >= bound:
-                    done = True
+                best[:] = r
             return
-        order = _greedy_color_order(p, adj)
-        for v, c in reversed(order):
-            if done:
-                return
+        for v, c in reversed(_greedy_color_order(p, adj)):
             if len(r) + c <= len(best):
                 return
             r.append(v)
-            expand(r, p & adj[v])
+            yield expand(p & adj[v])
             r.pop()
             p &= ~(1 << v)
 
-    expand([], (1 << m) - 1 if m else 0)
+    _run(expand((1 << m) - 1), best, bound)
     witness = Family(n, len(sizes), tuple(cands[i] for i in sorted(best)))
     return SearchResult(len(best), witness, budget.nodes, bound)
 
@@ -128,18 +136,12 @@ def max_skew_uniform(
     bound = tuple_weight(sizes)
     budget = _Budget(node_budget)
     best: list[int] = []
-    done = False
+    chain: list[int] = []
 
-    def extend(chain: list[int], avail: int):
-        nonlocal best, done
-        if done:
-            return
+    def extend(avail: int) -> Iterator[Iterator]:
         budget.tick()
         if len(chain) > len(best):
-            best = chain.copy()
-            if len(best) >= bound:
-                done = True
-                return
+            best[:] = chain
         if len(chain) + avail.bit_count() <= len(best):
             return
         rest = avail
@@ -147,11 +149,9 @@ def max_skew_uniform(
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             chain.append(v)
-            extend(chain, avail & succ[v])
+            yield extend(avail & succ[v])
             chain.pop()
-            if done:
-                return
 
-    extend([], (1 << m) - 1 if m else 0)
+    _run(extend((1 << m) - 1), best, bound)
     witness = Family(n, len(sizes), tuple(cands[i] for i in best))
     return SearchResult(len(best), witness, budget.nodes, bound)

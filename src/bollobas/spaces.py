@@ -56,19 +56,10 @@ class SubspaceFamily:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def entry_type(self, i: int) -> tuple[int, ...]:
-        """Dimension vector of entry i (1-based)."""
-        return tuple(sp.dim for sp in self.entries[i - 1])
-
     def uniform_type(self) -> tuple[int, ...] | None:
         """The common dimension vector, or None if entries disagree (or none exist)."""
-        if not self.entries:
-            return None
-        first = self.entry_type(1)
-        for i in range(2, len(self.entries) + 1):
-            if self.entry_type(i) != first:
-                return None
-        return first
+        types = {tuple(sp.dim for sp in entry) for entry in self.entries}
+        return types.pop() if len(types) == 1 else None
 
     @cached_property
     def span_table(self) -> dict[tuple[Rows, Rows], Rows]:

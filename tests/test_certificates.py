@@ -117,6 +117,11 @@ class TestBuildPhi:
 
 
 class TestEvaluationMatrix:
+    def test_requires_uniform(self):
+        f = lift_to_spaces(Family.build(3, [[[1], [2]], [[1], [2, 3]]]))
+        with pytest.raises(UniformityError, match="needs a uniform family"):
+            evaluation_matrix(f, {})
+
     def test_single_entry_nonzero(self):
         f = lift_to_spaces(Family.build(3, [[[1], [2]]]))
         maps = {2: build_phi(f, 2, seed=1)}

@@ -15,6 +15,7 @@ from bollobas import cli
 from bollobas.certificates import MAX_EVALUATION_CELLS, MAX_STACKED_PARTS
 from bollobas.constructions import MAX_SAMPLED_ARITY
 from bollobas.cli import main
+from bollobas.errors import FormatError
 from bollobas.events import MAX_EVENT_ARITY, MAX_TRIAL_STEPS, MODES
 from bollobas.spaces import MAX_AMBIENT
 
@@ -41,6 +42,12 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_command(*argv):
+    """Run a subcommand's function without `main`, so its errors propagate."""
+    ns = cli.build_parser().parse_args(list(argv))
+    return ns.fn(ns)
 
 
 @pytest.fixture()
@@ -116,6 +123,10 @@ class TestConstruct:
     def test_missing_flag_is_usage_error(self, capsys):
         assert main(["construct", "layered-triples"]) == 2
 
+    def test_complete_uniform_needs_sizes(self):
+        with pytest.raises(FormatError, match="construct complete-uniform needs --sizes"):
+            run_command("construct", "complete-uniform")
+
     def test_huge_complete_type_is_refused_within_a_second(self, capsys):
         started = time.perf_counter()
         code = main(["construct", "complete-uniform", "--sizes", "20,20,20"])
@@ -186,6 +197,19 @@ class TestConstruct:
         assert "negative part size" in err
 
     @pytest.mark.parametrize("kind", ["random-skew", "random-bollobas"])
+    def test_negative_count_is_exit_2(self, capsys, kind):
+        code = main(["construct", kind, "--n", "5", "--d", "3", "--count", "-5"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sample size must be >= 0, got -5")
+
+    @pytest.mark.parametrize("kind", ["random-skew", "random-bollobas"])
+    def test_zero_count_is_an_empty_family(self, capsys, kind):
+        code, obj = run_json(capsys, "construct", kind, "--n", "5", "--d", "3", "--count", "0")
+        assert code == 0
+        assert obj["results"]["m"] == 0 and obj["args"]["count"] == 0
+
+    @pytest.mark.parametrize("kind", ["random-skew", "random-bollobas"])
     def test_arity_past_the_sampling_limit_is_exit_2(self, capsys, monkeypatch, kind):
         monkeypatch.setattr("bollobas.constructions._sample_tuple", pytest.fail)
         code = main(["construct", kind, "--n", "1", "--d", "10000000000"])
@@ -205,6 +229,21 @@ class TestSearch:
     def test_skew_mode(self, capsys):
         code, obj = run_json(capsys, "search", "--mode", "skew", "--n", "4", "--type", "1,1")
         assert code == 0 and obj["results"]["max_size"] == 2
+
+    @pytest.mark.parametrize(
+        "mode, sizes, bound",
+        [("skew", "2,1,1,1,1,1", 2520), ("bollobas", "2,2,1,1,1", 1260)],
+    )
+    def test_search_deeper_than_the_recursion_limit(self, capsys, mode, sizes, bound):
+        # the optimum chains or cliques more candidates than Python's
+        # default recursion limit of 1,000 frames
+        code, obj = run_json(capsys, "search", "--mode", mode, "--n", "7", "--type", sizes)
+        assert code == 0
+        assert obj["results"]["max_size"] == obj["results"]["bound"] == bound
+
+    def test_non_integer_type_is_a_format_error(self):
+        with pytest.raises(FormatError, match="bad type '1,x'"):
+            run_command("search", "--mode", "skew", "--n", "3", "--type", "1,x")
 
     def test_huge_type_is_refused_within_a_second(self, capsys):
         started = time.perf_counter()

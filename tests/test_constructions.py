@@ -179,6 +179,19 @@ class TestRandomFamilies:
         with pytest.raises(SizeError):
             fn(64, MAX_SAMPLED_ARITY + 1, seed=0)
 
+    @pytest.mark.parametrize("fn", [random_skew_family, random_bollobas_family])
+    def test_arity_below_two_is_refused(self, fn):
+        with pytest.raises(ArityError, match="need d >= 2, got 1"):
+            fn(5, 1)
+
+    @pytest.mark.parametrize("fn", [random_skew_family, random_bollobas_family])
+    def test_negative_target_is_refused_before_the_first_draw(self, monkeypatch, fn):
+        import bollobas.constructions as constructions
+
+        monkeypatch.setattr(constructions, "_sample_tuple", pytest.fail)
+        with pytest.raises(DomainError, match="sample size must be >= 0, got -5"):
+            fn(5, 3, target=-5)
+
     def test_arity_at_the_limit_is_sampled(self):
         f = random_bollobas_family(6, MAX_SAMPLED_ARITY, seed=0, target=3)
         assert f.d == MAX_SAMPLED_ARITY and len(f) == 3 and is_bollobas(f)

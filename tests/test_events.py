@@ -6,6 +6,7 @@ import pytest
 
 from bollobas import (
     ArityError,
+    DomainError,
     Family,
     Permutation,
     SizeError,
@@ -92,6 +93,11 @@ class TestD3Membership:
         t = validate_tuple([[1], [2]], 2)
         with pytest.raises(ArityError):
             in_event_d3(Permutation.identity(3), t, "E")
+
+    def test_unknown_variant(self):
+        t = validate_tuple([[1], [2], [3]], 3)
+        with pytest.raises(DomainError, match="variant must be 'E' or 'F', got 'G'"):
+            in_event_d3(Permutation.identity(4), t, "G")
 
 
 class TestGeneralMembership:

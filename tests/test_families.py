@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from bollobas import (
     ArityError,
     Family,
+    IndexRangeError,
     MismatchError,
     OverlapError,
     RangeError,
@@ -53,6 +54,12 @@ class TestValidateTuple:
     def test_arity_below_two(self):
         with pytest.raises(ArityError):
             validate_tuple([[1]], 3)
+
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_part_index_outside_one_to_d(self, k):
+        t = validate_tuple([[1], [2, 3], [4]], 4)
+        with pytest.raises(IndexRangeError, match=f"must be in 1..3, got {k}"):
+            t.part(k)
 
     def test_ground_set_cap(self):
         with pytest.raises(RangeError):

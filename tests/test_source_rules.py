@@ -138,3 +138,38 @@ def test_no_sort_in_the_monte_carlo_trial_loop():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sorted"
     ]
     assert not sorts, f"sorted called in the trial loop at events.py lines {sorts}"
+
+
+def _self_calls(tree):
+    """(function, line) of each call a function makes to itself, by its name
+    or as a method of `self` or `cls`, other than as the operand of a `yield`."""
+    yielded = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Yield)}
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call) or id(node) in yielded:
+                continue
+            func = node.func
+            by_name = isinstance(func, ast.Name) and func.id == function.name
+            by_method = (
+                isinstance(func, ast.Attribute)
+                and func.attr == function.name
+                and isinstance(func.value, ast.Name)
+                and func.value.id in ("self", "cls")
+            )
+            if by_name or by_method:
+                found.append((function.name, node.lineno))
+    return found
+
+
+def test_no_function_calls_itself():
+    # a recursive call costs a Python frame per level, so its depth is capped
+    # by the recursion limit, not by the package's own limits; a search node
+    # instead yields its child to the explicit stack of `search._run`
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{function}:{line}" for function, line in _self_calls(tree)]
+    assert not found, f"functions that call themselves: {', '.join(found)}"

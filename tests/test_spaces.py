@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,21 @@ class TestSubspaceFamily:
         c = SubspaceRep(3, (axis(1, 3), axis(2, 3)))
         f = SubspaceFamily(3, 2, ((a, b), (a, c)))
         assert f.uniform_type() is None
+
+    def test_empty_family_has_no_uniform_type(self):
+        assert SubspaceFamily(3, 2, ()).uniform_type() is None
+
+    @pytest.mark.parametrize(
+        "n, d, entry, message",
+        [
+            (2, 1, (), "arity must be >= 2, got 1"),
+            (2, 2, (SubspaceRep(2, ()),), "entry 1 has 1 parts, expected 2"),
+            (2, 2, (SubspaceRep(2, ()), SubspaceRep(3, ())), "a subspace of R^3, ambient is R^2"),
+        ],
+    )
+    def test_malformed_family_rejected(self, n, d, entry, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            SubspaceFamily(n, d, (entry,))
 
 
 class TestSkewSpaces:

@@ -63,6 +63,10 @@ class TestScalars:
         assert binomial(3, -1) == 0
         assert binomial(7, 0) == 1
 
+    def test_binomial_negative_n(self):
+        with pytest.raises(DomainError, match="negative n=-1"):
+            binomial(-1, 0)
+
     def test_multinomial_values(self):
         assert multinomial(6, [2, 2, 2]) == 720 // (2 * 2 * 2) == 90
         assert multinomial(4, [1, 2, 1]) == 12
@@ -80,6 +84,8 @@ class TestScalars:
             multinomial(3, [2, 2])
         with pytest.raises(DomainError):
             multinomial(3, [-1, 2])
+        with pytest.raises(DomainError, match="negative n=-1"):
+            multinomial(-1, [])
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=4))
     @settings(max_examples=80, deadline=None)
