@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import DomainError, FormatError, SizeError
 from .exterior import IntRow, SubspaceRep, _pivot_rows, sum_rank
-from .families import Family
+from .families import Family, _by_distinct_mask, elements_of
 from .wire import fields, rational
 
 Entry = tuple[SubspaceRep, ...]
@@ -89,14 +89,16 @@ def lift_to_spaces(f: Family) -> SubspaceFamily:
     """Replace each part A by the coordinate subspace spanned by {e_a | a in A}.
 
     Dimensions equal part sizes and dim(s(A) ∩ s(B)) = |A ∩ B| for every pair
-    of parts, so the (skew) cross structure transfers verbatim.
+    of parts, so the (skew) cross structure transfers verbatim.  Each
+    distinct part is lifted once: equal parts share one frozen `SubspaceRep`.
     """
     units = [tuple(int(c == a) for c in range(f.n)) for a in range(f.n)]
-    entries = tuple(
-        tuple(SubspaceRep(f.n, tuple(units[a - 1] for a in part)) for part in t.parts())
-        for t in f.tuples
-    )
-    return SubspaceFamily(f.n, f.d, entries)
+
+    def space(mask: int) -> SubspaceRep:
+        return SubspaceRep(f.n, tuple(units[a - 1] for a in elements_of(mask)))
+
+    spaces = _by_distinct_mask(f, space)
+    return SubspaceFamily(f.n, f.d, tuple(tuple(map(spaces.__getitem__, t.masks)) for t in f.tuples))
 
 
 def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:

@@ -9,7 +9,8 @@ replaced.  `columns` is the per-bit transpose that `families._columns`
 reads off one packed binary string.  `all_tuples_of_type` is the recursive
 enumerator over element lists that the level-wise mask enumerator replaced,
 and `elements_of` the one-bit-at-a-time reader that the lowest-set-bit loop
-replaced.
+replaced.  `family_to_json` and `relabel` are the writers that decoded every
+part of every tuple, where the package decodes each distinct part mask once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 from typing import Sequence
 
 from bollobas.constructions import _checked_type
-from bollobas.errors import FormatError
+from bollobas.errors import FormatError, RangeError
 from bollobas.families import DTuple, Family, _as_n, mask_of, validate_tuple
 from bollobas.wire import fields
 
@@ -72,6 +73,26 @@ def family_from_json(obj: dict) -> Family:
                 raise FormatError(f"tuple {idx + 1} has a part that is not a list of ints")
         tuples.append(validate_tuple(entry, n))
     return Family(n, d, tuple(tuples))
+
+
+def family_to_json(f: Family) -> dict:
+    """The JSON object of a family, each tuple's parts decoded one by one."""
+    return {
+        "n": f.n,
+        "d": f.d,
+        "tuples": [[list(part) for part in t.parts()] for t in f.tuples],
+    }
+
+
+def relabel(f: Family, mapping: Sequence[int]) -> Family:
+    """Apply a permutation of {1, ..., n}, decoding and re-encoding every part of every tuple."""
+    if sorted(mapping) != list(range(1, f.n + 1)):
+        raise RangeError("mapping is not a permutation of 1..n")
+    new_tuples = []
+    for t in f.tuples:
+        masks = tuple(mask_of((mapping[e - 1] for e in elements_of(m)), f.n) for m in t.masks)
+        new_tuples.append(DTuple(f.n, masks))
+    return Family(f.n, f.d, tuple(new_tuples))
 
 
 def columns(tuples, n: int, q: int) -> list[int]:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from bollobas import (
     OverlapError,
     RangeError,
     bollobas_violation,
+    complete_family,
     cross_condition,
     family_from_json,
     family_to_json,
@@ -190,6 +193,14 @@ class TestFamilyConstruction:
         with pytest.raises(RangeError):
             relabel(f, [1, 1, 2])
 
+    @pytest.mark.parametrize("mapping", [[True, 2, 3, 4], [1.0, 2, 3, 4], [1, 2, "3", 4]])
+    def test_relabel_rejects_a_non_int_entry_before_building_a_mask(self, mapping):
+        # True and 1.0 equal 1, so the permutation check alone lets them through
+        f = Family.build(4, [[[1], [2]], [[3], [4, 1]]])
+        with mock.patch("bollobas.families.elements_of", side_effect=AssertionError("a mask was decoded")):
+            with pytest.raises(RangeError, match="mapping entries must be ints"):
+                relabel(f, mapping)
+
 
 class TestJson:
     def test_roundtrip(self):
@@ -199,6 +210,15 @@ class TestJson:
     def test_emitted_parts_sorted(self):
         f = Family.build(4, [[[3, 1], [2]]])
         assert family_to_json(f)["tuples"] == [[[1, 3], [2]]]
+
+    def test_equal_parts_are_emitted_as_distinct_lists(self):
+        f = complete_family((1, 1))  # the parts [1] and [2] each appear twice
+        out = family_to_json(f)
+        first, second = out["tuples"][0][0], out["tuples"][1][1]
+        assert first == second == [1] and first is not second
+        first.append(2)
+        assert second == [1]
+        assert family_to_json(f) == {"n": 2, "d": 2, "tuples": [[[1], [2]], [[2], [1]]]}
 
     def test_rejects_overlap(self):
         with pytest.raises(OverlapError):

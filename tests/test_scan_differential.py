@@ -1,8 +1,9 @@
 """Differential tests: the bit-sliced crossing rows against the pairwise oracles,
 the flat family reader against the per-tuple one, the packed column
-transpose and popcount type counts against their one-at-a-time forms, and
-the level-wise mask enumerator and lowest-set-bit element reader against
-the recursive and per-bit ones."""
+transpose and popcount type counts against their one-at-a-time forms, the
+level-wise mask enumerator and lowest-set-bit element reader against the
+recursive and per-bit ones, and the writers that decode each distinct part
+mask once against the per-tuple ones."""
 
 import dataclasses
 import inspect
@@ -13,9 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bollobas import Family, bollobas_violation, cross_condition, skew_violation
+from bollobas import (
+    Family,
+    bollobas_violation,
+    complete_family,
+    cross_condition,
+    layered_triple_family,
+    lift_to_spaces,
+    random_skew_family,
+    relabel,
+    skew_violation,
+)
 from bollobas.constructions import all_tuples_of_type
 from bollobas.errors import BollobasError
+from bollobas.exterior import SubspaceRep
 from bollobas.families import (
     DTuple,
     _columns,
@@ -274,3 +286,38 @@ _SPARSE_MASKS = st.sets(st.integers(0, 63), max_size=6).map(lambda bits: sum(1 <
 @given(st.integers(0, 64).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)) | _SPARSE_MASKS)
 def test_elements_of_matches_the_per_bit_oracle(mask):
     assert elements_of(mask) == scan_oracles.elements_of(mask)
+
+
+# Families for the writers: the constructions, which repeat a few part masks
+# many times; random skew families on [64], whose masks are all distinct;
+# drawn families, whose parts may be empty; and empty families.
+_WRITER_FAMILIES = st.one_of(
+    st.integers(1, 7).map(layered_triple_family),
+    st.sampled_from([(1, 1), (2, 1), (1, 1, 1), (2, 2, 1), (1, 2, 1, 1)]).map(complete_family),
+    st.integers(0, 2**32).map(lambda seed: random_skew_family(64, 4, seed=seed, target=40)),
+    families(),
+    st.tuples(st.integers(1, 64), st.integers(2, 5)).map(lambda nd: Family(*nd, ())),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WRITER_FAMILIES, st.data())
+def test_writers_match_the_per_tuple_oracles(f, data):
+    assert family_to_json(f) == scan_oracles.family_to_json(f)
+    perm = data.draw(st.permutations(range(1, f.n + 1)))
+    assert relabel(f, perm) == scan_oracles.relabel(f, perm)
+
+
+@pytest.mark.parametrize("f", [layered_triple_family(7), complete_family((2, 2, 1))], ids=["layered7", "complete221"])
+def test_writers_decode_each_distinct_mask_once(f):
+    distinct = {m for t in f.tuples for m in t.masks}
+    assert len(distinct) < len(f) * f.d
+    perm = list(range(f.n, 0, -1))
+    for write in (family_to_json, lambda g: relabel(g, perm)):
+        with mock.patch("bollobas.families.elements_of", wraps=elements_of) as decode:
+            write(f)
+        assert decode.call_count == len(distinct)
+    with mock.patch("bollobas.spaces.SubspaceRep", wraps=SubspaceRep) as build:
+        lifted = lift_to_spaces(f)
+    assert build.call_count == len(distinct)
+    assert len({id(sp) for entry in lifted.entries for sp in entry}) == len(distinct)
