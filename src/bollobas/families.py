@@ -39,8 +39,8 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from operator import attrgetter, index, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ArityError,
@@ -56,8 +56,6 @@ MAX_GROUND = 64
 
 #: The type of a d-tuple: the vector of its part sizes.
 TupleType = tuple[int, ...]
-
-_T = TypeVar("_T")
 
 
 def _as_n(n: int) -> int:
@@ -281,12 +279,17 @@ def is_skew_bollobas(f: Family) -> bool:
 def relabel(f: Family, mapping: Sequence[int]) -> Family:
     """Apply a permutation of {1, ..., n} to every element of every part.
 
-    mapping[e - 1] is the image of element e; every entry must be an int
-    (not a bool), or RangeError is raised before any mask is built.
-    Validity of the (skew) Bollobás property is invariant under relabeling.
+    mapping[e - 1] is the image of element e.  Every entry must be one that
+    `operator.index` reads as an int, other than a bool; otherwise
+    RangeError is raised before any mask is built.  Validity of the (skew)
+    Bollobás property is invariant under relabeling.
     """
-    if any(not isinstance(e, int) or isinstance(e, bool) for e in mapping):
-        raise RangeError("mapping entries must be ints")
+    if any(isinstance(e, bool) for e in mapping):
+        raise RangeError("mapping entries must be ints, not bools")
+    try:
+        mapping = [index(e) for e in mapping]
+    except TypeError:
+        raise RangeError("mapping entries must be ints") from None
     if sorted(mapping) != list(range(1, f.n + 1)):
         raise RangeError("mapping is not a permutation of 1..n")
     bits = [0] + [1 << (e - 1) for e in mapping]  # bits[e]: the mask bit of e's image
@@ -298,7 +301,7 @@ def relabel(f: Family, mapping: Sequence[int]) -> Family:
     return Family(f.n, f.d, tuple(DTuple(f.n, tuple(map(images.__getitem__, t.masks))) for t in f.tuples))
 
 
-def _by_distinct_mask(f: Family, value: Callable[[int], _T]) -> dict[int, _T]:
+def _by_distinct_mask(f: Family, value: Callable[[int], object]) -> dict[int, object]:
     """value(mask) for each distinct part mask of f, each computed once.
 
     Equal parts read the same value object, so a caller that hands the

@@ -201,6 +201,19 @@ class TestFamilyConstruction:
             with pytest.raises(RangeError, match="mapping entries must be ints"):
                 relabel(f, mapping)
 
+    def test_relabel_reads_int_like_entries(self):
+        # an entry that operator.index reads as an int, such as numpy.int64, is accepted
+        class IntLike:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        f = Family.build(4, [[[1], [2]], [[3], [4, 1]]])
+        mapping = [2, 3, 4, 1]
+        assert relabel(f, [IntLike(e) for e in mapping]) == relabel(f, mapping)
+
 
 class TestJson:
     def test_roundtrip(self):
