@@ -7,10 +7,13 @@ maximum is an ordered-chain problem (a longest sequence of distinct tuples
 with every earlier member crossing into every later one), solved by
 depth-first chain extension.  Both stop early once the multinomial size
 bound for the type is attained, since no uniform system can exceed it.
+Both walk their tree in `_run`, which counts the nodes it starts and
+refuses to start one past the node budget.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,30 +31,22 @@ class SearchResult:
     bound: int
 
 
-class _Budget:
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.nodes = 0
-
-    def tick(self):
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise SizeError(f"node budget {self.limit} exhausted")
-
-
 def _candidates(n: int, sizes: TupleType) -> list[DTuple]:
     sizes = _checked_type(_as_n(n), sizes)
     _checked_count(multinomial(n, sizes), MAX_CANDIDATES, "candidate tuples")
     return all_tuples_of_type(n, sizes)
 
 
-def _greedy_color_order(p: int, adj: list[int]) -> list[tuple[int, int]]:
-    """Vertices of mask p with greedy color numbers, in nondecreasing color order.
+def _greedy_color_order(p: int, adj: list[int]) -> tuple[array, array]:
+    """Vertices of mask p and their greedy color numbers, in nondecreasing color order.
 
     A clique inside p has at most max-color vertices, so color numbers are
     per-vertex upper bounds for the branch including that vertex.
     """
-    order: list[tuple[int, int]] = []
+    # every open node keeps its order, so it is packed in two arrays of two
+    # bytes an entry (MAX_CANDIDATES = 5,000 < 2**16 bounds every vertex and
+    # every color); lists append faster while it is built
+    vertices, colors = [], []
     color = 0
     while p:
         color += 1
@@ -59,26 +54,33 @@ def _greedy_color_order(p: int, adj: list[int]) -> list[tuple[int, int]]:
         while avail:
             v = (avail & -avail).bit_length() - 1
             avail &= avail - 1
-            bit = 1 << v
-            order.append((v, color))
-            p &= ~bit
+            vertices.append(v)
+            colors.append(color)
+            p &= ~(1 << v)
             avail &= ~adj[v]
-    return order
+    return array("H", vertices), array("H", colors)
 
 
-def _run(root: Iterator[Iterator], best: list[int], bound: int) -> None:
+def _run(root: Iterator[Iterator], best: list[int], bound: int, limit: int | None) -> int:
     """Walk a search tree depth first on an explicit stack of open nodes.
 
     A node is a generator that yields each child node in turn, between the
     `append` and the `pop` of its vertex on the shared path.  The walk stops
     once `best` attains the bound, since no uniform system can exceed it.
+    It returns the number of nodes started (a node starts at its first
+    `next`), and raises `SizeError` rather than start one past `limit`.
     """
-    stack = [root]
+    stack, nodes, fresh = [root], 0, True
     while stack and len(best) < bound:
-        if (child := next(stack[-1], None)) is None:
-            stack.pop()
-        else:
+        if fresh:
+            if limit is not None and nodes >= limit:
+                raise SizeError(f"node budget {limit} exhausted")
+            nodes += 1
+        if fresh := (child := next(stack[-1], None)) is not None:
             stack.append(child)
+        else:
+            stack.pop()
+    return nodes
 
 
 def max_bollobas_uniform(
@@ -97,17 +99,16 @@ def max_bollobas_uniform(
     pred = _crossing_rows([t.masks[::-1] for t in cands], n, len(sizes))
     adj = [s & p for s, p in zip(succ, pred)]
     bound = tuple_weight(sizes)
-    budget = _Budget(node_budget)
     best: list[int] = []
     r: list[int] = []
 
     def expand(p: int) -> Iterator[Iterator]:
-        budget.tick()
         if not p:
             if len(r) > len(best):
                 best[:] = r
             return
-        for v, c in reversed(_greedy_color_order(p, adj)):
+        vertices, colors = _greedy_color_order(p, adj)
+        for v, c in zip(reversed(vertices), reversed(colors)):
             if len(r) + c <= len(best):
                 return
             r.append(v)
@@ -115,9 +116,9 @@ def max_bollobas_uniform(
             r.pop()
             p &= ~(1 << v)
 
-    _run(expand((1 << m) - 1), best, bound)
+    nodes = _run(expand((1 << m) - 1), best, bound, node_budget)
     witness = Family(n, len(sizes), tuple(cands[i] for i in sorted(best)))
-    return SearchResult(len(best), witness, budget.nodes, bound)
+    return SearchResult(len(best), witness, nodes, bound)
 
 
 def max_skew_uniform(
@@ -134,12 +135,10 @@ def max_skew_uniform(
     # no tuple crosses into itself, since its parts are disjoint
     succ = list(_crossing_rows([t.masks for t in cands], n, len(sizes)))
     bound = tuple_weight(sizes)
-    budget = _Budget(node_budget)
     best: list[int] = []
     chain: list[int] = []
 
     def extend(avail: int) -> Iterator[Iterator]:
-        budget.tick()
         if len(chain) > len(best):
             best[:] = chain
         if len(chain) + avail.bit_count() <= len(best):
@@ -152,6 +151,6 @@ def max_skew_uniform(
             yield extend(avail & succ[v])
             chain.pop()
 
-    _run(extend((1 << m) - 1), best, bound)
+    nodes = _run(extend((1 << m) - 1), best, bound, node_budget)
     witness = Family(n, len(sizes), tuple(cands[i] for i in best))
-    return SearchResult(len(best), witness, budget.nodes, bound)
+    return SearchResult(len(best), witness, nodes, bound)

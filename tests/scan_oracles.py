@@ -11,16 +11,22 @@ enumerator over element lists that the level-wise mask enumerator replaced,
 and `elements_of` the one-bit-at-a-time reader that the lowest-set-bit loop
 replaced.  `family_to_json` and `relabel` are the writers that decoded every
 part of every tuple, where the package decodes each distinct part mask once.
+`max_bollobas_uniform` and `max_skew_uniform` are the searches whose nodes
+each counted themselves on a `_Budget` and whose colour order was a list of
+`(vertex, colour)` tuples; the package counts nodes in the loop that starts
+them and keeps each colour order in two arrays.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from bollobas.constructions import _checked_type
-from bollobas.errors import FormatError, RangeError
-from bollobas.families import DTuple, Family, _as_n, mask_of, validate_tuple
+from bollobas.errors import FormatError, RangeError, SizeError
+from bollobas.families import DTuple, Family, TupleType, _as_n, _crossing_rows, mask_of, validate_tuple
+from bollobas.search import SearchResult, _candidates
+from bollobas.sums import tuple_weight
 from bollobas.wire import fields
 
 
@@ -148,3 +154,98 @@ def skew_violation(f: Family) -> tuple[int, int] | None:
             if not any(mi[p] & suf[p] for p in range(f.d - 1)):
                 return (i + 1, j + 1)
     return None
+
+
+class _Budget:
+    def __init__(self, limit: int | None):
+        self.limit = limit
+        self.nodes = 0
+
+    def tick(self):
+        self.nodes += 1
+        if self.limit is not None and self.nodes > self.limit:
+            raise SizeError(f"node budget {self.limit} exhausted")
+
+
+def _greedy_color_order(p: int, adj: list[int]) -> list[tuple[int, int]]:
+    """Vertices of mask p with greedy color numbers, in nondecreasing color order."""
+    order: list[tuple[int, int]] = []
+    color = 0
+    while p:
+        color += 1
+        avail = p
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            order.append((v, color))
+            p &= ~(1 << v)
+            avail &= ~adj[v]
+    return order
+
+
+def _run(root: Iterator[Iterator], best: list[int], bound: int) -> None:
+    """Walk the generator nodes depth first until `best` attains the bound."""
+    stack = [root]
+    while stack and len(best) < bound:
+        if (child := next(stack[-1], None)) is None:
+            stack.pop()
+        else:
+            stack.append(child)
+
+
+def max_bollobas_uniform(n: int, sizes: TupleType, node_budget: int | None = None) -> SearchResult:
+    """Maximum clique by greedy-colouring branch and bound, each node ticking the budget."""
+    cands = _candidates(n, sizes)
+    succ = _crossing_rows([t.masks for t in cands], n, len(sizes))
+    pred = _crossing_rows([t.masks[::-1] for t in cands], n, len(sizes))
+    adj = [s & p for s, p in zip(succ, pred)]
+    bound = tuple_weight(sizes)
+    budget = _Budget(node_budget)
+    best: list[int] = []
+    r: list[int] = []
+
+    def expand(p: int) -> Iterator[Iterator]:
+        budget.tick()
+        if not p:
+            if len(r) > len(best):
+                best[:] = r
+            return
+        for v, c in reversed(_greedy_color_order(p, adj)):
+            if len(r) + c <= len(best):
+                return
+            r.append(v)
+            yield expand(p & adj[v])
+            r.pop()
+            p &= ~(1 << v)
+
+    _run(expand((1 << len(cands)) - 1), best, bound)
+    witness = Family(n, len(sizes), tuple(cands[i] for i in sorted(best)))
+    return SearchResult(len(best), witness, budget.nodes, bound)
+
+
+def max_skew_uniform(n: int, sizes: TupleType, node_budget: int | None = None) -> SearchResult:
+    """Longest skew chain by depth-first extension, each node ticking the budget."""
+    cands = _candidates(n, sizes)
+    succ = list(_crossing_rows([t.masks for t in cands], n, len(sizes)))
+    bound = tuple_weight(sizes)
+    budget = _Budget(node_budget)
+    best: list[int] = []
+    chain: list[int] = []
+
+    def extend(avail: int) -> Iterator[Iterator]:
+        budget.tick()
+        if len(chain) > len(best):
+            best[:] = chain
+        if len(chain) + avail.bit_count() <= len(best):
+            return
+        rest = avail
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            chain.append(v)
+            yield extend(avail & succ[v])
+            chain.pop()
+
+    _run(extend((1 << len(cands)) - 1), best, bound)
+    witness = Family(n, len(sizes), tuple(cands[i] for i in best))
+    return SearchResult(len(best), witness, budget.nodes, bound)

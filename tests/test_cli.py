@@ -241,6 +241,17 @@ class TestSearch:
         assert code == 0
         assert obj["results"]["max_size"] == obj["results"]["bound"] == bound
 
+    @pytest.mark.parametrize("mode", ["bollobas", "skew"])
+    def test_node_budget_counts_the_nodes_started(self, capsys, mode):
+        argv = ["search", "--mode", mode, "--n", "4", "--type", "2,2"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["results"]["nodes_explored"] == 7
+        assert run(capsys, *argv, "--node-budget", "7") == (0, out)
+        for budget in (6, 0):
+            assert main([*argv, "--node-budget", str(budget)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: node budget {budget} exhausted\n"
+
     def test_non_integer_type_is_a_format_error(self):
         with pytest.raises(FormatError, match="bad type '1,x'"):
             run_command("search", "--mode", "skew", "--n", "3", "--type", "1,x")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,8 @@ from bollobas import (
     multinomial,
     tuple_weight,
 )
+
+import scan_oracles
 
 
 def brute_max_clique(cands):
@@ -118,3 +121,54 @@ class TestAgainstBruteForce:
         for n, t in self.CASES[:-1]:
             cands = all_tuples_of_type(n, t)
             assert max_skew_uniform(n, t).max_size == brute_max_chain(cands)
+
+
+# every type of 2 to 4 parts of sizes 0 to 2 on n <= 6 with at most 120
+# candidates: 353 instances, both modes, six budgets each
+GRID = [
+    (n, sizes)
+    for n in range(1, 7)
+    for d in (2, 3, 4)
+    for sizes in itertools.product(range(3), repeat=d)
+    if sum(sizes) <= n and multinomial(n, sizes) <= 120
+]
+
+
+def _outcome(search, n, sizes, budget):
+    try:
+        return search(n, sizes, node_budget=budget)
+    except SizeError as e:
+        return f"SizeError: {e}"
+
+
+# the package counts nodes in the loop that starts them, and the oracle's
+# nodes count themselves: the two must agree on every count and on the
+# first budget that refuses a node
+@pytest.mark.parametrize(
+    "search, oracle",
+    [
+        (max_bollobas_uniform, scan_oracles.max_bollobas_uniform),
+        (max_skew_uniform, scan_oracles.max_skew_uniform),
+    ],
+    ids=["bollobas", "skew"],
+)
+def test_searches_and_budgets_match_the_ticking_oracle(search, oracle):
+    assert len(GRID) == 353
+    for n, sizes in GRID:
+        nodes = oracle(n, sizes).nodes_explored
+        for budget in (None, nodes, nodes - 1, 0, 1, -1):
+            expected = _outcome(oracle, n, sizes, budget)
+            assert _outcome(search, n, sizes, budget) == expected, (n, sizes, budget)
+
+
+def test_deep_clique_search_keeps_its_colour_orders_small():
+    # 360 candidates, all compatible: the search opens a node at every depth
+    # up to 360, each holding the colour order of what is left below it
+    tracemalloc.start()
+    try:
+        res = max_bollobas_uniform(6, (2, 1, 1, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.max_size == res.bound == 360
+    assert peak < 2_000_000
