@@ -4,14 +4,14 @@ A *blade* is the wedge product of an ordered list of row vectors, represented
 by its vector of k x k minors indexed by the k-subsets of columns in
 lexicographic order.  The wedge of k = n vectors is the determinant; the
 empty wedge is the unit scalar.  The wedge is zero exactly when the vectors
-are dependent, which is what `is_independent` tests.
+are dependent; `is_independent` tests that by rank, not by all C(n, k) minors.
 
-Determinants and ranks use fraction-free (Bareiss-style) elimination on
-denominator-cleared integer matrices, exact at any size that fits in memory;
-determinants up to 4 x 4 use closed forms instead.
-`rank` and `det` accept rationals and clear denominators once per call; their
-integer kernels `_rank`, `_pivot_rows` and `_det` are what the subspace code
-calls, on the integer rows every `SubspaceRep` keeps.
+Ranks, pivot rows and determinants all read one fraction-free (Bareiss)
+elimination, `_echelon`, on denominator-cleared integer matrices, exact at
+any size that fits in memory; determinants up to 4 x 4 use closed forms
+instead.  `rank` and `det` accept rationals and clear denominators once per
+call; their integer kernels `_rank`, `_pivot_rows` and `_det` are what the
+subspace code calls, on the integer rows every `SubspaceRep` keeps.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def _cleared(rows: Sequence[Sequence[Rational]]) -> tuple[list[IntRow], int]:
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (1 for the empty matrix)."""
+    """Determinant of a square integer matrix (1 for the empty matrix): closed
+    forms up to 4 x 4, then the last pivot of `_echelon`."""
     k = len(rows)
     if k == 0:
         return 1
@@ -95,31 +96,13 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
             - (a1 * b3 - a3 * b1) * (c0 * e2 - c2 * e0)
             + (a2 * b3 - a3 * b2) * (c0 * e1 - c1 * e0)
         )
-    return _bareiss(rows)
-
-
-def _bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix of size >= 2 by Bareiss elimination,
-    in which every intermediate division is exact."""
-    k = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for col in range(k - 1):
-        if m[col][col] == 0:
-            for r2 in range(col + 1, k):
-                if m[r2][col] != 0:
-                    m[col], m[r2] = m[r2], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r2 in range(col + 1, k):
-            for c2 in range(col + 1, k):
-                m[r2][c2] = (m[r2][c2] * m[col][col] - m[r2][col] * m[col][c2]) // prev
-            m[r2][col] = 0
-        prev = m[col][col]
-    return sign * m[k - 1][k - 1]
+    steps = _echelon(rows, k)
+    if len(steps) < k:
+        return 0
+    # the last pivot is the determinant with the columns in pivot order
+    cols = [col for _, col, _ in steps]
+    inversions = sum(a > b for a, b in itertools.combinations(cols, 2))
+    return (-1) ** inversions * steps[-1][2][cols[-1]]
 
 
 def det(rows: Sequence[Sequence[Rational]]) -> Fraction:
@@ -131,32 +114,40 @@ def det(rows: Sequence[Sequence[Rational]]) -> Fraction:
     return Fraction(_det(m), scale)
 
 
-def _pivot_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
-    """Indices of the integer rows that are independent of all rows before them.
+def _echelon(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, int, Sequence[int]]]:
+    """(index, pivot column, reduced row) of each integer row that is
+    independent of all rows before it, by one fraction-free elimination.
 
-    One fraction-free elimination: each row is reduced against the pivot rows
-    kept so far (zeroing their pivot columns, then dividing out the content),
-    and kept with its first nonzero column as pivot if anything is left.
+    Each row v is reduced against the pivot rows r_j kept so far, with pivot
+    column c_j and pivot p_j = r_j[c_j] (p_0 = 1), by
+    v <- (p_j v - v[c_j] r_j) / p_(j-1), and kept with its first nonzero column
+    as pivot if anything is left.  Every division is exact (Bareiss 1968):
+    after step j, entry c of v is the minor of the first j kept rows and v, as
+    given, on columns c_1..c_j, c.  So a row with v[c_j] = 0 is still scaled
+    by p_j / p_(j-1), or a later division would not be exact.
     """
-    pivots: list[tuple[int, Sequence[int]]] = []
-    kept: list[int] = []
+    pivots: list[tuple[int, int, Sequence[int]]] = []
     for idx, v in enumerate(rows):
-        for col, pr in pivots:
-            f = v[col]
+        before = 1
+        for _, col, pr in pivots:
+            lead, f = pr[col], v[col]
             if f:
-                lead = pr[col]
-                v = [a * lead - b * f for a, b in zip(v, pr)]
-                g = math.gcd(*v)
-                if g > 1:
-                    v = [a // g for a in v]
+                v = [(a * lead - b * f) // before for a, b in zip(v, pr)]
+            elif lead != before:
+                v = [a * lead // before for a in v]
+            before = lead
         for col, x in enumerate(v):
             if x:
-                pivots.append((col, v))
-                kept.append(idx)
+                pivots.append((idx, col, v))
                 break
         if len(pivots) == ncols:
             break
-    return kept
+    return pivots
+
+
+def _pivot_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """Indices of the integer rows that are independent of all rows before them."""
+    return [idx for idx, _, _ in _echelon(rows, ncols)]
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:
@@ -210,17 +201,12 @@ def wedge(vectors: Sequence[Sequence[Rational]], n: int | None = None) -> Blade:
 
 
 def is_independent(vectors: Sequence[Sequence[Rational]]) -> bool:
-    """Linear independence test: the wedge is nonzero iff the vectors are independent."""
-    gens = [vector(v) for v in vectors]
-    if not gens:
-        return True
-    n = len(gens[0])
-    for g in gens:
-        if len(g) != n:
-            raise DimensionError("vectors of mixed lengths")
-    if len(gens) > n:
-        return False
-    return not wedge(gens, n).is_zero()
+    """Linear independence test: the wedge is nonzero iff the vectors are
+    independent, that is iff their rank is their count."""
+    rows = _cleared(vectors)[0]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionError("vectors of mixed lengths")
+    return _rank(rows) == len(rows)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ are the versions that did not:
 - `lift_to_spaces`, building each unit row anew for every element;
 - `evaluation_matrix`, re-stacking entry i's projected prefix in every cell
   and taking each cell's denominator part by part.
+
+`bareiss` is the column-pivoted determinant that `_det` used beyond 4 x 4
+before ranks, pivot rows and determinants shared one row-by-row elimination.
 """
 
 from __future__ import annotations
@@ -38,9 +41,33 @@ from bollobas.errors import (
     SizeError,
     UniformityError,
 )
-from bollobas.exterior import IntRow, SubspaceRep, _bareiss, _det, _pivot_rows, _rank
+from bollobas.exterior import IntRow, SubspaceRep, _det, _pivot_rows, _rank
 from bollobas.spaces import MAX_AMBIENT, SubspaceFamily
 from bollobas.wire import fields, rational
+
+
+def bareiss(rows) -> int:
+    """Determinant of a square integer matrix of size >= 2 by Bareiss elimination,
+    in which every intermediate division is exact."""
+    k = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for col in range(k - 1):
+        if m[col][col] == 0:
+            for r2 in range(col + 1, k):
+                if m[r2][col] != 0:
+                    m[col], m[r2] = m[r2], m[col]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for r2 in range(col + 1, k):
+            for c2 in range(col + 1, k):
+                m[r2][c2] = (m[r2][c2] * m[col][col] - m[r2][col] * m[col][c2]) // prev
+            m[r2][col] = 0
+        prev = m[col][col]
+    return sign * m[k - 1][k - 1]
 
 
 def phi_constraints(f: SubspaceFamily, k: int) -> list[SubspaceRep]:
@@ -199,7 +226,7 @@ def evaluation_matrix(f: SubspaceFamily, maps: dict[int, GeneralPositionMap]) ->
                 stacked.extend(proj[k][j][k - 1])
                 den *= f.entries[j][k - 1].scale
                 # closed forms up to 3 x 3 and Bareiss beyond, as `_det` had
-                num *= _det(stacked) if len(stacked) < 4 else _bareiss(stacked)
+                num *= _det(stacked) if len(stacked) < 4 else bareiss(stacked)
                 if num == 0:
                     break
             row.append(Fraction(num, den))

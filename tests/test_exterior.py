@@ -14,6 +14,7 @@ from bollobas import (
     rank,
     wedge,
 )
+from bollobas import exterior
 from bollobas.errors import DomainError, FormatError
 from bollobas.exterior import sum_rank, vector
 
@@ -70,6 +71,21 @@ class TestDetRank:
             k = rng.randint(1, 5)
             rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
             assert det(rows) == oracle_det(rows)
+        # past the closed forms: huge entries, rows that start with zeros
+        # (pivot columns out of order) and singular matrices (a zero first
+        # column, a combined row)
+        for trial in range(60):
+            k = rng.randint(5, 6)
+            bound = rng.choice((4, 10**20))
+            rows = [
+                [0] * (z := rng.randint(0, k - 1)) + [rng.randint(-bound, bound) for _ in range(k - z)]
+                for _ in range(k)
+            ]
+            if trial % 3 == 1:
+                rows = [[0] + row[1:] for row in rows]
+            elif trial % 3 == 2:
+                rows[-1] = [a + 3 * b for a, b in zip(rows[0], rows[1])]
+            assert det(rows) == oracle_det(rows)
 
     def test_det_with_fractions(self):
         rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
@@ -83,11 +99,18 @@ class TestDetRank:
         with pytest.raises(DimensionError):
             det([[1, 2], [3]])
 
-    @pytest.mark.parametrize("k", [5, 6])
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_det_swaps_past_zero_pivots(self, k):
-        # the cyclic shift has zeros on the diagonal, so elimination must swap
+        # the cyclic shift has zeros on the diagonal, so the pivot columns
+        # come out of order
         rows = [[int(c == (r + 1) % k) for c in range(k)] for r in range(k)]
         assert det(rows) == (-1) ** (k - 1)
+        # row r starts with a prime at column k - 1 - r, so the pivot columns
+        # run backwards; it is zero at the previous row's pivot column, where
+        # the elimination only scales it, and one at every pivot column before
+        primes = [2, 3, 5, 7, 11, 13, 17, 19][:k]
+        rows = [[0] * (k - 1 - r) + [p] + [0] * min(r, 1) + [1] * (r - 1) for r, p in enumerate(primes)]
+        assert det(rows) == (-1) ** (k * (k - 1) // 2) * math.prod(primes)
 
     def test_det_scales_with_one_row(self):
         rng = random.Random(11)
@@ -198,6 +221,18 @@ class TestWedge:
 
     def test_empty_set_is_independent(self):
         assert is_independent([]) is True
+
+    def test_independence_needs_no_determinant(self, monkeypatch):
+        # a rank of the cleared rows, not a wedge of all C(n, k) minors
+        def refuse(rows):
+            raise AssertionError("is_independent took a determinant")
+
+        monkeypatch.setattr(exterior, "_det", refuse)
+        rng = random.Random(5)
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(18)] for _ in range(9)]
+        assert is_independent(rows) is (oracle_rank(rows) == 9)
+        assert is_independent(rows + [[a - b for a, b in zip(rows[0], rows[8])]]) is False
+        assert is_independent(rows[:1] * 2) is False
 
     def test_independence_matches_rank_oracle(self):
         rng = random.Random(99)

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 from bollobas import GeneralPositionMap, SubspaceFamily, SubspaceRep, evaluation_matrix, rank
-from bollobas.exterior import _bareiss, _det, _pivot_rows, _rank
+from bollobas.exterior import _det, _pivot_rows, _rank
+from certificate_oracles import bareiss
 
 # small values and zeros make dependent rows and dimension drops common
 entries = st.one_of(
+    st.just(0),
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
 )
@@ -23,17 +25,56 @@ entries = st.one_of(
 
 @st.composite
 def matrices(draw, ncols=None, max_rows=6):
-    """Rational matrices, some rows of which are combinations of earlier rows."""
+    """Rational matrices, some rows of which repeat or combine earlier rows."""
     if ncols is None:
         ncols = draw(st.integers(1, 5))
     rows = []
     for _ in range(draw(st.integers(0, max_rows))):
-        if rows and draw(st.booleans()):
+        kind = draw(st.sampled_from(("new", "combined", "repeated"))) if rows else "new"
+        if kind == "combined":
             coeffs = [Fraction(draw(entries)) for _ in rows]
             rows.append([sum(c * r[col] for c, r in zip(coeffs, rows)) for col in range(ncols)])
+        elif kind == "repeated":
+            rows.append(list(draw(st.sampled_from(rows))))
         else:
             rows.append([Fraction(draw(entries)) for _ in range(ncols)])
     return ncols, rows
+
+
+# square-ish, wide (more columns than rows), tall (more rows than columns)
+# and large, where a row often skips a pivot column before it meets another
+shaped_matrices = st.one_of(
+    matrices(),
+    st.integers(6, 10).flatmap(lambda n: matrices(ncols=n, max_rows=4)),
+    st.integers(1, 3).flatmap(lambda n: matrices(ncols=n, max_rows=12)),
+    st.integers(6, 8).flatmap(lambda n: matrices(ncols=n, max_rows=10)),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer k x k matrices, k = 5..8, with entries up to 10**20.
+
+    Rows may start with zeros: a row that starts past an earlier pivot column
+    is only scaled at that pivot, and the pivot columns come out of order,
+    which sets the sign.  Some matrices are singular, by a zero column or by a
+    row that combines two others.
+    """
+    k = draw(st.integers(5, 8))
+    values = st.integers(-3, 3) | st.integers(-(10**20), 10**20)
+    rows = []
+    for _ in range(k):
+        zeros = draw(st.integers(0, k - 1))
+        rows.append([0] * zeros + [draw(values) for _ in range(k - zeros)])
+    singular = draw(st.sampled_from((None, "zero column", "combined")))
+    if singular == "zero column":
+        col = draw(st.integers(0, k - 1))
+        for row in rows:
+            row[col] = 0
+    elif singular == "combined":
+        i, j, r = draw(st.permutations(range(k)))[:3]
+        rows[r] = [a - 2 * b for a, b in zip(rows[i], rows[j])]
+    return rows
 
 
 @st.composite
@@ -53,7 +94,7 @@ def test_rank_kernel_matches_fraction_elimination(m):
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices())
+@given(shaped_matrices)
 def test_pivot_rows_match_rank_per_row_loop(m):
     ncols, rows = m
     want = oracle.row_basis(rows)
@@ -74,8 +115,17 @@ def test_det_closed_form_at_four_matches_bareiss_and_laplace(rows, dependent):
     if dependent:  # a repeated row combination makes the determinant zero
         rows = rows[:3] + [[a - 2 * b for a, b in zip(rows[0], rows[2])]]
     want = oracle.det(rows)
-    assert _det(rows) == _bareiss(rows) == want
+    assert _det(rows) == bareiss(rows) == want
     assert _det([tuple(r) for r in rows]) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_det_elimination_matches_bareiss_and_laplace(rows):
+    want = bareiss(rows)
+    assert _det(rows) == want
+    if len(rows) <= 6:  # Laplace expansion takes k! products
+        assert want == oracle.det(rows)
 
 
 @settings(max_examples=300, deadline=None)

@@ -67,9 +67,9 @@ def test_only_the_family_reader_builds_objects_without_their_checks():
     assert set(where) == {"families.py:family_from_json"}, where
 
 
-def _public_definitions(tree):
-    """The public names a module defines at its top level: functions, classes
-    and assigned names not starting with an underscore."""
+def _top_level_definitions(tree):
+    """The names a module defines at its top level: functions, classes and
+    assigned names."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -77,7 +77,7 @@ def _public_definitions(tree):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [name for name in names if not name.startswith("_")]
+    return names
 
 
 def _references(tree):
@@ -111,10 +111,27 @@ def test_every_public_name_is_exported_or_used():
     unused = [
         f"{module}:{name}"
         for module, tree in trees.items()
-        for name in _public_definitions(tree)
-        if name not in exported and name not in used
+        for name in _top_level_definitions(tree)
+        if not name.startswith("_") and name not in exported and name not in used
     ]
     assert not unused, f"public names neither exported nor used: {', '.join(unused)}"
+
+
+def test_every_private_name_is_used():
+    # a private name that no module of the package reads is a kernel or
+    # helper left behind, which only its tests still call
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    used = set().union(*map(_references, trees.values()))
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _top_level_definitions(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+    assert not unused, f"private names that no module reads: {', '.join(unused)}"
 
 
 def test_no_sort_in_the_monte_carlo_trial_loop():
