@@ -9,9 +9,11 @@ are dependent; `is_independent` tests that by rank, not by all C(n, k) minors.
 Ranks, pivot rows and determinants all read one fraction-free (Bareiss)
 elimination, `_echelon`, on denominator-cleared integer matrices, exact at
 any size that fits in memory; determinants up to 4 x 4 use closed forms
-instead.  `rank` and `det` accept rationals and clear denominators once per
-call; their integer kernels `_rank`, `_pivot_rows` and `_det` are what the
-subspace code calls, on the integer rows every `SubspaceRep` keeps.
+instead.  Every front end that takes rational rows (`det`, `rank`,
+`is_independent`, `wedge`, `SubspaceRep`) checks their lengths and clears
+their denominators once, in `_cleared`; the integer kernels `_rank`,
+`_pivot_rows` and `_det` are what the subspace code calls, on the integer
+rows every `SubspaceRep` keeps, and `wedge` takes each minor with `_det`.
 """
 
 from __future__ import annotations
@@ -46,23 +48,22 @@ def vector(xs: Iterable[Rational]) -> Vec:
     return tuple(map(_fraction, xs))
 
 
-def _clear_row(row: Sequence[Rational]) -> tuple[IntRow, int]:
-    """The row times the lcm of its denominators, and that lcm (1 for an integer row)."""
-    if all(type(x) is int for x in row):
-        return tuple(row), 1
-    fr = [_fraction(x) for x in row]
-    lcm = math.lcm(*(x.denominator for x in fr))
-    return tuple(x.numerator * (lcm // x.denominator) for x in fr), lcm
-
-
-def _cleared(rows: Sequence[Sequence[Rational]]) -> tuple[list[IntRow], int]:
-    """Clear denominators row by row; return integer rows and the product of row scalings."""
+def _cleared(rows: Sequence[Sequence[Rational]], ncols: int) -> tuple[list[IntRow], int]:
+    """Each row, which must have `ncols` entries, times the lcm of its
+    denominators (a row of ints alone is kept as it is); return those integer
+    rows and the product of the row factors."""
     out = []
     scale = 1
     for row in rows:
-        r, s = _clear_row(row)
-        out.append(r)
-        scale *= s
+        if len(row) != ncols:
+            raise DimensionError(f"row of length {len(row)} where {ncols} entries are needed")
+        if all(type(x) is int for x in row):
+            out.append(tuple(row))
+            continue
+        fr = [_fraction(x) for x in row]
+        lcm = math.lcm(*(x.denominator for x in fr))
+        out.append(tuple(x.numerator * (lcm // x.denominator) for x in fr))
+        scale *= lcm
     return out, scale
 
 
@@ -107,10 +108,7 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
 
 def det(rows: Sequence[Sequence[Rational]]) -> Fraction:
     """Exact determinant of a square rational matrix (1 for the empty matrix)."""
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise DimensionError("determinant needs a square matrix")
-    m, scale = _cleared(rows)
+    m, scale = _cleared(rows, len(rows))
     return Fraction(_det(m), scale)
 
 
@@ -157,12 +155,7 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Exact row rank of a rational matrix."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise DimensionError("rank needs a rectangular matrix")
-    return _rank(_cleared(rows)[0])
+    return _rank(_cleared(rows, len(rows[0]))[0]) if rows else 0
 
 
 @dataclass(frozen=True)
@@ -180,21 +173,19 @@ def wedge(vectors: Sequence[Sequence[Rational]], n: int | None = None) -> Blade:
     """Wedge the given row vectors into a blade of minors.
 
     With k = n vectors the single coordinate is the determinant; with
-    k = 0 the blade is the unit scalar (coordinate vector (1,)).
+    k = 0 the blade is the unit scalar (coordinate vector (1,)).  The rows
+    are cleared once; each coordinate is an integer minor over the scale.
     """
-    gens = tuple(vector(v) for v in vectors)
     if n is None:
-        if not gens:
+        if not vectors:
             raise DimensionError("ambient dimension required for an empty wedge")
-        n = len(gens[0])
-    for g in gens:
-        if len(g) != n:
-            raise DimensionError(f"vector of length {len(g)} in ambient dimension {n}")
-    k = len(gens)
+        n = len(vectors[0])
+    rows, scale = _cleared(vectors, n)
+    k = len(rows)
     if k > n:
         raise DimensionError(f"cannot wedge {k} vectors in dimension {n}")
     coords = tuple(
-        det([[g[c] for c in cols] for g in gens])
+        Fraction(_det([[r[c] for c in cols] for r in rows]), scale)
         for cols in itertools.combinations(range(n), k)
     )
     return Blade(n, coords)
@@ -203,10 +194,7 @@ def wedge(vectors: Sequence[Sequence[Rational]], n: int | None = None) -> Blade:
 def is_independent(vectors: Sequence[Sequence[Rational]]) -> bool:
     """Linear independence test: the wedge is nonzero iff the vectors are
     independent, that is iff their rank is their count."""
-    rows = _cleared(vectors)[0]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise DimensionError("vectors of mixed lengths")
-    return _rank(rows) == len(rows)
+    return rank(vectors) == len(vectors)
 
 
 @dataclass(frozen=True)
@@ -227,10 +215,7 @@ class SubspaceRep:
     scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for r in self.basis:
-            if len(r) != self.n:
-                raise DimensionError(f"basis row of length {len(r)} in dimension {self.n}")
-        rows, scale = _cleared(self.basis)
+        rows, scale = _cleared(self.basis, self.n)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "scale", scale)
         if _rank(rows) != len(rows):
@@ -246,18 +231,16 @@ class SubspaceRep:
 
 
 def sum_rank(*spaces: SubspaceRep) -> int:
-    """dim of the sum of the given subspaces (rank of stacked bases)."""
-    n = spaces[0].n
+    """dim of the sum of the given subspaces (rank of stacked bases); 0, the
+    dimension of the zero space, for none."""
     rows: list[IntRow] = []
     for sp in spaces:
-        if sp.n != n:
+        if sp.n != spaces[0].n:
             raise DimensionError("subspaces in different ambient dimensions")
-        rows.extend(sp.rows)
+        rows += sp.rows
     return _rank(rows)
 
 
 def intersection_dim(a: SubspaceRep, b: SubspaceRep) -> int:
     """dim(a ∩ b) = dim a + dim b - dim(a + b)."""
-    if a.n != b.n:
-        raise DimensionError("subspaces in different ambient dimensions")
-    return a.dim + b.dim - _rank(a.rows + b.rows)
+    return a.dim + b.dim - sum_rank(a, b)

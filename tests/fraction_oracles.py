@@ -4,14 +4,18 @@ The package computes ranks, pivot rows, projections and determinants on
 denominator-cleared integer rows.  These are the straightforward versions
 they replaced: every row is coerced to `Fraction`, `rank` clears denominators
 on each call, `row_basis` recomputes the rank once per row, and projections
-multiply `Fraction` rows by the map's matrix.  `recursive_bound` is the
-recursion that the package's one integer sum unrolls.
+multiply `Fraction` rows by the map's matrix, and `wedge` reads every entry
+as a `Fraction` and takes the rational determinant of each minor on its own.
+`recursive_bound` is the recursion that the package's one integer sum unrolls.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+
+from bollobas import exterior
 
 
 def int_rows(rows):
@@ -89,6 +93,19 @@ def det(rows) -> Fraction:
         minor = [[row[j] for j in range(k) if j != c] for row in rows[1:]]
         total += (-1) ** c * Fraction(rows[0][c]) * det(minor)
     return total
+
+
+def wedge(vectors, n=None):
+    """Blade coordinates minor by minor: the rows read by `exterior.vector`,
+    then the rational `exterior.det` of the k x k minor on each k-subset of
+    columns, in lexicographic order."""
+    gens = [exterior.vector(v) for v in vectors]
+    if n is None:
+        n = len(gens[0])
+    return tuple(
+        exterior.det([[g[c] for c in cols] for g in gens])
+        for cols in itertools.combinations(range(n), len(gens))
+    )
 
 
 def evaluation_matrix(f, maps):

@@ -35,6 +35,25 @@ def test_json_is_decoded_in_one_place():
     assert len(found) == 1, f"json.load(s) calls: {', '.join(found) or 'none'}"
 
 
+def test_exterior_checks_and_clears_rows_in_one_place():
+    # `_cleared` checks the length of every rational row a front end takes and
+    # clears its denominators; wedge and sum_rank check only what no row shows
+    tree = ast.parse((SOURCE / "exterior.py").read_text(encoding="utf-8"))
+    raisers, clearers = set(), set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(name, ast.Name) and name.id == "DimensionError" for name in ast.walk(node)
+            ):
+                raisers.add(function.name)
+            if isinstance(node, ast.Attribute) and node.attr == "denominator":
+                clearers.add(function.name)
+    assert raisers == {"_cleared", "wedge", "sum_rank"}
+    assert clearers == {"_cleared"}
+
+
 def _calls_that_skip_constructors(tree):
     """(function, line) of each `__new__` or slot `__set__` reference, and of
     each `object.__setattr__` outside a `__post_init__`: the ways to give an
