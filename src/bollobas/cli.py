@@ -27,13 +27,13 @@ from . import constructions, events, search, sums
 from .certificates import DEFAULT_MAX_RETRIES, check_size, derive_seed
 from .certificates import certify as run_certify
 from .errors import BollobasError, FormatError, SizeError
-from .families import bollobas_violation, family_from_json, family_to_json, skew_violation
+from .families import LITERAL_BIT, Family, bollobas_violation, family_from_json, family_to_json, skew_violation
 from .spaces import lift_to_spaces, subspace_family_from_json, subspace_family_to_json
 from .wire import fields
 
 
-def _load_input(path: str | None) -> tuple[object, str]:
-    """Return the decoded input document and the sha256 digest of its text."""
+def _read_input(path: str | None) -> tuple[str, str]:
+    """Return the input text and the sha256 digest of it."""
     if path is None:
         raise FormatError("this subcommand needs --input <path|->")
     try:
@@ -46,13 +46,37 @@ def _load_input(path: str | None) -> tuple[object, str]:
         data = text.encode()
     except UnicodeError as exc:
         raise FormatError(f"input is not UTF-8 text: {exc}") from exc
+    return text, "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _decode(text: str, parse_int=None) -> object:
+    """The JSON document of `text`, with integer literals read by `parse_int` if given."""
     try:
-        obj = json.loads(text)
+        return json.loads(text, parse_int=parse_int)
     except RecursionError as exc:
         raise FormatError("invalid JSON: nested too deeply") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer literal past the digit limit
         raise FormatError(f"invalid JSON: {exc}") from exc
-    return obj, "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _load_family(path: str | None) -> tuple[Family, str]:
+    """Return the family of the input document and the sha256 digest of its text.
+
+    The text is first decoded with each integer literal "1".."64" read as
+    its element's mask bit, and that coded document is read by
+    `family_from_json(coded=True)`.  A literal outside the table (a
+    KeyError), a decode error or a document the coded read refuses sends the
+    text through a plain decode and the plain read instead, so every answer
+    and every error is the plain path's.
+    """
+    text, digest = _read_input(path)
+    try:
+        fam = family_from_json(_decode(text, LITERAL_BIT.__getitem__), coded=True)
+    except (KeyError, FormatError):
+        fam = None
+    if fam is None:
+        fam = family_from_json(_decode(text))
+    return fam, digest
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -116,8 +140,7 @@ Outcome = tuple[dict, str | None, dict, int]
 
 
 def _cmd_verify(ns) -> Outcome:
-    obj, digest = _load_input(ns.input)
-    fam = family_from_json(obj)
+    fam, digest = _load_family(ns.input)
     violation = bollobas_violation(fam) if ns.mode == "bollobas" else skew_violation(fam)
     results = {
         "mode": ns.mode,
@@ -131,8 +154,7 @@ def _cmd_verify(ns) -> Outcome:
 
 
 def _cmd_sum(ns) -> Outcome:
-    obj, digest = _load_input(ns.input)
-    fam = family_from_json(obj)
+    fam, digest = _load_family(ns.input)
     if ns.which == "conjecture":
         value = sums.bollobas_sum(fam)
         bound = sums.recursive_bound(fam.n, fam.d)
@@ -226,8 +248,7 @@ def _cmd_search(ns) -> Outcome:
 
 
 def _cmd_simulate(ns) -> Outcome:
-    obj, digest = _load_input(ns.input)
-    fam = family_from_json(obj)
+    fam, digest = _load_family(ns.input)
     child = derive_seed(ns.seed, "simulate")
     rep = events.monte_carlo(fam, ns.mode, ns.trials, child)
     results = {
@@ -245,7 +266,8 @@ def _cmd_simulate(ns) -> Outcome:
 
 
 def _cmd_certify(ns) -> Outcome:
-    obj, digest = _load_input(ns.input)
+    text, digest = _read_input(ns.input)
+    obj = _decode(text)
     if not isinstance(obj, dict):
         raise FormatError("certify input JSON must be an object")
     # the limits that need only m and d are checked before any subspace is built

@@ -25,7 +25,12 @@ the Monte Carlo walk in `events` reads the same column bitsets.
 The JSON reader checks a whole family at once and sums each part's element
 bits straight into its mask; the tuples and the family it has checked are
 then built without re-running the per-tuple checks of the public
-constructors, which every other caller goes through.  The writers work the
+constructors, which every other caller goes through.  The CLI hands it a
+*coded* document: the JSON scanner has already read each integer literal
+"1".."64" as its element's mask bit (`LITERAL_BIT`), so a part's mask is one
+`sum` of the part.  A document the coded read refuses for any reason, a
+literal outside the table included, is decoded again with plain ints and
+read the plain way, which names its first fault.  The writers work the
 other way, from masks to parts: the constructions repeat a few parts many
 times (the layered family on [9] has 9,417 parts but 419 distinct masks),
 so `family_to_json`, `relabel` and `spaces.lift_to_spaces` each compute
@@ -331,9 +336,12 @@ def family_to_json(f: Family) -> dict:
 
 #: The mask bit of each element e in 1..64.
 _ELEMENT_BIT = {e: 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}
+#: The mask bit of each element keyed by its JSON integer literal, "1".."64":
+#: the `parse_int` table of a coded family document.
+LITERAL_BIT = {str(e): bit for e, bit in _ELEMENT_BIT.items()}
 
 
-def family_from_json(obj: dict) -> Family:
+def family_from_json(obj: dict, coded: bool = False) -> Family | None:
     """Read a family from its JSON object.
 
     `_flat_masks` checks the whole family and builds every part mask; a
@@ -342,11 +350,21 @@ def family_from_json(obj: dict) -> Family:
     accepts are already checked, so they are built here without the
     dataclass `__init__` of each tuple and without `Family.__post_init__`
     re-checking every tuple.  This is the one place that skips those checks.
+
+    With coded=True, `obj` was decoded with `parse_int=LITERAL_BIT.__getitem__`,
+    so every int in it is the mask bit of its literal: n and d are read back
+    as bit lengths, and a part's mask is the sum of the part.  The same
+    checks run on it, and a document they refuse returns None, or raises
+    FormatError if a field is missing or not an int: the caller then decodes
+    the text again with plain ints and reads it without `coded`, which gives
+    the answer and the error of a plain read.
     """
     n, d, raw = fields(obj, "family", ("n", "d"), "tuples")
-    masks = _flat_masks(raw, n, d)
+    if coded:
+        n, d = n.bit_length(), d.bit_length()
+    masks = _flat_masks(raw, n, d, coded)
     if masks is None:
-        return _family_from_checked_json(raw, n, d)
+        return None if coded else _family_from_checked_json(raw, n, d)
     tuples = tuple(map(object.__new__, repeat(DTuple, len(masks))))
     deque(map(DTuple.n.__set__, tuples, repeat(n)), maxlen=0)
     deque(map(DTuple.masks.__set__, tuples, masks), maxlen=0)
@@ -357,21 +375,22 @@ def family_from_json(obj: dict) -> Family:
     return family
 
 
-def _flat_masks(raw: list, n: int, d: int) -> list[tuple[int, ...]] | None:
+def _flat_masks(raw: list, n: int, d: int, coded: bool) -> list[tuple[int, ...]] | None:
     """The part masks of each tuple of a well-formed family, or None if `raw` has any fault.
 
     The type and shape checks each run over the whole family at once.  A
     part's mask is the sum of its elements' bits, one C-level `sum` per
-    part over the lookups in `_ELEMENT_BIT`; an element outside 1..64 is
-    missing there and raises KeyError.  The type check stays, since True
-    and 1.0 look up as 1.  A tuple is repeat-free, so its parts are
-    disjoint, exactly when the sum of its part masks has one set bit per
-    element: a repeat causes a carry, and a carry lowers the popcount.  No
-    tuple's popcount exceeds its element count, so comparing the totals
-    over the family checks every tuple.  Without a carry a tuple's sum is
-    the union of its parts, so an element above n shows as a bit at n or
-    above.  A part that lists an element twice is refused here although
-    the checked path accepts it.
+    part: over the part itself when `coded` (its ints are already element
+    bits), and otherwise over the lookups in `_ELEMENT_BIT`, where an element
+    outside 1..64 is missing and raises KeyError.  The type check stays,
+    since True sums as element 1's bit and True and 1.0 look up as 1.  A
+    tuple is repeat-free, so its parts are disjoint, exactly when the sum of
+    its part masks has one set bit per element: a repeat causes a carry, and
+    a carry lowers the popcount.  No tuple's popcount exceeds its element
+    count, so comparing the totals over the family checks every tuple.
+    Without a carry a tuple's sum is the union of its parts, so an element
+    above n shows as a bit at n or above.  A part that lists an element
+    twice is refused here although the checked path accepts it.
     """
     if d < 2 or not 1 <= n <= MAX_GROUND:
         return None
@@ -384,10 +403,13 @@ def _flat_masks(raw: list, n: int, d: int) -> list[tuple[int, ...]] | None:
         return None
     if not set(map(type, chain.from_iterable(parts))) <= {int}:
         return None
-    try:
-        masks = list(map(sum, map(map, repeat(_ELEMENT_BIT.__getitem__), parts)))
-    except KeyError:
-        return None
+    if coded:
+        masks = list(map(sum, parts))
+    else:
+        try:
+            masks = list(map(sum, map(map, repeat(_ELEMENT_BIT.__getitem__), parts)))
+        except KeyError:
+            return None
     tuples = list(zip(*[iter(masks)] * d))
     unions = list(map(sum, tuples))
     if sum(map(int.bit_count, unions)) != sum(map(len, parts)) or max(unions) >> n:

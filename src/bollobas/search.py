@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .constructions import MAX_CANDIDATES, _checked_count, _checked_type, all_tuples_of_type
-from .errors import SizeError
+from .errors import DomainError, SizeError
 from .families import DTuple, Family, TupleType, _as_n, _crossing_rows
 from .sums import multinomial, tuple_weight
 
@@ -31,7 +31,10 @@ class SearchResult:
     bound: int
 
 
-def _candidates(n: int, sizes: TupleType) -> list[DTuple]:
+def _candidates(n: int, sizes: TupleType, node_budget: int | None) -> list[DTuple]:
+    """The candidate tuples of the type, after the checks every search makes up front."""
+    if node_budget is not None and node_budget < 0:
+        raise DomainError(f"node budget must be >= 0, got {node_budget}")
     sizes = _checked_type(_as_n(n), sizes)
     _checked_count(multinomial(n, sizes), MAX_CANDIDATES, "candidate tuples")
     return all_tuples_of_type(n, sizes)
@@ -91,7 +94,7 @@ def max_bollobas_uniform(
     Deterministic: candidates in enumeration order, ties broken by smallest
     index.  The witness is the lexicographically produced optimum clique.
     """
-    cands = _candidates(n, sizes)
+    cands = _candidates(n, sizes, node_budget)
     m = len(cands)
     # cross(t_j, t_i) = cross(rev t_i, rev t_j): predecessor rows are the
     # crossing rows of the candidates with their parts reversed
@@ -130,7 +133,7 @@ def max_skew_uniform(
     The chain may pick candidates in any order (the family order is the chain
     order), so this searches sequences, not cliques.
     """
-    cands = _candidates(n, sizes)
+    cands = _candidates(n, sizes, node_budget)
     m = len(cands)
     # no tuple crosses into itself, since its parts are disjoint
     succ = list(_crossing_rows([t.masks for t in cands], n, len(sizes)))

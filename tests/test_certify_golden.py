@@ -28,6 +28,9 @@ RATIONAL_4 = [
     ["-1", "0", "1/6", "3/2"],
 ]
 RATIONAL_3 = [["3/4", "-5/9", "1"], ["1/2", "2", "-1/3"], ["-2/5", "1", "7/4"]]
+# det = -1992; every entry lies in 1..64, the integer literals that a family
+# document's coded decode reads as element bits
+POSITIVE_4 = [[1, 2, 3, 5], [8, 13, 21, 34], [55, 64, 1, 9], [7, 4, 6, 2]]
 
 
 def _through(tuples, n, d, matrix) -> dict:
@@ -64,9 +67,9 @@ def _input(name: str) -> dict:
     raise KeyError(name)
 
 
-def _stdout_for(name: str, seed: int, tmp_path) -> tuple[int, str]:
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(_input(name)))
+def _stdout_for(doc: dict, seed: int, tmp_path) -> tuple[int, str]:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = main(["--input", str(path), "--seed", str(seed), "certify"])
@@ -119,7 +122,24 @@ def test_rational_inputs_are_not_integral():
 
 @pytest.mark.parametrize("name,seed", CASES)
 def test_certify_stdout_matches_golden_digest(name, seed, tmp_path):
-    code, out = _stdout_for(name, seed, tmp_path)
+    code, out = _stdout_for(_input(name), seed, tmp_path)
     want_code, want_digest = GOLDEN[(name, seed)]
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_number_coordinates_certify_as_their_string_twins(seed, tmp_path):
+    # certify decodes its input with plain ints: coordinates are values, not elements
+    f = complete_family((2, 2))
+    strings = _through(f.tuples, f.n, f.d, POSITIVE_4)
+    entries = [[[list(map(int, row)) for row in basis] for basis in entry] for entry in strings["entries"]]
+    numbers = dict(strings, entries=entries)
+    reports = []
+    for doc in (strings, numbers):
+        code, out = _stdout_for(doc, seed, tmp_path)
+        report = json.loads(out)
+        del report["input_digest"]
+        reports.append((code, report))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and reports[0][1]["results"]["verdict"] == "pass"

@@ -247,10 +247,14 @@ class TestSearch:
         code, out = run(capsys, *argv)
         assert code == 0 and json.loads(out)["results"]["nodes_explored"] == 7
         assert run(capsys, *argv, "--node-budget", "7") == (0, out)
-        for budget in (6, 0):
+        for budget, message in [
+            (6, "node budget 6 exhausted"),
+            (0, "node budget 0 exhausted"),
+            (-1, "node budget must be >= 0, got -1"),
+        ]:
             assert main([*argv, "--node-budget", str(budget)]) == 2
             out, err = capsys.readouterr()
-            assert out == "" and err == f"error: node budget {budget} exhausted\n"
+            assert out == "" and err == f"error: {message}\n"
 
     def test_non_integer_type_is_a_format_error(self):
         with pytest.raises(FormatError, match="bad type '1,x'"):

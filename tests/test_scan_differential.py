@@ -1,12 +1,16 @@
 """Differential tests: the bit-sliced crossing rows against the pairwise oracles,
-the flat family reader against the per-tuple one, the packed column
-transpose and popcount type counts against their one-at-a-time forms, the
-level-wise mask enumerator and lowest-set-bit element reader against the
-recursive and per-bit ones, and the writers that decode each distinct part
-mask once against the per-tuple ones."""
+the flat family reader against the per-tuple one, the CLI's coded decode of
+family documents against a plain decode read by the per-tuple reader, the
+packed column transpose and popcount type counts against their one-at-a-time
+forms, the level-wise mask enumerator and lowest-set-bit element reader
+against the recursive and per-bit ones, and the writers that decode each
+distinct part mask once against the per-tuple ones."""
 
+import contextlib
 import dataclasses
 import inspect
+import io
+import json
 from collections import Counter
 from unittest import mock
 
@@ -25,6 +29,7 @@ from bollobas import (
     relabel,
     skew_violation,
 )
+from bollobas import cli
 from bollobas.constructions import all_tuples_of_type
 from bollobas.errors import BollobasError
 from bollobas.exterior import SubspaceRep
@@ -190,6 +195,86 @@ def test_family_reader_matches_the_per_tuple_oracle(case):
 def test_family_reader_keeps_parts_that_repeat_an_element():
     f = family_from_json({"n": 3, "d": 2, "tuples": [[[1, 1], [2, 3, 3]]]})
     assert f == Family.build(3, [[[1], [2, 3]]])
+
+
+# What a case plants in a drawn family document: a literal outside the coded
+# decode's table ("0", "-0", "65" and an integer past the digit limit of
+# int-to-str conversion), one that is not an int ("true", "1.0") or one inside
+# the table ("7", "64"); or deep nesting, a cut or a UTF-8 byte order mark; or
+# nothing.
+_PLANTS = {
+    **{x: ("literal", x) for x in ["0", "-0", "65", "true", "1.0", "7", "64"]},
+    "5000-digits": ("literal", "9" * 5000),
+    "deep": ("form", "deep"),
+    "cut": ("form", "cut"),
+    "bom": ("form", "bom"),
+    "none": (None, None),
+}
+_MARK = "@planted@"
+
+
+@st.composite
+def family_texts(draw, plant):
+    """The JSON text of a drawn family document with `plant` in it: a literal
+    as an element, as n or d, or as the value of an extra key; or the text
+    nested deeply, cut short or behind a byte order mark."""
+    fault, doc = draw(family_documents())
+    kind, what = plant
+    if kind == "literal":
+        where = draw(st.sampled_from(["element", "n", "d", "extra"]))
+        parts = [p for t in doc["tuples"] if isinstance(t, list) for p in t if isinstance(p, list)]
+        if where == "element" and parts:
+            part = draw(st.sampled_from(parts))
+            part.insert(draw(st.integers(0, len(part))), _MARK)
+        elif where in ("n", "d"):
+            doc[where] = _MARK
+        else:
+            doc[draw(st.sampled_from(["x", "m", "tuple_count"]))] = _MARK
+    text = json.dumps(doc)
+    if kind == "literal":
+        text = text.replace(json.dumps(_MARK), what)
+    elif what == "deep":
+        text = text.replace('"tuples": [', '"tuples": [' + "[" * 100_000, 1) + "]" * 100_000
+    elif what == "cut":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif what == "bom":
+        text = "\ufeff" + text
+    return fault, text
+
+
+def _verify(path):
+    """The family `verify` scanned, its exit code, stdout and stderr without the timing line."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "bollobas_violation", wraps=bollobas_violation) as scan:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["--input", str(path), "verify"])
+    family = scan.call_args.args[0] if scan.called else None
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("elapsed_ms=")]
+    return family, code, out.getvalue(), lines
+
+
+def _plain_load_family(path):
+    """The reader without the coded decode: plain ints, then the per-tuple oracle."""
+    text, digest = cli._read_input(path)
+    return scan_oracles.family_from_json(cli._decode(text)), digest
+
+
+@pytest.mark.parametrize("plant", _PLANTS.values(), ids=_PLANTS.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coded_decode_matches_the_plain_reader_through_verify(tmp_path_factory, plant, data):
+    fault, text = data.draw(family_texts(plant))
+    path = tmp_path_factory.getbasetemp() / "coded-family.json"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(cli, "_decode", wraps=cli._decode) as decode:
+        got = _verify(path)
+    with mock.patch.object(cli, "_load_family", _plain_load_family):
+        assert got == _verify(path)
+    # a clean document is decoded once, with the table; any fault decodes it again
+    if fault is None and plant == (None, None):
+        assert decode.call_count == 1 and isinstance(got[0], Family)
+    if got[1] == 2:
+        assert decode.call_count == 2
 
 
 @pytest.mark.parametrize("bad", [0, -1, 4, 64, 65, True, 1.0, "1", None, [1]])

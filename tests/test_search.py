@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from bollobas import (
+    DomainError,
     SizeError,
     all_tuples_of_type,
     cross_condition,
@@ -137,8 +138,8 @@ GRID = [
 def _outcome(search, n, sizes, budget):
     try:
         return search(n, sizes, node_budget=budget)
-    except SizeError as e:
-        return f"SizeError: {e}"
+    except (SizeError, DomainError) as e:
+        return f"{type(e).__name__}: {e}"
 
 
 # the package counts nodes in the loop that starts them, and the oracle's
@@ -153,6 +154,9 @@ def _outcome(search, n, sizes, budget):
     ids=["bollobas", "skew"],
 )
 def test_searches_and_budgets_match_the_ticking_oracle(search, oracle):
+    # a negative budget is refused before the type is checked or enumerated
+    with pytest.raises(DomainError, match=r"^node budget must be >= 0, got -1$"):
+        search(64, (30, 30), node_budget=-1)
     assert len(GRID) == 353
     for n, sizes in GRID:
         nodes = oracle(n, sizes).nodes_explored
