@@ -29,7 +29,7 @@ from operator import mul
 from typing import Sequence
 
 from .constructions import _checked_count
-from .errors import BollobasError, IndexRangeError, RetriesExhausted, UniformityError
+from .errors import BollobasError, DomainError, IndexRangeError, RetriesExhausted, UniformityError
 from .exterior import Rational, SubspaceRep, _det, _pivot_rows, _rank
 from .spaces import Rows, SubspaceFamily, skew_spaces_violation
 from .sums import tuple_weight
@@ -61,6 +61,12 @@ def check_size(m: int, d: int) -> None:
     """
     _checked_count(m * m * (d - 1), MAX_EVALUATION_CELLS, "evaluation cells")
     _checked_count(m * m * (d * (d + 1) // 2 - 1), MAX_STACKED_PARTS, "stacked parts")
+
+
+def _check_retries(max_retries: int) -> None:
+    """Refuse a negative retry budget, which no draw could use up."""
+    if max_retries < 0:
+        raise DomainError(f"max retries must be >= 0, got {max_retries}")
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -150,8 +156,10 @@ def build_phi(
     dim phi(B) = dim B (a part fits in the target), and the pair (A, B)
     gives dim phi(A + B) = dim(A + B).  Parts at positions p != q always
     fit, as a_p + a_q <= target; two parts at one position can exceed it,
-    and then no map could preserve their sum.
+    and then no map could preserve their sum.  A negative max_retries is
+    refused with a DomainError before anything else is checked.
     """
+    _check_retries(max_retries)
     sizes = f.uniform_type()
     if sizes is None:
         raise UniformityError("general-position stages need a uniform (constant-type) family")
@@ -255,8 +263,10 @@ def certify(
     violations are still reported for diagnosis, but the verdict can only
     certify the size bound when the input family is valid.  A family past
     MAX_EVALUATION_CELLS, MAX_STACKED_PARTS or MAX_PART_PAIRS is refused
-    with a SizeError before any of this work starts.
+    with a SizeError before any of this work starts, and a negative
+    max_retries with a DomainError before anything else.
     """
+    _check_retries(max_retries)
     sizes = f.uniform_type()
     if sizes is None:
         raise UniformityError("certificates are defined for uniform families")

@@ -62,18 +62,22 @@ def _decode(text: str, parse_int=None) -> object:
 def _load_family(path: str | None) -> tuple[Family, str]:
     """Return the family of the input document and the sha256 digest of its text.
 
-    The text is first decoded with each integer literal "1".."64" read as
-    its element's mask bit, and that coded document is read by
-    `family_from_json(coded=True)`.  A literal outside the table (a
-    KeyError), a decode error or a document the coded read refuses sends the
-    text through a plain decode and the plain read instead, so every answer
-    and every error is the plain path's.
+    A text without a `true` or `false` literal holds no JSON bool, so it is
+    first decoded with each integer literal "1".."64" read as its element's
+    mask bit, and that coded document is read by
+    `family_from_json(coded=True)`, which then needs no per-element type
+    check.  A literal outside the table (a KeyError), a decode error or a
+    document the coded read refuses sends the text through a plain decode
+    and the plain read instead, as does a text with a bool literal, so every
+    answer and every error is the plain path's.
     """
     text, digest = _read_input(path)
-    try:
-        fam = family_from_json(_decode(text, LITERAL_BIT.__getitem__), coded=True)
-    except (KeyError, FormatError):
-        fam = None
+    fam = None
+    if "true" not in text and "false" not in text:
+        try:
+            fam = family_from_json(_decode(text, LITERAL_BIT.__getitem__), coded=True)
+        except (KeyError, FormatError):
+            pass
     if fam is None:
         fam = family_from_json(_decode(text))
     return fam, digest

@@ -26,16 +26,20 @@ The JSON reader checks a whole family at once and sums each part's element
 bits straight into its mask; the tuples and the family it has checked are
 then built without re-running the per-tuple checks of the public
 constructors, which every other caller goes through.  The CLI hands it a
-*coded* document: the JSON scanner has already read each integer literal
-"1".."64" as its element's mask bit (`LITERAL_BIT`), so a part's mask is one
-`sum` of the part.  A document the coded read refuses for any reason, a
-literal outside the table included, is decoded again with plain ints and
-read the plain way, which names its first fault.  The writers work the
-other way, from masks to parts: the constructions repeat a few parts many
-times (the layered family on [9] has 9,417 parts but 419 distinct masks),
-so `family_to_json`, `relabel` and `spaces.lift_to_spaces` each compute
-their value of a part once per distinct mask (`_by_distinct_mask`) and read
-every tuple's parts through that table.
+*coded* document when the text has no `true` or `false` literal: the JSON
+scanner has already read each integer literal "1".."64" as its element's
+mask bit (`LITERAL_BIT`), so a part's mask is one `sum` of the part, and as
+the document holds no bool, no pass over the elements checks their type: a
+non-int element makes the sums raise TypeError instead.  A document the
+coded read refuses for any reason, a literal outside the table included, is
+decoded again with plain ints and read the plain way, which names its first
+fault; a text with a bool literal is only read the plain way.  The writers
+work the other way, from masks to parts: the constructions repeat a few
+parts many times (the layered family on [9] has 9,417 parts but 419
+distinct masks), so `family_to_json`, `relabel` and
+`spaces.lift_to_spaces` each compute their value of a part once per
+distinct mask (`_by_distinct_mask`) and read every tuple's parts through
+that table.
 """
 
 from __future__ import annotations
@@ -200,21 +204,28 @@ def cross_condition(s: DTuple, t: DTuple) -> bool:
     return False
 
 
+#: The `struct` code of the unsigned word of each width in bits, narrowest first.
+_WORD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
 def _columns(tuples: Sequence[Sequence[int]], n: int, q: int) -> list[int]:
     """Column bitsets of part q: col[e] holds bit i iff part q of tuple i
     contains element e + 1.
 
     `tuples` holds each tuple's part masks over [n].  The part-q masks are
-    packed once as 64-bit words into one int, tuple i at bits 64i..64i+63,
-    and written as one binary string; the column of element e is then one
-    strided slice of it, read by one `int(..., 2)`.
+    packed once into one int as words of the narrowest width w in 8, 16, 32
+    and 64 that holds n bits, tuple i at bits wi..wi+w-1, and written as one
+    binary string; the column of element e is then one strided slice of it,
+    read by one `int(..., 2)`.  At n <= 8 the string is an eighth of the
+    length 64-bit words would give it.
     """
     if not tuples:  # int("", 2) would raise
         return [0] * n
-    packed = int.from_bytes(struct.pack(f"<{len(tuples)}Q", *map(itemgetter(q), tuples)), "little")
-    # most significant bit first: character 63 - e + 64k is bit e of tuple m - 1 - k
-    bits = format(packed, f"0{64 * len(tuples)}b")
-    return [int(bits[63 - e :: 64], 2) for e in range(n)]
+    width = next(w for w in _WORD_CODES if n <= w)
+    words = struct.pack(f"<{len(tuples)}{_WORD_CODES[width]}", *map(itemgetter(q), tuples))
+    # most significant bit first: character w - 1 - e + wk is bit e of tuple m - 1 - k
+    bits = format(int.from_bytes(words, "little"), f"0{width * len(tuples)}b")
+    return [int(bits[width - 1 - e :: width], 2) for e in range(n)]
 
 
 def _crossing_rows(tuples: Sequence[Sequence[int]], n: int, d: int) -> Iterator[int]:
@@ -351,13 +362,14 @@ def family_from_json(obj: dict, coded: bool = False) -> Family | None:
     dataclass `__init__` of each tuple and without `Family.__post_init__`
     re-checking every tuple.  This is the one place that skips those checks.
 
-    With coded=True, `obj` was decoded with `parse_int=LITERAL_BIT.__getitem__`,
-    so every int in it is the mask bit of its literal: n and d are read back
-    as bit lengths, and a part's mask is the sum of the part.  The same
-    checks run on it, and a document they refuse returns None, or raises
-    FormatError if a field is missing or not an int: the caller then decodes
-    the text again with plain ints and reads it without `coded`, which gives
-    the answer and the error of a plain read.
+    With coded=True, `obj` was decoded with `parse_int=LITERAL_BIT.__getitem__`
+    from a text that had no bool literal, so every int in it is the mask bit
+    of its literal and no element is a bool: n and d are read back as bit
+    lengths, and a part's mask is the sum of the part.  The same checks run
+    on it, but for the per-element type check, and a document they refuse
+    returns None, or raises FormatError if a field is missing or not an int:
+    the caller then decodes the text again with plain ints and reads it
+    without `coded`, which gives the answer and the error of a plain read.
     """
     n, d, raw = fields(obj, "family", ("n", "d"), "tuples")
     if coded:
@@ -380,10 +392,14 @@ def _flat_masks(raw: list, n: int, d: int, coded: bool) -> list[tuple[int, ...]]
 
     The type and shape checks each run over the whole family at once.  A
     part's mask is the sum of its elements' bits, one C-level `sum` per
-    part: over the part itself when `coded` (its ints are already element
-    bits), and otherwise over the lookups in `_ELEMENT_BIT`, where an element
-    outside 1..64 is missing and raises KeyError.  The type check stays,
-    since True sums as element 1's bit and True and 1.0 look up as 1.  A
+    part.  When `coded`, the sum is over the part itself: its ints are
+    already element bits and it holds no bool, so there is no per-element
+    type check, and any other element (a string, None, a float, a list or a
+    dict) raises TypeError, in `sum` or, for a float, in `int.bit_count` of
+    its tuple's sum.  Otherwise the sum is over the lookups in
+    `_ELEMENT_BIT`, where an element outside 1..64 is missing and raises
+    KeyError; the type check runs first, since True sums as element 1's bit
+    and True and 1.0 look up as 1.  Either error refuses the family.  A
     tuple is repeat-free, so its parts are disjoint, exactly when the sum of
     its part masks has one set bit per element: a repeat causes a carry, and
     a carry lowers the popcount.  No tuple's popcount exceeds its element
@@ -401,18 +417,15 @@ def _flat_masks(raw: list, n: int, d: int, coded: bool) -> list[tuple[int, ...]]
     parts = list(chain.from_iterable(raw))
     if not set(map(type, parts)) <= {list}:
         return None
-    if not set(map(type, chain.from_iterable(parts))) <= {int}:
+    if not coded and not set(map(type, chain.from_iterable(parts))) <= {int}:
         return None
-    if coded:
-        masks = list(map(sum, parts))
-    else:
-        try:
-            masks = list(map(sum, map(map, repeat(_ELEMENT_BIT.__getitem__), parts)))
-        except KeyError:
+    try:
+        masks = list(map(sum, parts if coded else map(map, repeat(_ELEMENT_BIT.__getitem__), parts)))
+        tuples = list(zip(*[iter(masks)] * d))
+        unions = list(map(sum, tuples))
+        if sum(map(int.bit_count, unions)) != sum(map(len, parts)) or max(unions) >> n:
             return None
-    tuples = list(zip(*[iter(masks)] * d))
-    unions = list(map(sum, tuples))
-    if sum(map(int.bit_count, unions)) != sum(map(len, parts)) or max(unions) >> n:
+    except (KeyError, TypeError):
         return None
     return tuples
 

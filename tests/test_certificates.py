@@ -6,6 +6,7 @@ import pytest
 import bollobas.certificates as certificates
 from bollobas import (
     BollobasError,
+    DomainError,
     Family,
     RetriesExhausted,
     SubspaceFamily,
@@ -193,6 +194,19 @@ class TestCertify:
             assert cert.skew_ok is True
             assert cert.verdict is True
             assert cert.m <= cert.size_bound
+
+    def test_negative_max_retries_is_refused_before_any_span_or_draw(self, monkeypatch):
+        f = lift_to_spaces(Family.build(3, [[[1], [2], [3]]]))
+        for name in ("uniform_type", "pair_span"):
+            monkeypatch.setattr(SubspaceFamily, name, pytest.fail)
+        monkeypatch.setattr(certificates, "_draw", pytest.fail)
+        for run in (lambda: certify(f, seed=0, max_retries=-1), lambda: build_phi(f, 2, seed=0, max_retries=-1)):
+            with pytest.raises(DomainError, match=r"^max retries must be >= 0, got -1$"):
+                run()
+        monkeypatch.undo()
+        # 0 allows no draw
+        with pytest.raises(RetriesExhausted, match="in 0 draws"):
+            certify(f, seed=0, max_retries=0)
 
     def test_pattern_above_the_bound_raises_a_package_error(self, monkeypatch):
         # the bound check must survive python -O, so it is not an assert

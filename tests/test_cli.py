@@ -397,6 +397,18 @@ class TestCertify:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {d * (d + 1) // 2 - 1} stacked parts exceed the limit {MAX_STACKED_PARTS}")
 
+    def test_negative_max_retries_is_refused_before_any_draw(self, capsys, monkeypatch):
+        triple = '{"n": 3, "d": 3, "tuples": [[[1], [2], [3]]]}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(triple))
+        with mock.patch("bollobas.certificates._draw", side_effect=AssertionError("drew")) as draw:
+            code = main(["--input", "-", "certify", "--max-retries", "-1"])
+        assert not draw.called
+        assert (code, *capsys.readouterr()) == (2, "", "error: max retries must be >= 0, got -1\n")
+        # 0 is a budget of no draws, not a bad value
+        monkeypatch.setattr("sys.stdin", io.StringIO(triple))
+        code = main(["--input", "-", "certify", "--max-retries", "0"])
+        assert (code, *capsys.readouterr()) == (2, "", "error: no general-position map found in 0 draws\n")
+
     def test_negative_ambient_dimension_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"n": -1, "d": 2, "entries": [[[], []]]}'))
         code = main(["--input", "-", "certify"])

@@ -34,6 +34,7 @@ from bollobas.constructions import all_tuples_of_type
 from bollobas.errors import BollobasError
 from bollobas.exterior import SubspaceRep
 from bollobas.families import (
+    LITERAL_BIT,
     DTuple,
     _columns,
     _crossing_rows,
@@ -199,12 +200,19 @@ def test_family_reader_keeps_parts_that_repeat_an_element():
 
 # What a case plants in a drawn family document: a literal outside the coded
 # decode's table ("0", "-0", "65" and an integer past the digit limit of
-# int-to-str conversion), one that is not an int ("true", "1.0") or one inside
-# the table ("7", "64"); or deep nesting, a cut or a UTF-8 byte order mark; or
-# nothing.
+# int-to-str conversion), one that is not an int ("true", "1.0"; and, in a
+# text with no bool literal, a string, null, a list, an object, NaN, Infinity
+# and a float past the float range) or one inside the table ("7", "64"); a
+# "true" string as the value of an extra key; or deep nesting, a cut or a
+# UTF-8 byte order mark; or nothing.
 _PLANTS = {
     **{x: ("literal", x) for x in ["0", "-0", "65", "true", "1.0", "7", "64"]},
     "5000-digits": ("literal", "9" * 5000),
+    **{x: ("literal", x) for x in ["null", "NaN", "Infinity", "1e400"]},
+    "string": ("literal", '"1"'),
+    "list": ("literal", "[1]"),
+    "object": ("literal", "{}"),
+    "true-string": ("extra", '"true"'),
     "deep": ("form", "deep"),
     "cut": ("form", "cut"),
     "bom": ("form", "bom"),
@@ -220,8 +228,8 @@ def family_texts(draw, plant):
     nested deeply, cut short or behind a byte order mark."""
     fault, doc = draw(family_documents())
     kind, what = plant
-    if kind == "literal":
-        where = draw(st.sampled_from(["element", "n", "d", "extra"]))
+    if kind in ("literal", "extra"):
+        where = draw(st.sampled_from(["element", "n", "d", "extra"])) if kind == "literal" else "extra"
         parts = [p for t in doc["tuples"] if isinstance(t, list) for p in t if isinstance(p, list)]
         if where == "element" and parts:
             part = draw(st.sampled_from(parts))
@@ -231,7 +239,7 @@ def family_texts(draw, plant):
         else:
             doc[draw(st.sampled_from(["x", "m", "tuple_count"]))] = _MARK
     text = json.dumps(doc)
-    if kind == "literal":
+    if kind in ("literal", "extra"):
         text = text.replace(json.dumps(_MARK), what)
     elif what == "deep":
         text = text.replace('"tuples": [', '"tuples": [' + "[" * 100_000, 1) + "]" * 100_000
@@ -259,6 +267,14 @@ def _plain_load_family(path):
     return scan_oracles.family_from_json(cli._decode(text)), digest
 
 
+def _coded_read(text):
+    """The family the coded read takes from `text`, or None if it refuses the text."""
+    try:
+        return family_from_json(cli._decode(text, LITERAL_BIT.__getitem__), coded=True)
+    except (KeyError, BollobasError):
+        return None
+
+
 @pytest.mark.parametrize("plant", _PLANTS.values(), ids=_PLANTS.keys())
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -270,11 +286,18 @@ def test_coded_decode_matches_the_plain_reader_through_verify(tmp_path_factory, 
         got = _verify(path)
     with mock.patch.object(cli, "_load_family", _plain_load_family):
         assert got == _verify(path)
-    # a clean document is decoded once, with the table; any fault decodes it again
+    read, _ = cli._read_input(path)
+    if "true" in read or "false" in read:
+        # a text that may hold a bool is decoded once, without the table
+        assert decode.call_args_list == [mock.call(read)]
+    else:
+        # the coded decode comes first; a document it refuses is decoded again, plainly
+        coded = _coded_read(read)
+        plain = [] if isinstance(coded, Family) else [mock.call(read)]
+        assert decode.call_args_list == [mock.call(read, LITERAL_BIT.__getitem__), *plain]
+        assert coded is None or coded == got[0]
     if fault is None and plant == (None, None):
         assert decode.call_count == 1 and isinstance(got[0], Family)
-    if got[1] == 2:
-        assert decode.call_count == 2
 
 
 @pytest.mark.parametrize("bad", [0, -1, 4, 64, 65, True, 1.0, "1", None, [1]])
@@ -283,6 +306,16 @@ def test_family_reader_refuses_each_bad_element_as_the_oracle_does(bad):
     got = _read(family_from_json, doc)
     assert not isinstance(got, Family)
     assert got == _read(scan_oracles.family_from_json, doc)
+
+
+@pytest.mark.parametrize("bad", ['"1"', "null", "[1]", "{}", "1.0", "NaN", "Infinity", "-Infinity", "1e400"])
+def test_coded_family_reader_refuses_each_non_int_element(bad):
+    text = '{"n": 3, "d": 2, "tuples": [[[1], [2]], [[3], [%s]]]}'
+    for part in (bad, f"1, {bad}", f"{bad}, 1"):
+        obj = json.loads(text % part, parse_int=LITERAL_BIT.__getitem__)
+        assert family_from_json(obj, coded=True) is None
+        with pytest.raises(BollobasError):
+            scan_oracles.family_from_json(json.loads(text % part))
 
 
 @st.composite
@@ -312,10 +345,14 @@ def test_columns_match_the_per_bit_transpose(case):
     assert _columns(tuples, n, q) == scan_oracles.columns(tuples, n, q)
 
 
-def test_columns_keep_the_top_bit_of_a_full_word():
-    tuples = [(1 << 63, 0), (0, 1 << 63), (1 << 63 | 1, 0)]
-    cols = _columns(tuples, 64, 0)
-    assert cols[63] == 0b101 and cols[0] == 0b100 and not any(cols[1:63])
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64])
+def test_columns_keep_the_top_bit_of_a_full_word(n):
+    # element n in the first and the last tuple: the top bit of a word n bits wide
+    top = 1 << (n - 1)
+    tuples = [(top, 0), (0, top), (top | 1, 0)]
+    cols = _columns(tuples, n, 0)
+    assert cols == scan_oracles.columns(tuples, n, 0)
+    assert cols[n - 1] == 0b101 and cols[0] == 0b100 and not any(cols[1 : n - 1])
 
 
 @settings(max_examples=300, deadline=None)
