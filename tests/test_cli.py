@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import signal
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 
 from bollobas import cli
 from bollobas.certificates import MAX_EVALUATION_CELLS, MAX_STACKED_PARTS
-from bollobas.constructions import MAX_SAMPLED_ARITY
+from bollobas.constructions import MAX_SAMPLED_ARITY, complete_family, layered_triple_family
 from bollobas.cli import main
 from bollobas.errors import FormatError
 from bollobas.events import MAX_EVENT_ARITY, MAX_TRIAL_STEPS, MODES
+from bollobas.families import bollobas_violation, family_to_json
 from bollobas.spaces import MAX_AMBIENT
 
 # The subcommands that read a JSON document.
@@ -836,6 +838,107 @@ def test_every_subcommand_keeps_the_exit_contract_in_time(data, argv):
     if code == 2:
         assert out.getvalue() == ""
         assert any(line.startswith("error:") or ": error: " in line for line in err.getvalue().splitlines())
+
+
+@pytest.fixture()
+def collector():
+    """Give the collector back in the state the test found it in."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+# Two tuples with the same parts: a Bollobás violation, so `verify` exits 1.
+SAME_PAIR_TWICE = '{"n": 2, "d": 2, "tuples": [[[1], [2]], [[1], [2]]]}'
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic collector for its command and gives it back as it found it."""
+
+    def test_collector_is_off_inside_a_command(self, tmp_path, monkeypatch, collector):
+        path = tmp_path / "triple.json"
+        path.write_text(ONE_TRIPLE)
+        seen = []
+
+        def scan(fam):
+            seen.append(gc.isenabled())
+            return bollobas_violation(fam)
+
+        monkeypatch.setattr(cli, "bollobas_violation", scan)
+        gc.enable()
+        assert _run_captured(["--input", str(path), "verify"])[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "way", ["exit 0", "exit 1", "format error", "missing output directory", "usage error", "unexpected exception"]
+    )
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch, collector, way, enabled):
+        documents = {"valid": ONE_TRIPLE, "violated": SAME_PAIR_TWICE, "junk": "{not json"}
+        for name, text in documents.items():
+            (tmp_path / name).write_text(text)
+        valid, violated, junk = (str(tmp_path / name) for name in documents)
+        argv, expected = {
+            "exit 0": (["--input", valid, "verify"], 0),
+            "exit 1": (["--input", violated, "verify"], 1),
+            "format error": (["--input", junk, "verify"], 2),
+            "missing output directory": (["--input", valid, "--output", str(tmp_path / "no" / "r.json"), "verify"], 2),
+            "usage error": (["verify", "--mode", "nope"], 2),
+            "unexpected exception": (["--input", valid, "verify"], None),
+        }[way]
+        (gc.enable if enabled else gc.disable)()
+        if expected is None:
+            monkeypatch.setattr(cli, "bollobas_violation", mock.Mock(side_effect=RuntimeError("unexpected")))
+            with pytest.raises(RuntimeError, match="unexpected"), contextlib.redirect_stdout(io.StringIO()):
+                main(argv)
+        else:
+            assert _run_captured(argv)[0] == expected
+        assert gc.isenabled() is enabled
+
+
+# Family documents for the garbage test, by the name an argv gives in place of a path.
+_GARBAGE_INPUTS = {
+    "layered5": lambda: layered_triple_family(5),
+    "layered8": lambda: layered_triple_family(8),
+    "complete11": lambda: complete_family((1, 1)),
+    "complete211": lambda: complete_family((2, 1, 1)),
+}
+_SKEW = ["simulate", "--mode", "skew", "--trials", "20"]
+_REFUSED = ["simulate", "--mode", "d3", "--trials", str(10**9)]
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (["--input", "layered5", "verify"], ["--input", "layered8", "verify"]),
+        (["--input", "layered5", "sum", "--which", "conjecture"], ["--input", "layered8", "sum", "--which", "conjecture"]),
+        (["--input", "layered5", *_SKEW], ["--input", "layered8", *_SKEW]),
+        (["--input", "layered5", *_REFUSED], ["--input", "layered8", *_REFUSED]),
+        (["search", "--mode", "bollobas", "--n", "3", "--type", "2,1"], ["search", "--mode", "bollobas", "--n", "6", "--type", "2,2,1"]),
+        (["search", "--mode", "skew", "--n", "3", "--type", "2,1"], ["search", "--mode", "skew", "--n", "6", "--type", "2,2,1"]),
+        (["--input", "complete11", "certify"], ["--input", "complete211", "certify"]),
+        (["construct", "layered-triples", "--n", "4"], ["construct", "layered-triples", "--n", "8"]),
+        (["bounds", "--n", "1..4", "--d", "3"], ["bounds", "--n", "1..40", "--d", "3"]),
+    ],
+    ids=["verify", "sum", "simulate", "simulate-refused", "search-bollobas", "search-skew", "certify", "construct", "bounds"],
+)
+def test_cyclic_garbage_of_a_command_does_not_grow_with_its_input(tmp_path, collector, small, large):
+    # the collector pause of `main` leaves a command's cycles for after it; that
+    # is safe only while they stay a fixed handful, however large the input
+    for name, make in _GARBAGE_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(family_to_json(make())))
+
+    def garbage(argv):
+        """The exit code of `argv` and the unreachable objects it leaves, with the collector off."""
+        argv = [str(tmp_path / a) if a in _GARBAGE_INPUTS else a for a in argv]
+        gc.collect()
+        gc.disable()
+        code, _ = _run_captured(argv)
+        return code, gc.collect()
+
+    garbage(small)  # first calls fill caches (the parser, compiled patterns) once per process
+    assert garbage(small) == garbage(large)
 
 
 class TestSubprocessPipeline:

@@ -204,7 +204,9 @@ def test_family_reader_keeps_parts_that_repeat_an_element():
 # text with no bool literal, a string, null, a list, an object, NaN, Infinity
 # and a float past the float range) or one inside the table ("7", "64"); a
 # "true" string as the value of an extra key; or deep nesting, a cut or a
-# UTF-8 byte order mark; or nothing.
+# UTF-8 byte order mark; or nothing.  An extra member "rank" puts the letters
+# "r" and "a" in a text without a bool literal; "untrue" and "falsehood" put
+# "true" and "false" in it only inside strings.
 _PLANTS = {
     **{x: ("literal", x) for x in ["0", "-0", "65", "true", "1.0", "7", "64"]},
     "5000-digits": ("literal", "9" * 5000),
@@ -213,6 +215,9 @@ _PLANTS = {
     "list": ("literal", "[1]"),
     "object": ("literal", "{}"),
     "true-string": ("extra", '"true"'),
+    "false-string": ("extra", '"falsehood"'),
+    "rank-key": ("member", '"rank": 1'),
+    "true-key": ("member", '"untrue": 1'),
     "deep": ("form", "deep"),
     "cut": ("form", "cut"),
     "bom": ("form", "bom"),
@@ -224,8 +229,8 @@ _MARK = "@planted@"
 @st.composite
 def family_texts(draw, plant):
     """The JSON text of a drawn family document with `plant` in it: a literal
-    as an element, as n or d, or as the value of an extra key; or the text
-    nested deeply, cut short or behind a byte order mark."""
+    as an element, as n or d, or as the value of an extra key; an extra
+    member; or the text nested deeply, cut short or behind a byte order mark."""
     fault, doc = draw(family_documents())
     kind, what = plant
     if kind in ("literal", "extra"):
@@ -238,9 +243,13 @@ def family_texts(draw, plant):
             doc[where] = _MARK
         else:
             doc[draw(st.sampled_from(["x", "m", "tuple_count"]))] = _MARK
+    elif kind == "member":
+        doc[_MARK] = 0
     text = json.dumps(doc)
     if kind in ("literal", "extra"):
         text = text.replace(json.dumps(_MARK), what)
+    elif kind == "member":
+        text = text.replace(json.dumps({_MARK: 0})[1:-1], what)
     elif what == "deep":
         text = text.replace('"tuples": [', '"tuples": [' + "[" * 100_000, 1) + "]" * 100_000
     elif what == "cut":
@@ -287,6 +296,13 @@ def test_coded_decode_matches_the_plain_reader_through_verify(tmp_path_factory, 
     with mock.patch.object(cli, "_load_family", _plain_load_family):
         assert got == _verify(path)
     read, _ = cli._read_input(path)
+    if plant == _PLANTS["rank-key"]:
+        # the letters of the bool literals alone do not skip the coded decode
+        assert "r" in read and "a" in read
+    elif plant in (_PLANTS["true-string"], _PLANTS["false-string"], _PLANTS["true-key"]):
+        # the guard does not parse strings: a bool literal's word inside one
+        # sends the text to the one plain decode
+        assert "true" in read or "false" in read
     if "true" in read or "false" in read:
         # a text that may hold a bool is decoded once, without the table
         assert decode.call_args_list == [mock.call(read)]

@@ -17,6 +17,22 @@ def test_no_bare_assert_in_package():
     assert not found, f"bare assert statements: {', '.join(found)}"
 
 
+def test_only_the_command_line_touches_the_collector():
+    # `cli.main` pauses the cyclic collector for one command; the library
+    # never changes it, so a caller's setting holds across library calls
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for module in modules if module == "gc"]
+    assert [where.split(":")[0] for where in found] == ["cli.py"], found
+
 
 def test_json_is_decoded_in_one_place():
     # the one decoder turns every decode failure into FormatError; a second one would have to repeat that
