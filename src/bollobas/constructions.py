@@ -49,7 +49,12 @@ def _checked_type(n: int, sizes: Sequence[int]) -> TupleType:
 
 
 def all_tuples_of_type(n: int, sizes: Sequence[int]) -> list[DTuple]:
-    """Every pairwise-disjoint d-tuple of subsets of [n] with the given part sizes.
+    """Every pairwise-disjoint d-tuple of subsets of [n] with the given part sizes (see `_masks_of_type`)."""
+    return list(map(DTuple, itertools.repeat(n), _masks_of_type(n, sizes)))
+
+
+def _masks_of_type(n: int, sizes: Sequence[int]) -> list[tuple[int, ...]]:
+    """The part masks of every pairwise-disjoint d-tuple of subsets of [n] with the given part sizes.
 
     Exactly once each, ordered lexicographically by (part_1, ..., part_d) as
     sorted element lists: the canonical enumeration order used everywhere.
@@ -69,7 +74,7 @@ def all_tuples_of_type(n: int, sizes: Sequence[int]) -> list[DTuple]:
             for masks, used in prefixes
             for part in map(sum, itertools.combinations([b for b in bits if not b & used], a))
         ]
-    return [DTuple(n, masks) for masks, _ in prefixes]
+    return [masks for masks, _ in prefixes]
 
 
 def complete_family_size(sizes: Sequence[int]) -> int:
@@ -99,7 +104,7 @@ def complete_family(sizes: Sequence[int]) -> Family:
     sizes = tuple(sizes)
     complete_family_size(sizes)
     n = sum(sizes)
-    return Family(n, len(sizes), tuple(all_tuples_of_type(n, sizes)))
+    return Family(n, len(sizes), _masks_of_type(n, sizes))
 
 
 def _layers(n: int) -> list[TupleType]:
@@ -123,7 +128,7 @@ def layered_triple_family(n: int) -> Family:
     set pairs fails for d-tuples.
     """
     layered_family_size(n)
-    return Family(n, 3, tuple(t for sizes in _layers(n) for t in all_tuples_of_type(n, sizes)))
+    return Family(n, 3, [t for sizes in _layers(n) for t in _masks_of_type(n, sizes)])
 
 
 def _sample_tuple(rng: random.Random, n: int, d: int, sizes: TupleType | None) -> DTuple:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import ArityError, DomainError, IndexRangeError, SizeError
-from .families import MAX_GROUND, DTuple, Family, TupleType, _columns, type_of
+from .families import MAX_GROUND, DTuple, Family, TupleType, _columns
 from .sums import tuple_weight
 
 EXACT_ENUMERATION_LIMIT = 10
@@ -225,9 +225,9 @@ def exact_event_probability(f: Family, index: int, mode: str = "skew") -> Fracti
     so each has probability 1 over their number, which the enumeration
     counts; inputs beyond 10 relevant elements are rejected.
     """
-    if not 1 <= index <= len(f.tuples):
-        raise IndexRangeError(f"tuple index must be in 1..{len(f.tuples)}, got {index}")
-    sizes = type_of(f.tuples[index - 1])
+    if not 1 <= index <= len(f):
+        raise IndexRangeError(f"tuple index must be in 1..{len(f)}, got {index}")
+    sizes = tuple(map(int.bit_count, f.masks[index - 1]))
     r = sum(sizes) + _delimiters(f.d, mode)
     if r > EXACT_ENUMERATION_LIMIT:
         raise SizeError(f"{r} relevant elements exceed the enumeration limit {EXACT_ENUMERATION_LIMIT}")
@@ -353,7 +353,7 @@ def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
         raise SizeError(f"{f.d} parts per tuple exceed the limit of {MAX_EVENT_ARITY}")
     gaps = _gaps(f.d, mode)
     g = _delimiters(f.d, mode)
-    n, m = f.n, len(f.tuples)
+    n, m = f.n, len(f)
     size = n + g
     words = max(1, -(-len(gaps) * m // 64))
     if trials * size * words > MAX_TRIAL_STEPS:
@@ -361,7 +361,7 @@ def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
         raise SizeError(
             f"{trials} trials of {size} elements exceed the limit of {MAX_TRIAL_STEPS} trial steps{width}"
         )
-    types = [type_of(t) for t in f.tuples]
+    types = [tuple(map(int.bit_count, t)) for t in f.masks]
     variants = {sizes: _variants(sizes, mode) for sizes in set(types)}
     chance = {sizes: len(v) * event_probability(sizes, mode) for sizes, v in variants.items()}
     formulas = tuple(map(chance.__getitem__, types))
@@ -369,8 +369,7 @@ def monte_carlo(f: Family, mode: str, trials: int, seed: int) -> EventReport:
     for i, sizes in enumerate(types):
         for k in variants[sizes].values():
             uses[k] |= 1 << i
-    masks = [t.masks for t in f.tuples]
-    cols = [_columns(masks, n, q) for q in range(f.d)]
+    cols = [_columns(f.masks, n, q) for q in range(f.d)]
     rules, left, right = _walk_masks(cols, uses, m, g + 1)
     use = sum(u << v * m for v, u in enumerate(uses.values()))
     rng = random.Random(seed)

@@ -22,33 +22,31 @@ The (skew) validity scans and the adjacency of the extremal search in
 `search` both read these rows instead of testing pairs one at a time, and
 the Monte Carlo walk in `events` reads the same column bitsets.
 
-The JSON reader checks a whole family at once and sums each part's element
-bits straight into its mask; the tuples and the family it has checked are
-then built without re-running the per-tuple checks of the public
-constructors, which every other caller goes through.  The CLI hands it a
-*coded* document when the text has no `true` or `false` literal: the JSON
-scanner has already read each integer literal "1".."64" as its element's
-mask bit (`LITERAL_BIT`), so a part's mask is one `sum` of the part, and as
-the document holds no bool, no pass over the elements checks their type: a
-non-int element makes the sums raise TypeError instead.  A document the
-coded read refuses for any reason, a literal outside the table included, is
-decoded again with plain ints and read the plain way, which names its first
-fault; a text with a bool literal is only read the plain way.  The writers
-work the other way, from masks to parts: the constructions repeat a few
-parts many times (the layered family on [9] has 9,417 parts but 419
-distinct masks), so `family_to_json`, `relabel` and
-`spaces.lift_to_spaces` each compute their value of a part once per
-distinct mask (`_by_distinct_mask`) and read every tuple's parts through
-that table.
+A `Family` is its part masks: every reader and construction hands masks to
+its constructor, no reader skips it, every scan and writer reads
+`Family.masks`, and its DTuples are views.  The JSON reader checks a whole
+family at once and sums each part's element bits straight into its mask.
+The CLI hands it a *coded* document when the text has no `true` or `false`
+literal: the JSON scanner has already read each integer literal "1".."64" as
+its element's mask bit (`LITERAL_BIT`), so a part's mask is one `sum` of the
+part, and as the document holds no bool, no pass over the elements checks
+their type: a non-int element makes the sums raise TypeError instead.  A
+document the coded read refuses for any reason, a literal outside the table
+included, is decoded again with plain ints and read the plain way, which
+names its first fault; a text with a bool literal is only read the plain
+way.  The writers work the other way, from masks to parts: the constructions
+repeat a few parts many times (the layered family on [9] has 9,417 parts but
+419 distinct masks), so `family_to_json`, `relabel` and
+`spaces.lift_to_spaces` each compute their value of a part once per distinct
+mask (`_by_distinct_mask`) and read every tuple's parts through that table.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter, index, itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -75,9 +73,11 @@ def _as_n(n: int) -> int:
 
 
 def mask_of(elements: Iterable[int], n: int) -> int:
-    """Bitmask of a set of 1-based elements, validating the range 1..n."""
+    """Bitmask of a set of 1-based elements, validating each to be an int (not a bool) in 1..n."""
     m = 0
     for e in elements:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise RangeError(f"element {e!r} is not an int")
         if not 1 <= e <= n:
             raise RangeError(f"element {e} outside ground set 1..{n}")
         m |= 1 << (e - 1)
@@ -127,7 +127,7 @@ def validate_tuple(parts: Sequence[Iterable[int]], n: int) -> DTuple:
     """Build a DTuple, checking range, arity >= 2, and pairwise disjointness.
 
     Raises OverlapError with the first colliding part pair (p, q, element),
-    RangeError for elements outside 1..n, ArityError for fewer than two parts.
+    RangeError for an element other than an int in 1..n, ArityError for d < 2.
     """
     _as_n(n)
     if len(parts) < 2:
@@ -148,31 +148,39 @@ def type_of(t: DTuple) -> TupleType:
 
 @dataclass(frozen=True, slots=True)
 class Family:
-    """An ordered sequence of d-tuples over one ground set.
+    """An ordered sequence of d-tuples over one ground set, kept as the d part
+    masks of each (`masks`); the DTuples of `tuples` and iteration are views.
 
-    Order is semantically significant: the skew condition quantifies over
-    pairs i < j in this order.
+    Each tuple is given as a DTuple of the family's n and d or as its masks,
+    taken as given.  Order is semantically significant: the skew condition
+    quantifies over pairs i < j in this order.
     """
 
     n: int
     d: int
-    tuples: tuple[DTuple, ...]
+    masks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         _as_n(self.n)
         if self.d < 2:
             raise ArityError(f"family arity must be >= 2, got {self.d}")
-        for t in self.tuples:
-            if t.n != self.n or t.d != self.d:
-                raise MismatchError(
-                    f"tuple with n={t.n}, d={t.d} in family with n={self.n}, d={self.d}"
-                )
+        rows = []
+        for t in self.masks:
+            n, t = (t.n, t.masks) if isinstance(t, DTuple) else (self.n, tuple(t))
+            if n != self.n or len(t) != self.d:
+                raise MismatchError(f"tuple with n={n}, d={len(t)} in family with n={self.n}, d={self.d}")
+            rows.append(t)
+        object.__setattr__(self, "masks", tuple(rows))
+
+    @property
+    def tuples(self) -> tuple[DTuple, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self.masks)
 
-    def __iter__(self):
-        return iter(self.tuples)
+    def __iter__(self) -> Iterator[DTuple]:
+        return map(DTuple, repeat(self.n), self.masks)
 
     @classmethod
     def build(cls, n: int, parts_list: Sequence[Sequence[Iterable[int]]], d: int | None = None) -> "Family":
@@ -259,8 +267,8 @@ def _crossing_rows(tuples: Sequence[Sequence[int]], n: int, d: int) -> Iterator[
 
 def _first_violation(f: Family, skew: bool) -> tuple[int, int] | None:
     """Lexicographically first failing pair, 1-based: i < j in skew mode, i != j otherwise."""
-    full = (1 << len(f.tuples)) - 1
-    for i, row in enumerate(_crossing_rows([t.masks for t in f.tuples], f.n, f.d)):
+    full = (1 << len(f.masks)) - 1
+    for i, row in enumerate(_crossing_rows(f.masks, f.n, f.d)):
         wanted = full >> (i + 1) << (i + 1) if skew else full ^ (1 << i)
         missing = wanted & ~row
         if missing:
@@ -309,12 +317,8 @@ def relabel(f: Family, mapping: Sequence[int]) -> Family:
     if sorted(mapping) != list(range(1, f.n + 1)):
         raise RangeError("mapping is not a permutation of 1..n")
     bits = [0] + [1 << (e - 1) for e in mapping]  # bits[e]: the mask bit of e's image
-
-    def image(mask: int) -> int:
-        return sum(map(bits.__getitem__, elements_of(mask)))
-
-    images = _by_distinct_mask(f, image)
-    return Family(f.n, f.d, tuple(DTuple(f.n, tuple(map(images.__getitem__, t.masks))) for t in f.tuples))
+    images = _by_distinct_mask(f, lambda mask: sum(map(bits.__getitem__, elements_of(mask))))
+    return Family(f.n, f.d, [tuple(map(images.__getitem__, t)) for t in f.masks])
 
 
 def _by_distinct_mask(f: Family, value: Callable[[int], object]) -> dict[int, object]:
@@ -323,7 +327,7 @@ def _by_distinct_mask(f: Family, value: Callable[[int], object]) -> dict[int, ob
     Equal parts read the same value object, so a caller that hands the
     values out must copy the mutable ones.
     """
-    return {mask: value(mask) for mask in set(chain.from_iterable(map(attrgetter("masks"), f.tuples)))}
+    return {mask: value(mask) for mask in set(chain.from_iterable(f.masks))}
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +345,7 @@ def family_to_json(f: Family) -> dict:
     return {
         "n": f.n,
         "d": f.d,
-        "tuples": [[list(elements[mask]) for mask in t.masks] for t in f.tuples],
+        "tuples": [[list(elements[mask]) for mask in t] for t in f.masks],
     }
 
 
@@ -357,10 +361,7 @@ def family_from_json(obj: dict, coded: bool = False) -> Family | None:
 
     `_flat_masks` checks the whole family and builds every part mask; a
     document it refuses goes through `_family_from_checked_json`, which
-    names the first fault.  The tuples and the family of a document it
-    accepts are already checked, so they are built here without the
-    dataclass `__init__` of each tuple and without `Family.__post_init__`
-    re-checking every tuple.  This is the one place that skips those checks.
+    names the first fault.
 
     With coded=True, `obj` was decoded with `parse_int=LITERAL_BIT.__getitem__`
     from a text that had no bool literal, so every int in it is the mask bit
@@ -377,14 +378,7 @@ def family_from_json(obj: dict, coded: bool = False) -> Family | None:
     masks = _flat_masks(raw, n, d, coded)
     if masks is None:
         return None if coded else _family_from_checked_json(raw, n, d)
-    tuples = tuple(map(object.__new__, repeat(DTuple, len(masks))))
-    deque(map(DTuple.n.__set__, tuples, repeat(n)), maxlen=0)
-    deque(map(DTuple.masks.__set__, tuples, masks), maxlen=0)
-    family = object.__new__(Family)
-    Family.n.__set__(family, n)
-    Family.d.__set__(family, d)
-    Family.tuples.__set__(family, tuples)
-    return family
+    return Family(n, d, masks)
 
 
 def _flat_masks(raw: list, n: int, d: int, coded: bool) -> list[tuple[int, ...]] | None:
@@ -440,4 +434,4 @@ def _family_from_checked_json(raw: list, n: int, d: int) -> Family:
             if not isinstance(part, list) or not all(type(e) is int for e in part):
                 raise FormatError(f"tuple {idx + 1} has a part that is not a list of ints")
         tuples.append(validate_tuple(entry, n))
-    return Family(n, d, tuple(tuples))
+    return Family(n, d, tuples)

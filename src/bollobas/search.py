@@ -17,9 +17,9 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
-from .constructions import MAX_CANDIDATES, _checked_count, _checked_type, all_tuples_of_type
+from .constructions import MAX_CANDIDATES, _checked_count, _checked_type, _masks_of_type
 from .errors import DomainError, SizeError
-from .families import DTuple, Family, TupleType, _as_n, _crossing_rows
+from .families import Family, TupleType, _as_n, _crossing_rows
 from .sums import multinomial, tuple_weight
 
 
@@ -31,13 +31,13 @@ class SearchResult:
     bound: int
 
 
-def _candidates(n: int, sizes: TupleType, node_budget: int | None) -> list[DTuple]:
-    """The candidate tuples of the type, after the checks every search makes up front."""
+def _candidates(n: int, sizes: TupleType, node_budget: int | None) -> list[tuple[int, ...]]:
+    """The part masks of the candidate tuples of the type, after the checks every search makes up front."""
     if node_budget is not None and node_budget < 0:
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
     sizes = _checked_type(_as_n(n), sizes)
     _checked_count(multinomial(n, sizes), MAX_CANDIDATES, "candidate tuples")
-    return all_tuples_of_type(n, sizes)
+    return _masks_of_type(n, sizes)
 
 
 def _greedy_color_order(p: int, adj: list[int]) -> tuple[array, array]:
@@ -95,11 +95,10 @@ def max_bollobas_uniform(
     index.  The witness is the lexicographically produced optimum clique.
     """
     cands = _candidates(n, sizes, node_budget)
-    m = len(cands)
     # cross(t_j, t_i) = cross(rev t_i, rev t_j): predecessor rows are the
     # crossing rows of the candidates with their parts reversed
-    succ = _crossing_rows([t.masks for t in cands], n, len(sizes))
-    pred = _crossing_rows([t.masks[::-1] for t in cands], n, len(sizes))
+    succ = _crossing_rows(cands, n, len(sizes))
+    pred = _crossing_rows([t[::-1] for t in cands], n, len(sizes))
     adj = [s & p for s, p in zip(succ, pred)]
     bound = tuple_weight(sizes)
     best: list[int] = []
@@ -119,8 +118,8 @@ def max_bollobas_uniform(
             r.pop()
             p &= ~(1 << v)
 
-    nodes = _run(expand((1 << m) - 1), best, bound, node_budget)
-    witness = Family(n, len(sizes), tuple(cands[i] for i in sorted(best)))
+    nodes = _run(expand((1 << len(cands)) - 1), best, bound, node_budget)
+    witness = Family(n, len(sizes), [cands[i] for i in sorted(best)])
     return SearchResult(len(best), witness, nodes, bound)
 
 
@@ -134,9 +133,8 @@ def max_skew_uniform(
     order), so this searches sequences, not cliques.
     """
     cands = _candidates(n, sizes, node_budget)
-    m = len(cands)
     # no tuple crosses into itself, since its parts are disjoint
-    succ = list(_crossing_rows([t.masks for t in cands], n, len(sizes)))
+    succ = list(_crossing_rows(cands, n, len(sizes)))
     bound = tuple_weight(sizes)
     best: list[int] = []
     chain: list[int] = []
@@ -154,6 +152,6 @@ def max_skew_uniform(
             yield extend(avail & succ[v])
             chain.pop()
 
-    nodes = _run(extend((1 << m) - 1), best, bound, node_budget)
-    witness = Family(n, len(sizes), tuple(cands[i] for i in best))
+    nodes = _run(extend((1 << len(cands)) - 1), best, bound, node_budget)
+    witness = Family(n, len(sizes), [cands[i] for i in best])
     return SearchResult(len(best), witness, nodes, bound)

@@ -98,7 +98,7 @@ def lift_to_spaces(f: Family) -> SubspaceFamily:
         return SubspaceRep(f.n, tuple(units[a - 1] for a in elements_of(mask)))
 
     spaces = _by_distinct_mask(f, space)
-    return SubspaceFamily(f.n, f.d, tuple(tuple(map(spaces.__getitem__, t.masks)) for t in f.tuples))
+    return SubspaceFamily(f.n, f.d, tuple(tuple(map(spaces.__getitem__, t)) for t in f.masks))
 
 
 def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:

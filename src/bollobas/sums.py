@@ -11,7 +11,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
 from typing import Sequence
 
 from .errors import ArityError, DomainError, SizeError
@@ -69,7 +68,7 @@ def _type_counts(f: Family) -> Counter[TupleType]:
     The popcounts of every part mask of the family are taken in one pass and
     regrouped d at a time into types, instead of one `type_of` per tuple.
     """
-    sizes = map(int.bit_count, chain.from_iterable(map(attrgetter("masks"), f.tuples)))
+    sizes = map(int.bit_count, chain.from_iterable(f.masks))
     return Counter(zip(*[sizes] * f.d))
 
 

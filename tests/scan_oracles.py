@@ -196,8 +196,8 @@ def _run(root: Iterator[Iterator], best: list[int], bound: int) -> None:
 def max_bollobas_uniform(n: int, sizes: TupleType, node_budget: int | None = None) -> SearchResult:
     """Maximum clique by greedy-colouring branch and bound, each node ticking the budget."""
     cands = _candidates(n, sizes, node_budget)
-    succ = _crossing_rows([t.masks for t in cands], n, len(sizes))
-    pred = _crossing_rows([t.masks[::-1] for t in cands], n, len(sizes))
+    succ = _crossing_rows(cands, n, len(sizes))
+    pred = _crossing_rows([t[::-1] for t in cands], n, len(sizes))
     adj = [s & p for s, p in zip(succ, pred)]
     bound = tuple_weight(sizes)
     budget = _Budget(node_budget)
@@ -226,7 +226,7 @@ def max_bollobas_uniform(n: int, sizes: TupleType, node_budget: int | None = Non
 def max_skew_uniform(n: int, sizes: TupleType, node_budget: int | None = None) -> SearchResult:
     """Longest skew chain by depth-first extension, each node ticking the budget."""
     cands = _candidates(n, sizes, node_budget)
-    succ = list(_crossing_rows([t.masks for t in cands], n, len(sizes)))
+    succ = list(_crossing_rows(cands, n, len(sizes)))
     bound = tuple_weight(sizes)
     budget = _Budget(node_budget)
     best: list[int] = []

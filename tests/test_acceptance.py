@@ -177,13 +177,14 @@ def test_criterion_6_event_disjointness():
         mode, fam = families[10]
         rng = random.Random(7)
         base = list(range(1, fam.n + 2))
-        nonempty_mid = [t.type()[1] > 0 for t in fam.tuples]
+        tuples = fam.tuples
+        nonempty_mid = [t.type()[1] > 0 for t in tuples]
         for _ in range(2000):
             rng.shuffle(base)
             sigma = Permutation(tuple(base))
             hits = [
                 (i, v)
-                for i, t in enumerate(fam.tuples)
+                for i, t in enumerate(tuples)
                 for v in ("E", "F")
                 if in_event_d3(sigma, t, v)
             ]

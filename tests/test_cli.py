@@ -146,7 +146,7 @@ class TestConstruct:
         def refuse(*args):
             raise AssertionError("tuples enumerated")
 
-        monkeypatch.setattr(constructions, "all_tuples_of_type", refuse)
+        monkeypatch.setattr(constructions, "_masks_of_type", refuse)
         assert main(["construct", *argv]) == 2
         assert "tuples exceed the limit 100000" in capsys.readouterr().err
 
@@ -156,7 +156,7 @@ class TestConstruct:
         def refuse(*args):
             raise AssertionError("tuples enumerated")
 
-        monkeypatch.setattr(constructions, "all_tuples_of_type", refuse)
+        monkeypatch.setattr(constructions, "_masks_of_type", refuse)
         started = time.perf_counter()
         code = main(["construct", "complete-uniform", "--sizes", "4,4,4", "--lift"])
         assert time.perf_counter() - started < 1.0
@@ -276,7 +276,7 @@ class TestSearch:
         def refuse(*args):
             raise AssertionError("candidates enumerated")
 
-        monkeypatch.setattr(search, "all_tuples_of_type", refuse)
+        monkeypatch.setattr(search, "_masks_of_type", refuse)
         code = main(["search", "--mode", mode, "--n", "12", "--type", "4,4,4"])
         assert code == 2
         assert "34650 candidate tuples" in capsys.readouterr().err

@@ -103,7 +103,7 @@ class TestCompleteFamily:
     def test_size_is_counted_and_checked_without_building(self, monkeypatch):
         for t in [(1, 1), (2, 1), (1, 1, 1), (2, 2, 1)]:
             assert complete_family_size(t) == len(complete_family(t))
-        monkeypatch.setattr("bollobas.constructions.all_tuples_of_type", pytest.fail)
+        monkeypatch.setattr("bollobas.constructions._masks_of_type", pytest.fail)
         with pytest.raises(SizeError, match="369600 tuples exceed the limit 100000"):
             complete_family_size((3, 3, 3, 3))
         with pytest.raises(DomainError):
@@ -135,7 +135,7 @@ class TestLayeredTriples:
     def test_size_is_counted_and_checked_without_building(self, monkeypatch):
         for n in range(1, 9):
             assert layered_family_size(n) == len(layered_triple_family(n))
-        monkeypatch.setattr("bollobas.constructions.all_tuples_of_type", pytest.fail)
+        monkeypatch.setattr("bollobas.constructions._masks_of_type", pytest.fail)
         with pytest.raises(SizeError, match="616227 tuples exceed the limit 100000"):
             layered_family_size(14)
 
@@ -216,11 +216,12 @@ class TestLift:
     def test_intersection_dims_match_set_intersections(self):
         f = layered_triple_family(4)
         lifted = lift_to_spaces(f)
+        tuples = f.tuples
         for i in (0, 3, 7):
             for j in (1, 5, 11):
                 for p in range(3):
                     for q in range(3):
-                        want = len(set(f.tuples[i].part(p + 1)) & set(f.tuples[j].part(q + 1)))
+                        want = len(set(tuples[i].part(p + 1)) & set(tuples[j].part(q + 1)))
                         got = intersection_dim(lifted.entries[i][p], lifted.entries[j][q])
                         assert got == want
 

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import pytest
@@ -57,6 +58,16 @@ class TestValidateTuple:
     def test_arity_below_two(self):
         with pytest.raises(ArityError):
             validate_tuple([[1]], 3)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    def test_element_that_is_not_an_int_is_refused_by_name(self, bad):
+        # True and 1.0 equal 1, and False would be reported as out of range
+        message = f"element {bad!r} is not an int"
+        for parts in ([[bad], [2]], [[2, bad], [3]]):
+            with pytest.raises(RangeError, match=re.escape(message)):
+                validate_tuple(parts, 3)
+            with pytest.raises(RangeError, match=re.escape(message)):
+                Family.build(3, [[[1], [2]], parts])
 
     @pytest.mark.parametrize("k", [0, -1, 4])
     def test_part_index_outside_one_to_d(self, k):
@@ -187,6 +198,16 @@ class TestFamilyConstruction:
     def test_mixed_arities_rejected(self):
         with pytest.raises(MismatchError):
             Family.build(3, [[[1], [2]], [[1], [2], [3]]])
+
+    def test_a_family_keeps_its_own_copy_of_a_list_of_tuples(self):
+        s, t = validate_tuple([[1], [2]], 3), validate_tuple([[2], [3]], 3)
+        source = [s, t]
+        f = Family(3, 2, source)
+        want = Family(3, 2, (s, t))
+        assert f == want and hash(f) == hash(want)
+        assert Family(3, 2, [[0b1, 0b10], [0b10, 0b100]]) == want
+        source.append(validate_tuple([[3], [1]], 3))
+        assert len(f) == 2 and f == want and f.tuples == (s, t)
 
     def test_relabel_rejects_non_permutation(self):
         f = Family.build(3, [[[1], [2]]])

@@ -3,8 +3,9 @@ the flat family reader against the per-tuple one, the CLI's coded decode of
 family documents against a plain decode read by the per-tuple reader, the
 packed column transpose and popcount type counts against their one-at-a-time
 forms, the level-wise mask enumerator and lowest-set-bit element reader
-against the recursive and per-bit ones, and the writers that decode each
-distinct part mask once against the per-tuple ones."""
+against the recursive and per-bit ones, the writers that decode each
+distinct part mask once against the per-tuple ones, and the family
+constructor given masks against the one given validated tuples."""
 
 import contextlib
 import dataclasses
@@ -31,7 +32,7 @@ from bollobas import (
 )
 from bollobas import cli
 from bollobas.constructions import all_tuples_of_type
-from bollobas.errors import BollobasError
+from bollobas.errors import BollobasError, MismatchError
 from bollobas.exterior import SubspaceRep
 from bollobas.families import (
     LITERAL_BIT,
@@ -43,6 +44,7 @@ from bollobas.families import (
     family_from_json,
     family_to_json,
     type_of,
+    validate_tuple,
 )
 from bollobas.sums import _type_counts
 
@@ -387,13 +389,33 @@ def test_read_family_equals_the_checked_construction(f):
     assert [hash(t) for t in got.tuples] == [hash(t) for t in want.tuples]
 
 
+@settings(max_examples=500, deadline=None)
+@given(family_documents())
+def test_masks_constructor_matches_the_validated_tuples(case):
+    _, doc = case
+    n, d = doc["n"], doc["d"]
+    try:
+        tuples = [validate_tuple(entry, n) for entry in doc["tuples"]]
+        want = Family(n, d, tuples)
+    except (BollobasError, TypeError):
+        return
+    masks = [tuple(sum(1 << (e - 1) for e in set(part)) for part in entry) for entry in doc["tuples"]]
+    got = Family(n, d, masks)
+    assert got == want and hash(got) == hash(want)
+    assert got.masks == tuple(masks) and got.tuples == want.tuples == tuple(tuples)
+    assert list(got) == tuples
+    for wrong in [(0,) * (d - 1), (0,) * (d + 1), DTuple(n % 64 + 1, (0,) * d), DTuple(n, (0,) * (d + 1))]:
+        with pytest.raises(MismatchError):
+            Family(n, d, [*masks, wrong])
+
+
 def test_read_tuples_and_family_stay_frozen():
     f = family_from_json({"n": 3, "d": 2, "tuples": [[[1], [2, 3]]]})
     (t,) = f.tuples
-    for obj, name, value in [(t, "n", 4), (t, "masks", (0, 0)), (f, "n", 4), (f, "d", 3), (f, "tuples", ())]:
+    for obj, name, value in [(t, "n", 4), (t, "masks", (0, 0)), (f, "n", 4), (f, "d", 3), (f, "masks", ())]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, value)
-    assert (t.n, t.masks, f.n, f.d) == (3, (0b1, 0b110), 3, 2)
+    assert (t.n, t.masks, f.n, f.d, f.masks) == (3, (0b1, 0b110), 3, 2, ((0b1, 0b110),))
 
 
 @st.composite

@@ -91,15 +91,15 @@ def _calls_that_skip_constructors(tree):
     return found
 
 
-def test_only_the_family_reader_builds_objects_without_their_checks():
-    # family_from_json builds the tuples and the family it has already checked
-    # without their constructors; any other reader or constructor must run them
+def test_no_function_builds_an_object_without_its_constructor():
+    # every reader and construction hands its values to a constructor, which
+    # runs its checks; a family's masks are taken as given there, not set past it
     where = {}
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for function, line in _calls_that_skip_constructors(tree):
             where.setdefault(f"{path.name}:{function}", []).append(line)
-    assert set(where) == {"families.py:family_from_json"}, where
+    assert where == {}, where
 
 
 def _top_level_definitions(tree):
