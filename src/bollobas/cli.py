@@ -9,6 +9,8 @@ violation was found, 2 means usage or parse errors.
 All randomness flows from the single --seed flag; each stage derives its own
 child seed by labeled hashing, so adding a stage never perturbs another.
 
+`verify`, `sum` and `simulate` read their input with `families.family_from_text`.
+
 `main` parses with one parser per process, built on its first call, so
 repeated in-process calls do not pay to build it again.
 
@@ -40,9 +42,9 @@ from . import constructions, events, search, sums
 from .certificates import DEFAULT_MAX_RETRIES, check_size, derive_seed
 from .certificates import certify as run_certify
 from .errors import BollobasError, FormatError, SizeError
-from .families import LITERAL_BIT, Family, bollobas_violation, family_from_json, family_to_json, skew_violation
+from .families import bollobas_violation, family_from_json, family_from_text, family_to_json, skew_violation
 from .spaces import lift_to_spaces, subspace_family_from_json, subspace_family_to_json
-from .wire import fields
+from .wire import decode, fields
 
 
 def _read_input(path: str | None) -> tuple[str, str]:
@@ -60,42 +62,6 @@ def _read_input(path: str | None) -> tuple[str, str]:
     except UnicodeError as exc:
         raise FormatError(f"input is not UTF-8 text: {exc}") from exc
     return text, "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _decode(text: str, parse_int=None) -> object:
-    """The JSON document of `text`, with integer literals read by `parse_int` if given."""
-    try:
-        return json.loads(text, parse_int=parse_int)
-    except RecursionError as exc:
-        raise FormatError("invalid JSON: nested too deeply") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal past the digit limit
-        raise FormatError(f"invalid JSON: {exc}") from exc
-
-
-def _load_family(path: str | None) -> tuple[Family, str]:
-    """Return the family of the input document and the sha256 digest of its text.
-
-    A text without a `true` or `false` literal holds no JSON bool, so it is
-    first decoded with each integer literal "1".."64" read as its element's
-    mask bit, and that coded document is read by
-    `family_from_json(coded=True)`, which then needs no per-element type
-    check.  A literal outside the table (a KeyError), a decode error or a
-    document the coded read refuses sends the text through a plain decode
-    and the plain read instead, as does a text with a bool literal, so every
-    answer and every error is the plain path's.
-    """
-    text, digest = _read_input(path)
-    fam = None
-    # "r" and "a" first: each is one fast character search, and the keys of a
-    # family document hold neither, so a written family skips both scans
-    if ("r" not in text or "true" not in text) and ("a" not in text or "false" not in text):
-        try:
-            fam = family_from_json(_decode(text, LITERAL_BIT.__getitem__), coded=True)
-        except (KeyError, FormatError):
-            pass
-    if fam is None:
-        fam = family_from_json(_decode(text))
-    return fam, digest
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -159,7 +125,8 @@ Outcome = tuple[dict, str | None, dict, int]
 
 
 def _cmd_verify(ns) -> Outcome:
-    fam, digest = _load_family(ns.input)
+    text, digest = _read_input(ns.input)
+    fam = family_from_text(text)
     violation = bollobas_violation(fam) if ns.mode == "bollobas" else skew_violation(fam)
     results = {
         "mode": ns.mode,
@@ -173,7 +140,8 @@ def _cmd_verify(ns) -> Outcome:
 
 
 def _cmd_sum(ns) -> Outcome:
-    fam, digest = _load_family(ns.input)
+    text, digest = _read_input(ns.input)
+    fam = family_from_text(text)
     if ns.which == "conjecture":
         value = sums.bollobas_sum(fam)
         bound = sums.recursive_bound(fam.n, fam.d)
@@ -267,7 +235,8 @@ def _cmd_search(ns) -> Outcome:
 
 
 def _cmd_simulate(ns) -> Outcome:
-    fam, digest = _load_family(ns.input)
+    text, digest = _read_input(ns.input)
+    fam = family_from_text(text)
     child = derive_seed(ns.seed, "simulate")
     rep = events.monte_carlo(fam, ns.mode, ns.trials, child)
     results = {
@@ -286,7 +255,7 @@ def _cmd_simulate(ns) -> Outcome:
 
 def _cmd_certify(ns) -> Outcome:
     text, digest = _read_input(ns.input)
-    obj = _decode(text)
+    obj = decode(text)
     if not isinstance(obj, dict):
         raise FormatError("certify input JSON must be an object")
     # the limits that need only m and d are checked before any subspace is built

@@ -10,7 +10,7 @@ import random
 from typing import Sequence
 
 from .errors import ArityError, DomainError, SizeError
-from .families import DTuple, Family, TupleType, _as_n, cross_condition, mask_of
+from .families import DTuple, Family, TupleType, _as_n, _crosses, mask_of
 from .sums import multinomial
 
 #: The most candidate tuples `search` takes on: its branch and bound grows
@@ -131,8 +131,8 @@ def layered_triple_family(n: int) -> Family:
     return Family(n, 3, [t for sizes in _layers(n) for t in _masks_of_type(n, sizes)])
 
 
-def _sample_tuple(rng: random.Random, n: int, d: int, sizes: TupleType | None) -> DTuple:
-    """One random disjoint d-tuple: of the given type, or of a random nonempty support."""
+def _sample_tuple(rng: random.Random, n: int, d: int, sizes: TupleType | None) -> tuple[int, ...]:
+    """The part masks of one random disjoint d-tuple: of the given type, or of a random nonempty support."""
     if sizes is not None:
         support = rng.sample(range(1, n + 1), sum(sizes))
         masks = []
@@ -140,12 +140,12 @@ def _sample_tuple(rng: random.Random, n: int, d: int, sizes: TupleType | None) -
         for a in sizes:
             masks.append(mask_of(support[at : at + a], n))
             at += a
-        return DTuple(n, tuple(masks))
+        return tuple(masks)
     support = rng.sample(range(1, n + 1), rng.randint(1, n))
     masks = [0] * d
     for e in support:
         masks[rng.randrange(d)] |= 1 << (e - 1)
-    return DTuple(n, tuple(masks))
+    return tuple(masks)
 
 
 def _grow_family(
@@ -167,17 +167,17 @@ def _grow_family(
     if d > MAX_SAMPLED_ARITY:
         raise SizeError(f"d = {d} exceeds the limit {MAX_SAMPLED_ARITY} of a sampled family")
     rng = random.Random(seed)
-    members: list[DTuple] = []
+    members: list[tuple[int, ...]] = []
     for _ in range(SAMPLE_ATTEMPTS):
         if len(members) >= target:
             break
         cand = _sample_tuple(rng, n, d, sizes)
-        ok = all(cross_condition(u, cand) for u in members)
+        ok = all(_crosses(u, cand) for u in members)
         if ok and two_sided:
-            ok = all(cross_condition(cand, u) for u in members)
+            ok = all(_crosses(cand, u) for u in members)
         if ok:
             members.append(cand)
-    return Family(n, d, tuple(members))
+    return Family(n, d, members)
 
 
 def random_skew_family(

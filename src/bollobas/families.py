@@ -26,14 +26,14 @@ A `Family` is its part masks: every reader and construction hands masks to
 its constructor, no reader skips it, every scan and writer reads
 `Family.masks`, and its DTuples are views.  The JSON reader checks a whole
 family at once and sums each part's element bits straight into its mask.
-The CLI hands it a *coded* document when the text has no `true` or `false`
-literal: the JSON scanner has already read each integer literal "1".."64" as
-its element's mask bit (`LITERAL_BIT`), so a part's mask is one `sum` of the
+`family_from_text` first decodes a text with no `true` or `false` literal as
+a *coded* document: the JSON scanner reads each integer literal "1".."64" as
+its element's mask bit (`_LITERAL_BIT`), so a part's mask is one `sum` of the
 part, and as the document holds no bool, no pass over the elements checks
 their type: a non-int element makes the sums raise TypeError instead.  A
 document the coded read refuses for any reason, a literal outside the table
-included, is decoded again with plain ints and read the plain way, which
-names its first fault; a text with a bool literal is only read the plain
+included, is decoded again with plain ints and read by `family_from_json`,
+which names its first fault; a text with a bool literal is only read that
 way.  The writers work the other way, from masks to parts: the constructions
 repeat a few parts many times (the layered family on [9] has 9,417 parts but
 419 distinct masks), so `family_to_json`, `relabel` and
@@ -57,7 +57,7 @@ from .errors import (
     OverlapError,
     RangeError,
 )
-from .wire import fields
+from .wire import decode, fields
 
 MAX_GROUND = 64
 
@@ -85,7 +85,9 @@ def mask_of(elements: Iterable[int], n: int) -> int:
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based elements of a bitmask."""
+    """Sorted 1-based elements of a bitmask; RangeError for a negative one, which has no last bit."""
+    if mask < 0:
+        raise RangeError(f"mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -151,8 +153,9 @@ class Family:
     """An ordered sequence of d-tuples over one ground set, kept as the d part
     masks of each (`masks`); the DTuples of `tuples` and iteration are views.
 
-    Each tuple is given as a DTuple of the family's n and d or as its masks,
-    taken as given.  Order is semantically significant: the skew condition
+    Each tuple is given as a DTuple of the family's n and d or as its masks.
+    Masks are taken as given: they must be non-negative, pairwise disjoint
+    and below 2^n.  Order is semantically significant: the skew condition
     quantifies over pairs i < j in this order.
     """
 
@@ -201,11 +204,14 @@ def cross_condition(s: DTuple, t: DTuple) -> bool:
     """
     if s.n != t.n or s.d != t.d:
         raise MismatchError(f"tuples disagree: n={s.n}/{t.n}, d={s.d}/{t.d}")
-    d = s.d
-    sm, tm = s.masks, t.masks
-    # suffix-OR of t's parts strictly after p
+    return _crosses(s.masks, t.masks)
+
+
+def _crosses(sm: Sequence[int], tm: Sequence[int]) -> bool:
+    """`cross_condition` on the part masks of two tuples of one arity."""
+    # suffix-OR of tm's parts strictly after p
     suffix = 0
-    for q in range(d - 1, 0, -1):
+    for q in range(len(tm) - 1, 0, -1):
         suffix |= tm[q]
         if sm[q - 1] & suffix:
             return True
@@ -353,31 +359,43 @@ def family_to_json(f: Family) -> dict:
 _ELEMENT_BIT = {e: 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}
 #: The mask bit of each element keyed by its JSON integer literal, "1".."64":
 #: the `parse_int` table of a coded family document.
-LITERAL_BIT = {str(e): bit for e, bit in _ELEMENT_BIT.items()}
+_LITERAL_BIT = {str(e): bit for e, bit in _ELEMENT_BIT.items()}
 
 
-def family_from_json(obj: dict, coded: bool = False) -> Family | None:
+def family_from_text(text: str) -> Family:
+    """Read a family from the text of its JSON document (see the module docstring).
+
+    The coded document holds every int as the mask bit of its literal, so n
+    and d are read back as bit lengths.  A literal outside the table (a
+    KeyError), a decode error, a missing or non-int field or a document
+    `_flat_masks` refuses sends the text through a plain decode and
+    `family_from_json`, so every answer and every error is the plain read's.
+    """
+    # "r" and "a" first: each is one fast character search, and the keys of a
+    # family document hold neither, so a written family skips both scans
+    if ("r" not in text or "true" not in text) and ("a" not in text or "false" not in text):
+        try:
+            n, d, raw = fields(decode(text, _LITERAL_BIT.__getitem__), "family", ("n", "d"), "tuples")
+            n, d = n.bit_length(), d.bit_length()
+            masks = _flat_masks(raw, n, d, coded=True)
+            if masks is not None:
+                return Family(n, d, masks)
+        except (KeyError, FormatError):
+            pass
+    return family_from_json(decode(text))
+
+
+def family_from_json(obj: dict) -> Family:
     """Read a family from its JSON object.
 
     `_flat_masks` checks the whole family and builds every part mask; a
     document it refuses goes through `_family_from_checked_json`, which
     names the first fault.
-
-    With coded=True, `obj` was decoded with `parse_int=LITERAL_BIT.__getitem__`
-    from a text that had no bool literal, so every int in it is the mask bit
-    of its literal and no element is a bool: n and d are read back as bit
-    lengths, and a part's mask is the sum of the part.  The same checks run
-    on it, but for the per-element type check, and a document they refuse
-    returns None, or raises FormatError if a field is missing or not an int:
-    the caller then decodes the text again with plain ints and reads it
-    without `coded`, which gives the answer and the error of a plain read.
     """
     n, d, raw = fields(obj, "family", ("n", "d"), "tuples")
-    if coded:
-        n, d = n.bit_length(), d.bit_length()
-    masks = _flat_masks(raw, n, d, coded)
+    masks = _flat_masks(raw, n, d, coded=False)
     if masks is None:
-        return None if coded else _family_from_checked_json(raw, n, d)
+        return _family_from_checked_json(raw, n, d)
     return Family(n, d, masks)
 
 

@@ -1,10 +1,11 @@
-"""The rules every JSON reader shares: the fields of an object and exact rationals.
+"""The rules every JSON reader shares: the one decode, the fields of an object and exact rationals.
 
 JSON booleans are not numbers here, although Python's `bool` is an `int`.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from fractions import Fraction
@@ -19,6 +20,16 @@ MAX_EXPONENT = sys.int_info.default_max_str_digits
 #: The exponent of a decimal string as `Fraction` reads it: either case of e,
 #: a sign, and digits with single underscores between them, at the end.
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def decode(text: str, parse_int=None) -> object:
+    """The JSON document of `text`, with integer literals read by `parse_int` if given."""
+    try:
+        return json.loads(text, parse_int=parse_int)
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past the digit limit
+        raise FormatError(f"invalid JSON: {exc}") from exc
 
 
 def fields(obj, what: str, ints: tuple[str, ...], items: str) -> list:

@@ -11,6 +11,9 @@ enumerator over element lists that the level-wise mask enumerator replaced,
 and `elements_of` the one-bit-at-a-time reader that the lowest-set-bit loop
 replaced.  `family_to_json` and `relabel` are the writers that decoded every
 part of every tuple, where the package decodes each distinct part mask once.
+`grow_family` is the sampler of the random constructions that drew each
+tuple as a DTuple and tested it with one `cross_condition` call per member,
+where the package draws and tests part masks.
 `max_bollobas_uniform` and `max_skew_uniform` are the searches whose nodes
 each counted themselves on a `_Budget` and whose colour order was a list of
 `(vertex, colour)` tuples; the package counts nodes in the loop that starts
@@ -20,11 +23,21 @@ them and keeps each colour order in two arrays.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterator, Sequence
 
-from bollobas.constructions import _checked_type
+from bollobas.constructions import SAMPLE_ATTEMPTS, _checked_type
 from bollobas.errors import FormatError, RangeError, SizeError
-from bollobas.families import DTuple, Family, TupleType, _as_n, _crossing_rows, mask_of, validate_tuple
+from bollobas.families import (
+    DTuple,
+    Family,
+    TupleType,
+    _as_n,
+    _crossing_rows,
+    cross_condition,
+    mask_of,
+    validate_tuple,
+)
 from bollobas.search import SearchResult, _candidates
 from bollobas.sums import tuple_weight
 from bollobas.wire import fields
@@ -99,6 +112,40 @@ def relabel(f: Family, mapping: Sequence[int]) -> Family:
         masks = tuple(mask_of((mapping[e - 1] for e in elements_of(m)), f.n) for m in t.masks)
         new_tuples.append(DTuple(f.n, masks))
     return Family(f.n, f.d, tuple(new_tuples))
+
+
+def sample_tuple(rng: random.Random, n: int, d: int, sizes: TupleType | None) -> DTuple:
+    """One random disjoint d-tuple: of the given type, or of a random nonempty support."""
+    if sizes is not None:
+        support = rng.sample(range(1, n + 1), sum(sizes))
+        masks = []
+        at = 0
+        for a in sizes:
+            masks.append(mask_of(support[at : at + a], n))
+            at += a
+        return DTuple(n, tuple(masks))
+    support = rng.sample(range(1, n + 1), rng.randint(1, n))
+    masks = [0] * d
+    for e in support:
+        masks[rng.randrange(d)] |= 1 << (e - 1)
+    return DTuple(n, tuple(masks))
+
+
+def grow_family(n: int, d: int, sizes: TupleType | None, seed: int, target: int, two_sided: bool) -> Family:
+    """The greedy sampled family of valid arguments, each draw a DTuple tested
+    against every member with `cross_condition`."""
+    rng = random.Random(seed)
+    members: list[DTuple] = []
+    for _ in range(SAMPLE_ATTEMPTS):
+        if len(members) >= target:
+            break
+        cand = sample_tuple(rng, n, d, sizes)
+        ok = all(cross_condition(u, cand) for u in members)
+        if ok and two_sided:
+            ok = all(cross_condition(cand, u) for u in members)
+        if ok:
+            members.append(cand)
+    return Family(n, d, tuple(members))
 
 
 def columns(tuples, n: int, q: int) -> list[int]:

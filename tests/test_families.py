@@ -18,13 +18,17 @@ from bollobas import (
     family_from_json,
     family_to_json,
     is_bollobas,
+    in_event,
     is_skew_bollobas,
+    lift_to_spaces,
     relabel,
     skew_violation,
     type_of,
     validate_tuple,
 )
 from bollobas.errors import FormatError
+from bollobas.events import Permutation
+from bollobas.families import elements_of
 
 
 def brute_cross(s_parts, t_parts):
@@ -194,6 +198,21 @@ class TestFamilyConstruction:
             Family.build(3, [])
         f = Family.build(3, [], d=2)
         assert len(f) == 0 and f.d == 2
+
+    def test_a_negative_mask_is_refused_where_its_elements_are_read(self):
+        # a negative int has no last set bit, so reading its elements never ended
+        with pytest.raises(RangeError, match="mask -1 is negative"):
+            elements_of(-1)
+        f = Family(3, 2, [(-1, 0)])
+        reads = [
+            family_to_json,
+            lambda f: relabel(f, [1, 2, 3]),
+            lift_to_spaces,
+            lambda f: in_event(Permutation.identity(4), f.tuples[0]),
+        ]
+        for read in reads:
+            with pytest.raises(RangeError, match="mask -1 is negative"):
+                read(f)
 
     def test_mixed_arities_rejected(self):
         with pytest.raises(MismatchError):

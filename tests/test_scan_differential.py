@@ -1,9 +1,10 @@
 """Differential tests: the bit-sliced crossing rows against the pairwise oracles,
-the flat family reader against the per-tuple one, the CLI's coded decode of
-family documents against a plain decode read by the per-tuple reader, the
-packed column transpose and popcount type counts against their one-at-a-time
-forms, the level-wise mask enumerator and lowest-set-bit element reader
-against the recursive and per-bit ones, the writers that decode each
+the flat family reader against the per-tuple one, the coded decode of
+family documents in `family_from_text` against a plain decode read by the
+per-tuple reader, the packed column transpose and popcount type counts
+against their one-at-a-time forms, the level-wise mask enumerator and lowest-set-bit element reader
+against the recursive and per-bit ones, the mask sampler of the random
+constructions against the DTuple one, the writers that decode each
 distinct part mask once against the per-tuple ones, and the family
 constructor given masks against the one given validated tuples."""
 
@@ -26,6 +27,7 @@ from bollobas import (
     cross_condition,
     layered_triple_family,
     lift_to_spaces,
+    random_bollobas_family,
     random_skew_family,
     relabel,
     skew_violation,
@@ -35,11 +37,12 @@ from bollobas.constructions import all_tuples_of_type
 from bollobas.errors import BollobasError, MismatchError
 from bollobas.exterior import SubspaceRep
 from bollobas.families import (
-    LITERAL_BIT,
+    _LITERAL_BIT,
     DTuple,
     _columns,
     _crossing_rows,
     _family_from_checked_json,
+    _flat_masks,
     elements_of,
     family_from_json,
     family_to_json,
@@ -47,6 +50,7 @@ from bollobas.families import (
     validate_tuple,
 )
 from bollobas.sums import _type_counts
+from bollobas.wire import decode, fields
 
 import scan_oracles
 
@@ -272,18 +276,19 @@ def _verify(path):
     return family, code, out.getvalue(), lines
 
 
-def _plain_load_family(path):
+def _plain_family_from_text(text):
     """The reader without the coded decode: plain ints, then the per-tuple oracle."""
-    text, digest = cli._read_input(path)
-    return scan_oracles.family_from_json(cli._decode(text)), digest
+    return scan_oracles.family_from_json(decode(text))
 
 
 def _coded_read(text):
     """The family the coded read takes from `text`, or None if it refuses the text."""
     try:
-        return family_from_json(cli._decode(text, LITERAL_BIT.__getitem__), coded=True)
+        n, d, raw = fields(decode(text, _LITERAL_BIT.__getitem__), "family", ("n", "d"), "tuples")
+        masks = _flat_masks(raw, n.bit_length(), d.bit_length(), coded=True)
     except (KeyError, BollobasError):
         return None
+    return None if masks is None else Family(n.bit_length(), d.bit_length(), masks)
 
 
 @pytest.mark.parametrize("plant", _PLANTS.values(), ids=_PLANTS.keys())
@@ -293,9 +298,9 @@ def test_coded_decode_matches_the_plain_reader_through_verify(tmp_path_factory, 
     fault, text = data.draw(family_texts(plant))
     path = tmp_path_factory.getbasetemp() / "coded-family.json"
     path.write_text(text, encoding="utf-8")
-    with mock.patch.object(cli, "_decode", wraps=cli._decode) as decode:
+    with mock.patch("bollobas.families.decode", wraps=decode) as spy:
         got = _verify(path)
-    with mock.patch.object(cli, "_load_family", _plain_load_family):
+    with mock.patch.object(cli, "family_from_text", _plain_family_from_text):
         assert got == _verify(path)
     read, _ = cli._read_input(path)
     if plant == _PLANTS["rank-key"]:
@@ -307,15 +312,15 @@ def test_coded_decode_matches_the_plain_reader_through_verify(tmp_path_factory, 
         assert "true" in read or "false" in read
     if "true" in read or "false" in read:
         # a text that may hold a bool is decoded once, without the table
-        assert decode.call_args_list == [mock.call(read)]
+        assert spy.call_args_list == [mock.call(read)]
     else:
         # the coded decode comes first; a document it refuses is decoded again, plainly
         coded = _coded_read(read)
         plain = [] if isinstance(coded, Family) else [mock.call(read)]
-        assert decode.call_args_list == [mock.call(read, LITERAL_BIT.__getitem__), *plain]
+        assert spy.call_args_list == [mock.call(read, _LITERAL_BIT.__getitem__), *plain]
         assert coded is None or coded == got[0]
     if fault is None and plant == (None, None):
-        assert decode.call_count == 1 and isinstance(got[0], Family)
+        assert spy.call_count == 1 and isinstance(got[0], Family)
 
 
 @pytest.mark.parametrize("bad", [0, -1, 4, 64, 65, True, 1.0, "1", None, [1]])
@@ -330,8 +335,7 @@ def test_family_reader_refuses_each_bad_element_as_the_oracle_does(bad):
 def test_coded_family_reader_refuses_each_non_int_element(bad):
     text = '{"n": 3, "d": 2, "tuples": [[[1], [2]], [[3], [%s]]]}'
     for part in (bad, f"1, {bad}", f"{bad}, 1"):
-        obj = json.loads(text % part, parse_int=LITERAL_BIT.__getitem__)
-        assert family_from_json(obj, coded=True) is None
+        assert _coded_read(text % part) is None
         with pytest.raises(BollobasError):
             scan_oracles.family_from_json(json.loads(text % part))
 
@@ -437,6 +441,32 @@ def tuple_types(draw):
 def test_mask_enumerator_matches_the_recursive_oracle(case):
     n, sizes = case
     assert all_tuples_of_type(n, sizes) == scan_oracles.all_tuples_of_type(n, sizes)
+
+
+@st.composite
+def sampled_family_args(draw):
+    """(n, d, sizes, seed, target) for a random construction: n = 1..64,
+    d = 2..6, and sizes None or a type of d parts, zero parts allowed, fitting in [n]."""
+    n = draw(st.integers(1, 64))
+    d = draw(st.integers(2, 6))
+    sizes = None
+    if draw(st.booleans()):
+        sizes = []
+        free = n
+        for _ in range(d):
+            a = draw(st.integers(0, min(free, 12)))
+            sizes.append(a)
+            free -= a
+        sizes = tuple(draw(st.permutations(sizes)))
+    return n, d, sizes, draw(st.integers(0, 2**64)), draw(st.integers(0, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_family_args(), st.booleans())
+def test_mask_sampler_matches_the_dtuple_oracle(args, two_sided):
+    n, d, sizes, seed, target = args
+    maker = random_bollobas_family if two_sided else random_skew_family
+    assert maker(n, d, sizes, seed=seed, target=target) == scan_oracles.grow_family(*args, two_sided)
 
 
 _SPARSE_MASKS = st.sets(st.integers(0, 63), max_size=6).map(lambda bits: sum(1 << e for e in bits))

@@ -51,6 +51,24 @@ def test_json_is_decoded_in_one_place():
     assert len(found) == 1, f"json.load(s) calls: {', '.join(found) or 'none'}"
 
 
+def test_only_families_decodes_with_a_parse_int():
+    # the coded family format, its literal table and the decode that reads
+    # through it, stays behind `families.family_from_text`
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "decode" and (len(node.args) > 1 or any(k.arg == "parse_int" for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert [where.split(":")[0] for where in found] == ["families.py"], found
+    cli = (SOURCE / "cli.py").read_text(encoding="utf-8")
+    assert "LITERAL_BIT" not in cli and "parse_int" not in cli
+
+
 def test_exterior_checks_and_clears_rows_in_one_place():
     # `_cleared` checks the length of every rational row a front end takes and
     # clears its denominators; wedge and sum_rank check only what no row shows
