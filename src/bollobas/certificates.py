@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .constructions import _checked_count
 from .errors import BollobasError, DomainError, IndexRangeError, RetriesExhausted, UniformityError
-from .exterior import Rational, SubspaceRep, _det, _pivot_rows, _rank
+from .exterior import IntRow, Rational, SubspaceRep, _det, _pivot_rows, _rank
 from .spaces import Rows, SubspaceFamily, skew_spaces_violation
 from .sums import tuple_weight
 
@@ -40,9 +40,10 @@ DEFAULT_MAX_RETRIES = 32
 #: m = 210, has 88,200 and is admitted; lifted complete (3,3,2), m = 560,
 #: has 627,200.
 MAX_EVALUATION_CELLS = 100_000
-#: The most pairs of distinct parts, P(P + 1)/2, whose spans `certify`
-#: tabulates (`SubspaceFamily.span_table`); lifted complete (3,2,2) has
-#: 1,596.
+#: The most pairs of distinct parts, P(P + 1)/2, that `certify` admits:
+#: an upper bound on the spans (`SubspaceFamily.pair_span`) it computes, as
+#: the skew check and the stages span only the pairs they read; lifted
+#: complete (3,2,2) has 1,596.
 MAX_PART_PAIRS = 20_000
 #: The most parts the evaluation matrix stacks, m^2 (2 + 3 + ... + d): a
 #: cell's stage k stacks k parts, so one entry's run grows as d^2 even when
@@ -142,19 +143,26 @@ def build_phi(
     rank phi(U) = min(dim U, target) for every constraint U: every prefix sum
     A_i^(1) + ... + A_i^(k), and the sum A + B of every unordered pair of
     distinct parts A, B among the first k parts of the entries, a part
-    paired with itself included.  The pair sums come from the family's
-    `span_table`; a prefix sum's basis is its sorted rows, already
-    independent because the parts of an entry are.  No constraint is ranked
-    in the ambient space, and nothing is checked after the draw, because the
-    draw has already proved that intersections keep their dimension:
-    whenever dim(A + B) <= target,
+    paired with itself included.  A prefix sum's basis is its sorted rows,
+    already independent because the parts of an entry are, and it has
+    exactly target rows.  A pair is ranked only when no one entry's prefix
+    holds all the rows of A and B.  If one does, the pair's basis
+    (`SubspaceFamily.pair_span`) is a subset of that prefix's rows, which
+    the prefix constraint already requires to map to independent images,
+    so every draw that passes the prefixes passes the pair.  The draw thus
+    ranks a smaller set that it passes exactly when it passes the full one,
+    and the accepted matrix and its retries are the same.  A pair sum with
+    more than target rows lies in no prefix, so every such pair is ranked.
+    No constraint is ranked in the ambient space, and nothing is checked
+    after the draw, because the draw has already proved that intersections
+    keep their dimension: whenever dim(A + B) <= target,
 
         dim(phi(A) ∩ phi(B)) = dim phi(A) + dim phi(B) - dim phi(A + B)
                              = dim A + dim B - dim(A + B) = dim(A ∩ B),
 
-    as the pairs (A, A) and (B, B) give dim phi(A) = dim A and
-    dim phi(B) = dim B (a part fits in the target), and the pair (A, B)
-    gives dim phi(A + B) = dim(A + B).  Parts at positions p != q always
+    as the pairs (A, A) and (B, B), ranked or implied, give
+    dim phi(A) = dim A and dim phi(B) = dim B (a part fits in the target),
+    and the pair (A, B) gives dim phi(A + B) = dim(A + B).  Parts at positions p != q always
     fit, as a_p + a_q <= target; two parts at one position can exceed it,
     and then no map could preserve their sum.  A negative max_retries is
     refused with a DomainError before anything else is checked.
@@ -168,11 +176,28 @@ def build_phi(
         raise IndexRangeError(f"stage k must be in 2..{d}, got {k}")
     target = sum(sizes[:k])
     m = len(f.entries)
-    required = {tuple(sorted(sum((e[p].rows for p in range(k)), ()))): target for e in f.entries}
-    parts = dict.fromkeys(e[p].rows for e in f.entries for p in range(k))
-    for a, b in itertools.combinations_with_replacement(parts, 2):
-        basis = f.pair_span(a, b)
-        required[basis] = min(len(basis), target)
+    required: dict[Rows, int] = {}
+    # holders[r]: the entries (one bit each) whose prefix holds row r
+    holders: dict[IntRow, int] = {}
+    for i, e in enumerate(f.entries):
+        prefix = sum((e[p].rows for p in range(k)), ())
+        required[tuple(sorted(prefix))] = target
+        for r in prefix:
+            holders[r] = holders.get(r, 0) | 1 << i
+    # in_one[A]: the entries whose prefix holds every row of part A
+    in_one: dict[Rows, int] = {}
+    for e in f.entries:
+        for p in range(k):
+            rows = e[p].rows
+            if rows not in in_one:
+                mask = (1 << m) - 1
+                for r in rows:
+                    mask &= holders[r]
+                in_one[rows] = mask
+    for a, b in itertools.combinations_with_replacement(in_one, 2):
+        if not in_one[a] & in_one[b]:
+            basis = f.pair_span(a, b)
+            required[basis] = min(len(basis), target)
     # every recorded certificate was drawn with the bound for m + m^2 k^2 slots
     bound = 10 * (m + m * m * k * k + 1) * f.n
     matrix, retries = _draw(f.n, target, required, seed, max_retries, bound)

@@ -3,12 +3,16 @@
 A d-tuple of subspaces must satisfy the independence condition
 dim(A^(1) + ... + A^(d)) = dim A^(1) + ... + dim A^(d); the (skew) cross
 condition then asks for p < q with dim(A_i^(p) ∩ A_j^(q)) > 0.
+
+The skew check and the certificate stages read the span of a sum A + B of
+two parts.  A family spans each unordered pair on demand, once, the first
+time it is asked for (`SubspaceFamily.pair_span`), so each reader spans only
+the pairs it reads.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -38,6 +42,8 @@ class SubspaceFamily:
     n: int
     d: int
     entries: tuple[Entry, ...]
+    # pair_span's bases, keyed by the sorted pair of row tuples
+    _spans: dict[tuple[Rows, Rows], Rows] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -58,31 +64,32 @@ class SubspaceFamily:
 
     def uniform_type(self) -> tuple[int, ...] | None:
         """The common dimension vector, or None if entries disagree (or none exist)."""
+        return self._uniform_type
+
+    @cached_property
+    def _uniform_type(self) -> tuple[int, ...] | None:
         types = {tuple(sp.dim for sp in entry) for entry in self.entries}
         return types.pop() if len(types) == 1 else None
 
-    @cached_property
-    def span_table(self) -> dict[tuple[Rows, Rows], Rows]:
-        """The canonical basis of A + B for every unordered pair of distinct parts.
-
-        The parts are those at every position of every entry, told apart by
-        their integer rows, and a part is paired with itself.  The key is the
-        sorted pair of row tuples; the basis is the pivot rows of the sorted
-        distinct rows of A and B, so it depends on the pair alone, and A
-        meets B iff it has fewer than dim A + dim B rows.  The table is built
-        once per family, with one elimination per pair: the skew check and
-        every certificate stage read it instead of ranking the pair again.
-        """
-        parts = sorted({sp.rows for entry in self.entries for sp in entry})
-        table = {}
-        for a, b in itertools.combinations_with_replacement(parts, 2):
-            rows = sorted(set(a + b))
-            table[a, b] = tuple(rows[i] for i in _pivot_rows(rows, self.n))
-        return table
-
     def pair_span(self, a: Rows, b: Rows) -> Rows:
-        """The canonical basis of the sum of the parts with rows a and b (see `span_table`)."""
-        return self.span_table[(a, b) if a <= b else (b, a)]
+        """The canonical basis of A + B for the parts A and B with rows a and b.
+
+        The key is the sorted pair of row tuples, so both orders share one
+        basis, and a part may be paired with itself.  The basis is the pivot
+        rows of the sorted distinct rows of A and B, so it depends on the
+        pair alone, and A meets B iff it has fewer than dim A + dim B rows.
+        Each pair is spanned on demand, the first time it is asked for, and
+        kept for the family's lifetime: the skew check and every certificate
+        stage read it instead of ranking the pair again.  Two threads that
+        ask for a new pair at once may both span it; each stores the same
+        value.
+        """
+        key = (a, b) if a <= b else (b, a)
+        basis = self._spans.get(key)
+        if basis is None:
+            rows = sorted(set(a + b))
+            basis = self._spans[key] = tuple(rows[i] for i in _pivot_rows(rows, self.n))
+        return basis
 
 
 def lift_to_spaces(f: Family) -> SubspaceFamily:
@@ -104,8 +111,10 @@ def lift_to_spaces(f: Family) -> SubspaceFamily:
 def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:
     """First pair i < j (1-based) with no p < q giving dim(A_i^(p) ∩ A_j^(q)) > 0.
 
-    A meets B iff the span of A + B in `SubspaceFamily.span_table` has fewer
-    rows than dim A + dim B; no pair is ranked here.
+    A meets B iff the span `SubspaceFamily.pair_span` of A + B has fewer
+    rows than dim A + dim B.  Each pair i < j reads its slots only up to the
+    first that meets, and only the spans read are computed, so a scan that
+    stops early spans little.
     """
     span = f.pair_span
     slots = [(p, q) for p in range(f.d - 1) for q in range(p + 1, f.d)]

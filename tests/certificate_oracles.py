@@ -1,12 +1,13 @@
 """The certificate code that later versions replaced, kept as test oracles.
 
-The package spans each unordered pair of distinct parts once per family
-(`SubspaceFamily.span_table`), and both the skew check and every stage of
-`build_phi` read those spans.  These are the versions it replaced:
+The package spans an unordered pair of parts on demand, once per family
+(`SubspaceFamily.pair_span`); the skew check reads the pairs it reaches, and
+each stage of `build_phi` ranks only the pair sums that no entry's prefix sum
+already implies.  These are the versions it replaced:
 
 - `phi_constraints`, the original per-slot list: one slot per prefix sum and
-  one per (i, j, p, q), m + m^2 k^2 slots in all, whose length also set the
-  default entry bound of the sampled matrices;
+  one per (i, j, p, q), implied or not, m + m^2 k^2 slots in all, whose
+  length also set the default entry bound of the sampled matrices;
 - `build_phi` over the distinct parts, spanning every pair per stage as a
   `SubspaceRep`, followed by a second pass that re-checked every
   intersection dimension on the images, and the sampler it called;
@@ -121,7 +122,7 @@ def _span(rows, n: int) -> SubspaceRep:
 
 
 def build_phi(f: SubspaceFamily, k: int, seed: int, max_retries: int = 32, entry_bound: int | None = None):
-    """The stage-k map as drawn before the span table, second pass included.
+    """The stage-k map as drawn before pair spans were shared per family, second pass included.
 
     `entry_bound` defaults to the bound for m + m^2 k^2 slots, the one every
     recorded certificate was drawn with.

@@ -1,8 +1,8 @@
 """Differential tests against the versions the certificate code replaced
-(`certificate_oracles`): the span-table stages of `build_phi` and the skew
-check against the per-slot code, and the integer-row reader, lift and
-evaluation matrix against the `Fraction` reader, the per-element lift and the
-per-cell stacking."""
+(`certificate_oracles`): the on-demand spans, the stages of `build_phi` that
+rank only the pairs no prefix implies, and the skew check against the
+per-slot code, and the integer-row reader, lift and evaluation matrix against
+the `Fraction` reader, the per-element lift and the per-cell stacking."""
 
 import contextlib
 import inspect
@@ -16,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import bollobas.certificates as certificates
+import bollobas.spaces as spaces
 from bollobas import (
     BollobasError,
     GeneralPositionMap,
@@ -120,7 +121,19 @@ def test_build_phi_samples_as_the_per_slot_list_did(f, seed):
         got = calls[-1]
         target = sum(sizes[:k])
         oracle = certificate_oracles.phi_constraints(f, k)
-        assert {SubspaceRep(f.n, basis) for basis in got["required"]} == set(oracle)
+        required = {SubspaceRep(f.n, basis) for basis in got["required"]}
+        assert required <= set(oracle)
+        prefixes = [set(sum((e[p].rows for p in range(k)), ())) for e in f.entries]
+
+        def in_one_prefix(rows):
+            return any(set(rows) <= prefix for prefix in prefixes)
+
+        assert all(in_one_prefix(sp.rows) for sp in set(oracle) - required)
+        for ei, ej in itertools.product(f.entries, repeat=2):
+            for p, q in itertools.product(range(k), repeat=2):
+                rows = ei[p].rows + ej[q].rows
+                if not in_one_prefix(rows):
+                    assert certificate_oracles._span(rows, f.n) in required
         assert all(want == min(len(basis), target) for basis, want in got["required"].items())
         bound = 10 * (len(oracle) + 1) * f.n
         assert got["entry_bound"] == bound
@@ -200,14 +213,15 @@ def test_skew_check_reads_the_table_as_the_per_slot_ranks_did(f):
 
 @settings(max_examples=100, deadline=None)
 @given(planted_families())
-def test_span_table_holds_one_basis_of_each_pair_sum(f):
+def test_pair_span_holds_one_basis_of_each_pair_sum(f):
     parts = sorted({sp.rows for e in f.entries for sp in e})
-    table = f.span_table
-    assert list(table) == list(itertools.combinations_with_replacement(parts, 2))
-    for (a, b), basis in table.items():
+    for a, b in itertools.combinations_with_replacement(parts, 2):
+        basis = f.pair_span(a, b)
         assert set(basis) <= set(a + b)
         assert len(basis) == _dim(basis) == _dim(a + b)
-        assert f.pair_span(b, a) is basis
+        with mock.patch.object(spaces, "_pivot_rows", side_effect=AssertionError("spanned again")):
+            assert f.pair_span(b, a) is basis
+            assert f.pair_span(a, b) is basis
 
 
 # Types with a 4 x 4 stage (the closed form of `_det`), and two without.

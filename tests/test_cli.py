@@ -2,10 +2,12 @@ import contextlib
 import gc
 import io
 import json
+import os
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,6 +22,8 @@ from bollobas.errors import FormatError
 from bollobas.events import MAX_EVENT_ARITY, MAX_TRIAL_STEPS, MODES
 from bollobas.families import bollobas_violation, family_to_json
 from bollobas.spaces import MAX_AMBIENT
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # The subcommands that read a JSON document.
 DOCUMENT_READERS = [
@@ -945,12 +949,15 @@ class TestSubprocessPipeline:
     """Drive the module as a real subprocess, construct -> verify -> sum -> certify."""
 
     def run_cli(self, args, stdin=None):
+        # the child imports the package from this checkout's src, installed or not
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         return subprocess.run(
             [sys.executable, "-m", "bollobas.cli", *args],
             input=stdin,
             capture_output=True,
             text=True,
             timeout=120,
+            env=env,
         )
 
     def test_full_pipeline(self, tmp_path):

@@ -1,8 +1,10 @@
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+import bollobas.spaces as spaces
 from bollobas import (
     Family,
     SubspaceFamily,
@@ -68,6 +70,18 @@ class TestSkewSpaces:
     def test_lift_preserves_violations(self):
         f = Family.build(4, [[[1], [2]], [[3], [4]]])
         assert skew_spaces_violation(lift_to_spaces(f)) == (1, 2)
+
+    def test_a_failing_first_pair_spans_only_its_own_slots(self):
+        # entries 1 and 2 share no element, so the scan stops at (1, 2) after
+        # its three slots; entry 3's parts are never paired
+        f = lift_to_spaces(Family.build(7, [[[1], [2], [3]], [[4], [5], [6]], [[1], [5], [7]]]))
+        e1, e2 = f.entries[:2]
+        with mock.patch.object(spaces, "_pivot_rows", wraps=spaces._pivot_rows) as pivots:
+            assert skew_spaces_violation(f) == (1, 2)
+        assert pivots.call_count == 3
+        with mock.patch.object(spaces, "_pivot_rows", side_effect=AssertionError("spanned again")):
+            for p, q in [(0, 1), (0, 2), (1, 2)]:
+                assert len(f.pair_span(e1[p].rows, e2[q].rows)) == 2
 
     def test_single_entry_vacuous(self):
         f = lift_to_spaces(Family.build(3, [[[1], [2]]]))
