@@ -115,22 +115,41 @@ def _draw(
     to rows of rank required[U]; return that matrix and the failed draws
     before it.
 
-    Each distinct basis row is projected once per draw, and each basis is
-    ranked once per draw, in the target space.  Over the rationals a fixed
-    draw fails with probability zero, so running out of retries flags a bug
-    or an infeasible requirement rather than bad luck.
+    The entries are drawn row by row with exactly the calls of
+    `random.Random(seed).randint(-entry_bound, entry_bound)`: each is
+    getrandbits(k), k = width.bit_length() for width = 2 entry_bound + 1,
+    redrawn until below width (the rejection loop of `Random._randbelow`),
+    minus entry_bound.  Written out, it saves the Python calls of
+    `randint`, `randrange` and `_randbelow` per entry.
+    Each distinct basis row is projected once per draw, in the target space.
+    A square constraint, with as many rows as its rank and the target, keeps
+    its rank iff the determinant of its images is nonzero, which `_det`
+    takes by closed forms up to 4 x 4; every other basis is ranked.  Over
+    the rationals a fixed draw fails with probability zero, so running out
+    of retries flags a bug or an infeasible requirement rather than bad luck.
     """
     distinct = dict.fromkeys(itertools.chain.from_iterable(required))
-    rng = random.Random(seed)
+    square = [basis for basis, want in required.items() if len(basis) == want == target]
+    ranked = [(basis, want) for basis, want in required.items() if not len(basis) == want == target]
+    width = 2 * entry_bound + 1
+    bits = width.bit_length()
+    getrandbits = random.Random(seed).getrandbits
     for attempt in range(max_retries):
-        matrix = tuple(
-            tuple(rng.randint(-entry_bound, entry_bound) for _ in range(target))
-            for _ in range(ambient)
-        )
+        matrix = []
+        for _ in range(ambient):
+            row = []
+            for _ in range(target):
+                x = getrandbits(bits)
+                while x >= width:
+                    x = getrandbits(bits)
+                row.append(x - entry_bound)
+            matrix.append(tuple(row))
         columns = tuple(zip(*matrix))
         images = {r: _project(r, columns) for r in distinct}
-        if all(_rank([images[r] for r in basis]) == want for basis, want in required.items()):
-            return matrix, attempt
+        if all(_det([images[r] for r in basis]) for basis in square) and all(
+            _rank([images[r] for r in basis]) == want for basis, want in ranked
+        ):
+            return tuple(matrix), attempt
     raise RetriesExhausted(f"no general-position map found in {max_retries} draws")
 
 
@@ -145,22 +164,25 @@ def build_phi(
     distinct parts A, B among the first k parts of the entries, a part
     paired with itself included.  A prefix sum's basis is its sorted rows,
     already independent because the parts of an entry are, and it has
-    exactly target rows.  A pair is ranked only when no one entry's prefix
+    exactly target rows.  A pair is required only when no one entry's prefix
     holds all the rows of A and B.  If one does, the pair's basis
     (`SubspaceFamily.pair_span`) is a subset of that prefix's rows, which
     the prefix constraint already requires to map to independent images,
     so every draw that passes the prefixes passes the pair.  The draw thus
-    ranks a smaller set that it passes exactly when it passes the full one,
+    checks a smaller set that it passes exactly when it passes the full one,
     and the accepted matrix and its retries are the same.  A pair sum with
-    more than target rows lies in no prefix, so every such pair is ranked.
-    No constraint is ranked in the ambient space, and nothing is checked
+    more than target rows lies in no prefix, so every such pair is required.
+    `_draw` tests each constraint in the target space: a square one (every
+    prefix sum, and a pair sum of exactly target rows) by a nonzero
+    determinant of its images, any other by their rank.  No constraint is
+    checked in the ambient space, and nothing is checked
     after the draw, because the draw has already proved that intersections
     keep their dimension: whenever dim(A + B) <= target,
 
         dim(phi(A) ∩ phi(B)) = dim phi(A) + dim phi(B) - dim phi(A + B)
                              = dim A + dim B - dim(A + B) = dim(A ∩ B),
 
-    as the pairs (A, A) and (B, B), ranked or implied, give
+    as the pairs (A, A) and (B, B), required or implied, give
     dim phi(A) = dim A and dim phi(B) = dim B (a part fits in the target),
     and the pair (A, B) gives dim phi(A + B) = dim(A + B).  Parts at positions p != q always
     fit, as a_p + a_q <= target; two parts at one position can exceed it,

@@ -7,7 +7,9 @@ condition then asks for p < q with dim(A_i^(p) ∩ A_j^(q)) > 0.
 The skew check and the certificate stages read the span of a sum A + B of
 two parts.  A family spans each unordered pair on demand, once, the first
 time it is asked for (`SubspaceFamily.pair_span`), so each reader spans only
-the pairs it reads.
+the pairs it reads.  The skew check spans a pair of entries only when none
+of its slots has two parts that share an integer basis row, since a shared
+row already shows that the parts meet.
 """
 
 from __future__ import annotations
@@ -111,15 +113,26 @@ def lift_to_spaces(f: Family) -> SubspaceFamily:
 def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:
     """First pair i < j (1-based) with no p < q giving dim(A_i^(p) ∩ A_j^(q)) > 0.
 
-    A meets B iff the span `SubspaceFamily.pair_span` of A + B has fewer
-    rows than dim A + dim B.  Each pair i < j reads its slots only up to the
-    first that meets, and only the spans read are computed, so a scan that
-    stops early spans little.
+    A pair first looks for a slot p < q whose parts share an integer basis
+    row (`SubspaceRep.rows`): a shared row is a common nonzero direction, so
+    the parts meet, and no elimination is needed.  Only a pair with no such
+    slot is spanned: A meets B iff the span `SubspaceFamily.pair_span` of
+    A + B has fewer rows than dim A + dim B, which also finds parts that
+    meet through different rows.  That pair reads its slots only up to the
+    first that meets, and only the spans read are computed, so a valid
+    family whose pairs all share rows spans nothing.
     """
     span = f.pair_span
     slots = [(p, q) for p in range(f.d - 1) for q in range(p + 1, f.d)]
+    # slot_of[j] maps each row of entry j to its part; the rows of an entry's
+    # parts are distinct, as its parts are independent
+    slot_of = [{r: q for q, sp in enumerate(e) for r in sp.rows} for e in f.entries]
     for i, ei in enumerate(f.entries):
+        head = [(p, r) for p in range(f.d - 1) for r in ei[p].rows]
         for j in range(i + 1, len(f.entries)):
+            get = slot_of[j].get
+            if any(get(r, 0) > p for p, r in head):
+                continue
             ej = f.entries[j]
             if not any(len(span(ei[p].rows, ej[q].rows)) < ei[p].dim + ej[q].dim for p, q in slots):
                 return (i + 1, j + 1)

@@ -1,16 +1,19 @@
 """The certificate code that later versions replaced, kept as test oracles.
 
 The package spans an unordered pair of parts on demand, once per family
-(`SubspaceFamily.pair_span`); the skew check reads the pairs it reaches, and
-each stage of `build_phi` ranks only the pair sums that no entry's prefix sum
-already implies.  These are the versions it replaced:
+(`SubspaceFamily.pair_span`); the skew check spans only the pairs of entries
+with no slot whose parts share an integer basis row, and each stage of
+`build_phi` checks only the pair sums that no entry's prefix sum already
+implies, in draws written out from `randint`'s `getrandbits` calls.  These
+are the versions it replaced:
 
 - `phi_constraints`, the original per-slot list: one slot per prefix sum and
   one per (i, j, p, q), implied or not, m + m^2 k^2 slots in all, whose
   length also set the default entry bound of the sampled matrices;
 - `build_phi` over the distinct parts, spanning every pair per stage as a
   `SubspaceRep`, followed by a second pass that re-checked every
-  intersection dimension on the images, and the sampler it called;
+  intersection dimension on the images, and the sampler it called, which
+  drew each entry with `random.Random.randint` and ranked every constraint;
 - `skew_spaces_violation`, ranking one stacked basis per (i, j, p < q).
 
 The package also keeps integer coordinates as ints from the JSON reader to

@@ -66,6 +66,25 @@ class TestGeneralPositionDraws:
             assert required[basis] == phi.target
             assert phi.image(SubspaceRep(f.n, basis)).dim == phi.target
 
+    def test_only_constraints_that_are_not_square_are_ranked(self):
+        # stage 2 of lifted complete (2,1,1), target 3: the prefix sums and
+        # the pair sums of 3 rows are square; pair sums of 2 or 4 rows are not
+        f = lift_to_spaces(complete_family((2, 1, 1)))
+        with (
+            mock.patch.object(certificates, "_draw", wraps=certificates._draw) as draw,
+            mock.patch.object(certificates, "_rank", wraps=certificates._rank) as ranks,
+            mock.patch.object(certificates, "_det", wraps=certificates._det) as dets,
+        ):
+            phi = build_phi(f, 2, seed=5)
+        assert phi.retries == 0
+        required = draw.call_args.args[2]
+        square = [basis for basis, want in required.items() if len(basis) == want == phi.target]
+        assert 0 < len(square) < len(required)
+        assert dets.call_count == len(square)
+        assert ranks.call_count == len(required) - len(square)
+        assert all(len(call.args[0]) == phi.target for call in dets.call_args_list)
+        assert all(len(call.args[0]) != phi.target for call in ranks.call_args_list)
+
     def test_retries_exhausted_on_impossible_draws(self):
         with pytest.raises(RetriesExhausted):
             # entry bound 0 forces the zero matrix, which kills every image

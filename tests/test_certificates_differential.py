@@ -1,8 +1,10 @@
 """Differential tests against the versions the certificate code replaced
 (`certificate_oracles`): the on-demand spans, the stages of `build_phi` that
-rank only the pairs no prefix implies, and the skew check against the
-per-slot code, and the integer-row reader, lift and evaluation matrix against
-the `Fraction` reader, the per-element lift and the per-cell stacking."""
+check only the pairs no prefix implies, with draws written out from
+`randint`, and the skew check that spans only pairs sharing no basis row,
+against the per-slot code; and the integer-row reader, lift and evaluation
+matrix against the `Fraction` reader, the per-element lift and the per-cell
+stacking."""
 
 import contextlib
 import inspect
@@ -66,7 +68,7 @@ def uniform_families(draw, types=None):
     n = sum(sizes) + draw(st.integers(0, 2))
     kind = draw(st.sampled_from(["lifted", "rotated", "rational"]))
     rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    if kind != "lifted":
+    if kind != "lifted" and n:
         ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), coefficients(kind == "rational"))
         for i, j, c in draw(st.lists(ops, max_size=2 * n)):
             if i != j:
@@ -85,6 +87,50 @@ def uniform_families(draw, types=None):
             start += size
         entries.append(tuple(parts))
     return SubspaceFamily(n, d, tuple(entries))
+
+
+@st.composite
+def meeting_families(draw):
+    """Families as `uniform_families` draws them, with some parts given
+    another basis of the same subspace: each row scaled by a nonzero rational
+    and mixed with the part's other rows.
+
+    Every subspace, and so every intersection, is kept, but parts that met
+    through a shared basis row may now meet through different ones: through
+    proportional rows such as (1, 1) and (2, 2), through a line inside a
+    plane spanned by other rows, or through rational rows that clear to
+    different integer rows, such as (3/2, 3/2) to (3, 3) against (1, 1).
+    `uniform_families` alone draws every part from the rows of one matrix,
+    so its parts meet only through shared rows.
+    """
+    f = draw(uniform_families())
+    scales = st.sampled_from([Fraction(x) for x in (1, -1, 2, -3, "1/2", "3/2", "-2/3")])
+    entries = []
+    for e in f.entries:
+        parts = []
+        for sp in e:
+            basis = []
+            for row in sp.basis:
+                scale = draw(scales)
+                basis.append([scale * x for x in row])
+            if len(basis) > 1:
+                index = st.integers(0, len(basis) - 1)
+                for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=2)):
+                    if i != j:
+                        basis[i] = [a + c * b for a, b in zip(basis[i], basis[j])]
+            parts.append(SubspaceRep(f.n, tuple(map(tuple, basis))))
+        entries.append(tuple(parts))
+    return SubspaceFamily(f.n, f.d, tuple(entries))
+
+
+def _meet_without_a_shared_row(f, k=None):
+    """True iff two of the first k parts of the entries (all d by default)
+    meet although they share no integer basis row."""
+    parts = {sp.rows for e in f.entries for sp in e[:k]}
+    return any(
+        not set(a) & set(b) and _dim(a + b) < len(a) + len(b)
+        for a, b in itertools.combinations(parts, 2)
+    )
 
 
 def _outcome(build):
@@ -106,7 +152,7 @@ def _with_entry_bound(bound):
 
 
 @settings(max_examples=150, deadline=None)
-@given(uniform_families(), st.integers(0, 2**64 - 1))
+@given(uniform_families() | meeting_families(), st.integers(0, 2**64 - 1))
 def test_build_phi_samples_as_the_per_slot_list_did(f, seed):
     calls = []
 
@@ -140,11 +186,15 @@ def test_build_phi_samples_as_the_per_slot_list_did(f, seed):
         want = certificate_oracles.sample_general_position(f.n, target, oracle, seed, 32, bound)
         assert phi.matrix == want.matrix
         assert phi.retries == want.retries
+        if _meet_without_a_shared_row(f, k):
+            event("parts meet without a shared row")
+        if any(len(basis) != target for basis in got["required"]):
+            event("a constraint that is not square")
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    uniform_families(),
+    uniform_families() | meeting_families(),
     st.integers(0, 2**64 - 1),
     st.sampled_from([None, 0, 1, 2, 3]),
     st.integers(1, 32),
@@ -160,6 +210,44 @@ def test_build_phi_draws_as_the_second_pass_version_did(f, seed, bound, max_retr
             with _with_entry_bound(bound):
                 got = _outcome(lambda: certificates.build_phi(f, k, seed, max_retries))
         assert got == want
+        if _meet_without_a_shared_row(f, k):
+            event("parts meet without a shared row")
+
+
+# Entry bounds 0 to 3, and 4, 8 and 16, whose widths 2 b + 1 = 9, 17 and 33
+# lie just above a power of two, where `randint` rejects the most draws.
+DRAW_BOUNDS = [0, 1, 2, 3, 4, 8, 16]
+# Types whose first stage has target 0, in an ambient space of dimension 0
+# to 2.
+ZERO_TARGETS = [(0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    uniform_families(st.sampled_from(ZERO_TARGETS)) | uniform_families(),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(DRAW_BOUNDS),
+    st.integers(1, 8),
+)
+def test_draws_make_the_calls_of_randint(f, seed, bound, max_retries):
+    """The same maps, retries and RetriesExhausted outcomes as
+    `certificate_oracles.build_phi`, whose entries are
+    `random.Random(seed).randint` calls, at ambient
+    0, target 0 and widths where the rejection loop rejects; a target of 0
+    gives one empty row per ambient dimension."""
+    sizes = f.uniform_type()
+    for k in range(2, f.d + 1):
+        want = _outcome(lambda: certificate_oracles.build_phi(f, k, seed, max_retries, bound))
+        with _with_entry_bound(bound):
+            got = _outcome(lambda: certificates.build_phi(f, k, seed, max_retries))
+        assert got == want
+        if sum(sizes[:k]) == 0:
+            assert got[1] == ((),) * f.n
+            event("target 0")
+        if got[0] != "exhausted" and got[2]:
+            event("a rejected draw")
+    if f.n == 0:
+        event("ambient 0")
 
 
 def _dim(rows, matrix=None):
@@ -170,7 +258,7 @@ def _dim(rows, matrix=None):
 
 
 @settings(max_examples=100, deadline=None)
-@given(uniform_families(), st.integers(0, 2**64 - 1), st.sampled_from([None, 1, 2, 3]))
+@given(uniform_families() | meeting_families(), st.integers(0, 2**64 - 1), st.sampled_from([None, 1, 2, 3]))
 def test_accepted_maps_keep_every_intersection_dimension(f, seed, bound):
     """dim(phi A ∩ phi B) = dim(A ∩ B) whenever dim(A + B) <= target, on every
     accepted map, recomputed over `Fraction` images of the original bases."""
@@ -194,10 +282,11 @@ def test_accepted_maps_keep_every_intersection_dimension(f, seed, bound):
 
 
 @st.composite
-def planted_families(draw):
-    """A uniform family with some of its entries repeated at later positions
-    (a repeated entry with a nonempty part breaks the skew condition)."""
-    f = draw(uniform_families())
+def planted_families(draw, families):
+    """A family drawn from `families` with some of its entries repeated at
+    later positions (a repeated entry with a nonempty part breaks the skew
+    condition)."""
+    f = draw(families)
     entries = list(f.entries)
     for _ in range(draw(st.integers(0, 2))):
         copy = entries[draw(st.integers(0, len(entries) - 1))]
@@ -206,13 +295,19 @@ def planted_families(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(planted_families())
+@given(planted_families(uniform_families() | meeting_families()))
 def test_skew_check_reads_the_table_as_the_per_slot_ranks_did(f):
-    assert skew_spaces_violation(f) == certificate_oracles.skew_spaces_violation(f)
+    with mock.patch.object(spaces, "_pivot_rows", wraps=spaces._pivot_rows) as pivots:
+        assert skew_spaces_violation(f) == certificate_oracles.skew_spaces_violation(f)
+    event("spanned a pair" if pivots.call_count else "spanned no pair")
+    for ei, ej in itertools.combinations(f.entries, 2):
+        slots = [(ei[p].rows, ej[q].rows) for p in range(f.d - 1) for q in range(p + 1, f.d)]
+        if not any(set(a) & set(b) for a, b in slots) and any(_dim(a + b) < len(a) + len(b) for a, b in slots):
+            event("a pair meets only through different rows")
 
 
 @settings(max_examples=100, deadline=None)
-@given(planted_families())
+@given(planted_families(uniform_families()))
 def test_pair_span_holds_one_basis_of_each_pair_sum(f):
     parts = sorted({sp.rows for e in f.entries for sp in e})
     for a, b in itertools.combinations_with_replacement(parts, 2):

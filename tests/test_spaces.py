@@ -83,18 +83,46 @@ class TestSkewSpaces:
             for p, q in [(0, 1), (0, 2), (1, 2)]:
                 assert len(f.pair_span(e1[p].rows, e2[q].rows)) == 2
 
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_pairs_that_share_a_row_are_not_spanned(self, rotated):
+        # every pair of a skew family of sets shares an element in some slot,
+        # so its lift, and the same lift through a unimodular matrix (each
+        # element e becomes row e of it), meets through a shared basis row
+        fam = complete_family((2, 1, 1))
+        f = lift_to_spaces(fam)
+        if rotated:
+            u = [[1, 1, 0, -1], [0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 2, 1]]
+            entries = tuple(
+                tuple(SubspaceRep.from_rows([u[e - 1] for e in part], fam.n) for part in t.parts())
+                for t in fam.tuples
+            )
+            f = SubspaceFamily(fam.n, fam.d, entries)
+        with mock.patch.object(spaces, "_pivot_rows", side_effect=AssertionError("spanned")):
+            assert skew_spaces_violation(f) is None
+
     def test_single_entry_vacuous(self):
         f = lift_to_spaces(Family.build(3, [[[1], [2]]]))
         assert is_skew_bollobas_spaces(f)
 
-    def test_non_coordinate_subspaces(self):
+    @pytest.mark.parametrize(
+        "rows, spans",
+        [
+            ([(1, 1, 0)], 0),  # the same basis row
+            ([(2, 2, 0)], 1),  # a proportional row
+            ([("1/2", "1/2", 0)], 0),  # a rational row that clears to the same integer row
+            ([(1, 1, 1), (1, 1, -1)], 1),  # a plane holding the line, spanned by other rows
+        ],
+    )
+    def test_non_coordinate_subspaces(self, rows, spans):
         # shared direction (1,1,0) between part 1 of entry 1 and part 2 of entry 2
         a1 = SubspaceRep.from_rows([(1, 1, 0)], 3)
         a2 = SubspaceRep.from_rows([(0, 0, 1)], 3)
         b1 = SubspaceRep.from_rows([(1, 0, 0)], 3)
-        b2 = SubspaceRep.from_rows([(1, 1, 0)], 3)
+        b2 = SubspaceRep.from_rows(rows, 3)
         f = SubspaceFamily(3, 2, ((a1, a2), (b1, b2)))
-        assert is_skew_bollobas_spaces(f)
+        with mock.patch.object(spaces, "_pivot_rows", wraps=spaces._pivot_rows) as pivots:
+            assert is_skew_bollobas_spaces(f)
+        assert pivots.call_count == spans
 
 
 class TestJson:
