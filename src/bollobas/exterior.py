@@ -9,11 +9,15 @@ are dependent; `is_independent` tests that by rank, not by all C(n, k) minors.
 Ranks, pivot rows and determinants all read one fraction-free (Bareiss)
 elimination, `_echelon`, on denominator-cleared integer matrices, exact at
 any size that fits in memory; determinants up to 4 x 4 use closed forms
-instead.  Every front end that takes rational rows (`det`, `rank`,
-`is_independent`, `wedge`, `SubspaceRep`) checks their lengths and clears
-their denominators once, in `_cleared`; the integer kernels `_rank`,
-`_pivot_rows` and `_det` are what the subspace code calls, on the integer
-rows every `SubspaceRep` keeps, and `wedge` takes each minor with `_det`.
+instead.  The subspace code tests independence with `_independent`, which
+eliminates only when no closed form decides: no rows are independent, one
+row is iff it is nonzero, and a square stack up to 4 x 4 is iff its
+closed-form determinant is nonzero.  Every front end that takes rational
+rows (`det`, `rank`, `is_independent`, `wedge`, `SubspaceRep`) checks their
+lengths and clears their denominators once, in `_cleared`; the integer
+kernels `_rank`, `_pivot_rows`, `_independent` and `_det` are what the
+subspace code calls, on the integer rows every `SubspaceRep` keeps, and
+`wedge` takes each minor with `_det`.
 """
 
 from __future__ import annotations
@@ -148,6 +152,21 @@ def _pivot_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
     return [idx for idx, _, _ in _echelon(rows, ncols)]
 
 
+def _independent(rows: Sequence[Sequence[int]], ncols: int) -> bool:
+    """True iff the integer rows, of `ncols` entries each, are linearly
+    independent, by the cheapest exact test: no rows are; one row is iff it
+    is nonzero; a square stack up to 4 x 4 is iff its closed-form `_det` is
+    nonzero; any other stack is iff `_echelon` keeps every row as a pivot."""
+    k = len(rows)
+    if k == 0:
+        return True
+    if k == 1:
+        return any(rows[0])
+    if k == ncols <= 4:
+        return _det(rows) != 0
+    return len(_echelon(rows, ncols)) == k
+
+
 def _rank(rows: Sequence[Sequence[int]]) -> int:
     """Row rank of an integer matrix (the integer kernel behind `rank`)."""
     return len(_pivot_rows(rows, len(rows[0]))) if rows else 0
@@ -218,7 +237,7 @@ class SubspaceRep:
         rows, scale = _cleared(self.basis, self.n)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "scale", scale)
-        if _rank(rows) != len(rows):
+        if not _independent(rows, self.n):
             raise DomainError("basis rows are linearly dependent")
 
     @property

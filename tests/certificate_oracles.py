@@ -16,6 +16,10 @@ are the versions it replaced:
   drew each entry with `random.Random.randint` and ranked every constraint;
 - `skew_spaces_violation`, ranking one stacked basis per (i, j, p < q).
 
+The skew check and the evaluation matrix both read the family's shared-row
+table, built once by suffix ORs over per-position dicts of rows;
+`shared_rows` computes it pair by pair from row-set intersections.
+
 The package also keeps integer coordinates as ints from the JSON reader to
 the report, and stacks each entry's projected parts once per stage.  These
 are the versions that did not:
@@ -174,6 +178,19 @@ def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:
             ):
                 return (i + 1, j + 1)
     return None
+
+
+def shared_rows(f: SubspaceFamily) -> tuple[int, ...]:
+    """Bit j of entry i's int is set iff some part p of entry i and some part
+    q > p of entry j have an integer basis row in common."""
+    table = []
+    for ei in f.entries:
+        bits = 0
+        for j, ej in enumerate(f.entries):
+            if any(set(ei[p].rows) & set(ej[q].rows) for p in range(f.d) for q in range(p + 1, f.d)):
+                bits |= 1 << j
+        table.append(bits)
+    return tuple(table)
 
 
 def subspace_family_from_json(obj: dict) -> SubspaceFamily:

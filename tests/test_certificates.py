@@ -174,6 +174,20 @@ class TestEvaluationMatrix:
                 if shared:
                     assert matrix[i][j] == 0
 
+    def test_cells_that_share_a_row_take_no_determinant(self):
+        # every off-diagonal pair of a lifted complete family shares a row, so
+        # only the diagonal's two nonzero stage factors per cell are taken
+        f = lift_to_spaces(complete_family((2, 2, 2)))
+        maps = {k: build_phi(f, k, seed=derive_seed(0, f"phi{k}")) for k in (2, 3)}
+        m = len(f.entries)
+        assert f._shared_rows == tuple(((1 << m) - 1) ^ (1 << i) for i in range(m))
+        with mock.patch.object(certificates, "_det", wraps=certificates._det) as det:
+            matrix = evaluation_matrix(f, maps)
+        assert det.call_count == 2 * m
+        for i in range(m):
+            assert matrix[i][i] != 0
+            assert all(matrix[i][j] == 0 for j in range(m) if j != i)
+
 
 class TestCertify:
     @pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1), (2, 1), (2, 2)])

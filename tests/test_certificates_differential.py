@@ -2,8 +2,9 @@
 (`certificate_oracles`): the on-demand spans, the stages of `build_phi` that
 check only the pairs no prefix implies, with draws written out from
 `randint`, and the skew check that spans only pairs sharing no basis row,
-against the per-slot code; and the integer-row reader, lift and evaluation
-matrix against the `Fraction` reader, the per-element lift and the per-cell
+against the per-slot code; the shared-row table against pairwise row-set
+intersections; and the integer-row reader, lift and evaluation matrix
+against the `Fraction` reader, the per-element lift and the per-cell
 stacking."""
 
 import contextlib
@@ -36,91 +37,9 @@ from bollobas import (
 
 import certificate_oracles
 import fraction_oracles
+from subspace_strategies import meeting_families, uniform_families
 
 REAL_DRAW = certificates._draw
-
-
-@st.composite
-def coefficients(draw, rational):
-    if not rational:
-        return draw(st.integers(-3, 3))
-    return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
-
-
-@st.composite
-def uniform_families(draw, types=None):
-    """Uniform subspace families with d = 2..4 and m = 1..5: each part is
-    spanned by the rows of an invertible matrix at the part's elements.
-
-    The type is drawn from `types`, or else has d = 2..4 parts of 0..2
-    elements, 1..5 in all.  The matrix is the identity (a lifted set family),
-    an integer unimodular one (rows mixed by integer row operations), or a
-    rational one (rows mixed by rational row operations and scaled by nonzero
-    rationals).  Entries may repeat, and the ambient dimension may exceed the
-    sum of the part sizes.
-    """
-    if types is None:
-        d = draw(st.integers(2, 4))
-        sizes = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d).filter(lambda s: 0 < sum(s) <= 5))
-    else:
-        sizes = draw(types)
-        d = len(sizes)
-    n = sum(sizes) + draw(st.integers(0, 2))
-    kind = draw(st.sampled_from(["lifted", "rotated", "rational"]))
-    rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    if kind != "lifted" and n:
-        ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), coefficients(kind == "rational"))
-        for i, j, c in draw(st.lists(ops, max_size=2 * n)):
-            if i != j:
-                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    if kind == "rational":
-        scales = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
-        for r in range(n):
-            if draw(st.booleans()):
-                scale = draw(scales)
-                rows[r] = [scale * a for a in rows[r]]
-    entries = []
-    for order in draw(st.lists(st.permutations(range(n)), min_size=1, max_size=5)):
-        parts, start = [], 0
-        for size in sizes:
-            parts.append(SubspaceRep(n, tuple(tuple(rows[e]) for e in order[start : start + size])))
-            start += size
-        entries.append(tuple(parts))
-    return SubspaceFamily(n, d, tuple(entries))
-
-
-@st.composite
-def meeting_families(draw):
-    """Families as `uniform_families` draws them, with some parts given
-    another basis of the same subspace: each row scaled by a nonzero rational
-    and mixed with the part's other rows.
-
-    Every subspace, and so every intersection, is kept, but parts that met
-    through a shared basis row may now meet through different ones: through
-    proportional rows such as (1, 1) and (2, 2), through a line inside a
-    plane spanned by other rows, or through rational rows that clear to
-    different integer rows, such as (3/2, 3/2) to (3, 3) against (1, 1).
-    `uniform_families` alone draws every part from the rows of one matrix,
-    so its parts meet only through shared rows.
-    """
-    f = draw(uniform_families())
-    scales = st.sampled_from([Fraction(x) for x in (1, -1, 2, -3, "1/2", "3/2", "-2/3")])
-    entries = []
-    for e in f.entries:
-        parts = []
-        for sp in e:
-            basis = []
-            for row in sp.basis:
-                scale = draw(scales)
-                basis.append([scale * x for x in row])
-            if len(basis) > 1:
-                index = st.integers(0, len(basis) - 1)
-                for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=2)):
-                    if i != j:
-                        basis[i] = [a + c * b for a, b in zip(basis[i], basis[j])]
-            parts.append(SubspaceRep(f.n, tuple(map(tuple, basis))))
-        entries.append(tuple(parts))
-    return SubspaceFamily(f.n, f.d, tuple(entries))
 
 
 def _meet_without_a_shared_row(f, k=None):
@@ -338,22 +257,47 @@ def staged_maps(draw, f):
     return maps
 
 
+def _factors_taken(f, maps, i, j):
+    """The stage factors of cell (i, j) up to its first zero, as the per-cell
+    version takes them."""
+    ei, ej = f.entries[i], f.entries[j]
+    for k in range(2, f.d + 1):
+        stacked = sum((ei[p].rows for p in range(k - 1)), ()) + ej[k - 1].rows
+        if certificates._det(maps[k].apply_rows(stacked)) == 0:
+            return k - 1
+    return f.d - 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_evaluation_matrix_matches_per_cell_stacking(data):
     """The same matrix as the per-cell version, entry for entry, on lifted,
-    rotated and rational families (where `scale` != 1), with 4 x 4 stages
-    and zero factors."""
-    f = data.draw(uniform_families(st.sampled_from(FOUR_BY_FOUR)) | uniform_families())
+    rotated and rational families (where `scale` != 1), on families whose
+    parts meet through different rows, with 4 x 4 stages and zero factors.
+
+    A cell whose parts share a row (the `shared_rows` oracle) takes no
+    determinant; every other cell, zero or not, takes its stage factors up
+    to the first zero, as the per-cell version did."""
+    f = data.draw(uniform_families(st.sampled_from(FOUR_BY_FOUR)) | uniform_families() | meeting_families())
     maps = data.draw(staged_maps(f))
     want = certificate_oracles.evaluation_matrix(f, maps)
-    got = evaluation_matrix(f, maps)
+    with mock.patch.object(certificates, "_det", wraps=certificates._det) as det:
+        got = evaluation_matrix(f, maps)
     assert got == want
     assert all(type(x) is Fraction for row in got for x in row)
+    table = certificate_oracles.shared_rows(f)
+    taken = 0
+    for i, j in itertools.product(range(len(f.entries)), repeat=2):
+        if table[i] >> j & 1:
+            assert want[i][j] == 0
+            event("a zero cell from a shared row")
+            continue
+        taken += _factors_taken(f, maps, i, j)
+        if want[i][j] == 0:
+            event("a zero cell without a shared row")
+    assert det.call_count == taken
     if any(sp.scale != 1 for e in f.entries for sp in e):
         event("scale != 1")
-    if any(x == 0 for row in want for x in row):
-        event("a zero cell")
     stage2 = maps[2]
     if any(
         certificates._det(stage2.apply_rows(ei[0].rows + ej[1].rows)) == 0
@@ -361,6 +305,18 @@ def test_evaluation_matrix_matches_per_cell_stacking(data):
         for ej in f.entries
     ):
         event("a zero first factor")
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_families(uniform_families() | meeting_families()))
+def test_shared_row_table_matches_the_pairwise_intersections(f):
+    table = f._shared_rows
+    assert table == certificate_oracles.shared_rows(f)
+    assert f._shared_rows is table
+    if any(table):
+        event("a pair shares a row")
+    if _meet_without_a_shared_row(f):
+        event("parts meet only through different rows")
 
 
 @settings(max_examples=100, deadline=None)

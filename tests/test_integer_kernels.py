@@ -7,13 +7,14 @@ dimensions and the same evaluation matrix on rational inputs.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 from bollobas import GeneralPositionMap, SubspaceFamily, SubspaceRep, evaluation_matrix, rank
-from bollobas.exterior import _det, _pivot_rows, _rank
-from certificate_oracles import bareiss
+from bollobas.exterior import _det, _independent, _pivot_rows, _rank
+from certificate_oracles import bareiss, shared_rows
+from subspace_strategies import meeting_families
 
 # small values and zeros make dependent rows and dimension drops common
 entries = st.one_of(
@@ -128,6 +129,47 @@ def test_det_elimination_matches_bareiss_and_laplace(rows):
         assert want == oracle.det(rows)
 
 
+@st.composite
+def independence_cases(draw):
+    """(rows, ncols) integer matrices of every shape `_independent` tells
+    apart: no rows, a zero row, k x k squares for k = 2..4, singular (a row
+    combines two others, or repeats one) or not, wide (k < ncols) and tall
+    (k > ncols) stacks."""
+    values = st.integers(-3, 3) | st.integers(-(10**20), 10**20)
+    shape = draw(st.sampled_from(("empty", "zero row", "square", "singular square", "wide", "tall")))
+    event(shape)
+    if shape == "empty":
+        return [], draw(st.integers(0, 5))
+    if shape in ("square", "singular square"):
+        k = ncols = draw(st.integers(2, 4))
+    elif shape == "wide":
+        ncols = draw(st.integers(2, 6))
+        k = draw(st.integers(1, ncols - 1))
+    elif shape == "tall":
+        ncols = draw(st.integers(1, 4))
+        k = draw(st.integers(ncols + 1, 6))
+    else:
+        ncols = draw(st.integers(1, 5))
+        k = draw(st.integers(1, 5))
+    rows = [tuple(draw(values) for _ in range(ncols)) for _ in range(k)]
+    if shape == "zero row":
+        rows[draw(st.integers(0, k - 1))] = (0,) * ncols
+    elif shape == "singular square":
+        # at k = 2 the second row is minus the first
+        i, j, r = draw(st.permutations(range(k)))[:3] if k > 2 else (0, 0, 1)
+        rows[r] = tuple(a - 2 * b for a, b in zip(rows[i], rows[j]))
+    return rows, ncols
+
+
+@settings(max_examples=500, deadline=None)
+@given(independence_cases())
+def test_independent_matches_rank(case):
+    rows, ncols = case
+    want = _rank(rows) == len(rows)
+    assert _independent(rows, ncols) is want
+    event("independent" if want else "dependent")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_subspace_rows_are_cleared_basis_rows(data):
@@ -157,25 +199,43 @@ def test_image_dims_match_apply_rows_then_rank(data):
     assert phi.apply_rows(sp.basis) == [tuple(r) for r in want_rows]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_evaluation_matrix_matches_fraction_determinants(data):
-    # type (1, 1, 1) in Q^3: each entry's lines are the rows of M + tI, with t
-    # the first of 0..3 that is not a root of det(M + tI), a monic cubic in t
+@st.composite
+def lines_in_q3(draw):
+    """Type (1, 1, 1) in Q^3: each entry's lines are the rows of M + tI, with t
+    the first of 0..3 that is not a root of det(M + tI), a monic cubic in t."""
     n, d = 3, 3
     entries_ = []
-    for _ in range(data.draw(st.integers(1, 3))):
-        square = [[Fraction(data.draw(entries)) for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        square = [[Fraction(draw(entries)) for _ in range(n)] for _ in range(n)]
         for t in range(4):
             rows = [[x + t * (r == c) for c, x in enumerate(row)] for r, row in enumerate(square)]
             if oracle.det(rows) != 0:
                 break
         entries_.append(tuple(SubspaceRep(n, (tuple(r),)) for r in rows))
-    f = SubspaceFamily(n, d, tuple(entries_))
+    return SubspaceFamily(n, d, tuple(entries_))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_evaluation_matrix_matches_fraction_determinants(data):
+    # lines in Q^3, or families whose parts may meet through different rows
+    f = data.draw(lines_in_q3() | meeting_families())
+    sizes = f.uniform_type()
     maps = {
         k: GeneralPositionMap(
-            n, k, tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(n)), 0
+            f.n,
+            sum(sizes[:k]),
+            tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(sum(sizes[:k]))) for _ in range(f.n)),
+            0,
         )
-        for k in (2, 3)
+        for k in range(2, f.d + 1)
     }
-    assert evaluation_matrix(f, maps) == oracle.evaluation_matrix(f, maps)
+    got = evaluation_matrix(f, maps)
+    assert got == oracle.evaluation_matrix(f, maps)
+    table = shared_rows(f)
+    for i, row in enumerate(got):
+        for j, x in enumerate(row):
+            if table[i] >> j & 1:
+                event("a zero cell from a shared row")
+            elif x == 0:
+                event("a zero cell without a shared row")
