@@ -24,19 +24,25 @@ the Monte Carlo walk in `events` reads the same column bitsets.
 
 A `Family` is its part masks: every reader and construction hands masks to
 its constructor, no reader skips it, every scan and writer reads
-`Family.masks`, and its DTuples are views.  The JSON reader checks a whole
-family at once and sums each part's element bits straight into its mask.
-`family_from_text` first decodes a text with no `true` or `false` literal as
-a *coded* document: the JSON scanner reads each integer literal "1".."64" as
-its element's mask bit (`_LITERAL_BIT`), so a part's mask is one `sum` of the
-part, and as the document holds no bool, no pass over the elements checks
-their type: a non-int element makes the sums raise TypeError instead.  A
-document the coded read refuses for any reason, a literal outside the table
-included, is decoded again with plain ints and read by `family_from_json`,
-which names its first fault; a text with a bool literal is only read that
-way.  The writers work the other way, from masks to parts: the constructions
-repeat a few parts many times (the layered family on [9] has 9,417 parts but
-419 distinct masks), so `family_to_json`, `relabel` and
+`Family.masks`, and its DTuples are views.  The constructor checks a family
+of tuples, or of DTuples, with one C-level pass per fact over all members
+(their types, their n, their lengths); only a family that fails one of them,
+or mixes kinds, is read member by member, to name its first fault.  The JSON
+reader checks a whole family at once and sums each part's element bits
+straight into its mask.  `family_from_text` first decodes a text with no
+`true` or `false` literal as a *coded* document: the JSON scanner reads each
+integer literal "1".."64" as its element's mask bit (`_LITERAL_BIT`), so a
+part's mask is one `sum` of the part.  Facts of the whole text stand in for
+type passes over the decoded document: as it holds no bool, no pass over the
+elements checks their type, since a non-int element makes the sums raise
+TypeError instead; and when it holds no `""` and no second "{", no pass
+checks that each part is a list, since `sum` refuses every other part but
+"" and {}.  A document the coded read refuses for any reason, a literal
+outside the table included, is decoded again with plain ints and read by
+`family_from_json`, which names its first fault; a text with a bool literal
+is only read that way.  The writers work the other way, from masks to parts:
+the constructions repeat a few parts many times (the layered family on [9]
+has 9,417 parts but 419 distinct masks), so `family_to_json`, `relabel` and
 `spaces.lift_to_spaces` each compute their value of a part once per distinct
 mask (`_by_distinct_mask`) and read every tuple's parts through that table.
 """
@@ -153,10 +159,14 @@ class Family:
     """An ordered sequence of d-tuples over one ground set, kept as the d part
     masks of each (`masks`); the DTuples of `tuples` and iteration are views.
 
-    Each tuple is given as a DTuple of the family's n and d or as its masks.
-    Masks are taken as given: they must be non-negative, pairwise disjoint
-    and below 2^n.  Order is semantically significant: the skew condition
-    quantifies over pairs i < j in this order.
+    Each tuple is given as a DTuple of the family's n and d or as its masks,
+    in any iterable, read once.  Members that are all tuples, or all DTuples
+    of this n, are checked and kept with one pass per fact over the family;
+    any other family is read member by member, and the first one of another
+    n or d raises MismatchError.  Masks are taken as given: they must be
+    non-negative, pairwise disjoint and below 2^n.  Order is semantically
+    significant: the skew condition quantifies over pairs i < j in this
+    order.
     """
 
     n: int
@@ -167,13 +177,24 @@ class Family:
         _as_n(self.n)
         if self.d < 2:
             raise ArityError(f"family arity must be >= 2, got {self.d}")
-        rows = []
-        for t in self.masks:
-            n, t = (t.n, t.masks) if isinstance(t, DTuple) else (self.n, tuple(t))
-            if n != self.n or len(t) != self.d:
-                raise MismatchError(f"tuple with n={n}, d={len(t)} in family with n={self.n}, d={self.d}")
-            rows.append(t)
-        object.__setattr__(self, "masks", tuple(rows))
+        # `count` compares without hashing, so a DTuple with an unhashable n
+        # is a mismatch, as in the loop below
+        members = tuple(self.masks)
+        kinds = set(map(type, members))
+        rows = None
+        if kinds <= {tuple}:
+            rows = members
+        elif kinds == {DTuple} and [t.n for t in members].count(self.n) == len(members):
+            rows = tuple([t.masks for t in members])
+        if rows is None or not set(map(len, rows)) <= {self.d}:
+            rows = []
+            for t in members:  # the mixed or faulty case: name the first fault
+                n, t = (t.n, t.masks) if isinstance(t, DTuple) else (self.n, tuple(t))
+                if n != self.n or len(t) != self.d:
+                    raise MismatchError(f"tuple with n={n}, d={len(t)} in family with n={self.n}, d={self.d}")
+                rows.append(t)
+            rows = tuple(rows)
+        object.__setattr__(self, "masks", rows)
 
     @property
     def tuples(self) -> tuple[DTuple, ...]:
@@ -366,10 +387,13 @@ def family_from_text(text: str) -> Family:
     """Read a family from the text of its JSON document (see the module docstring).
 
     The coded document holds every int as the mask bit of its literal, so n
-    and d are read back as bit lengths.  A literal outside the table (a
-    KeyError), a decode error, a missing or non-int field or a document
-    `_flat_masks` refuses sends the text through a plain decode and
-    `family_from_json`, so every answer and every error is the plain read's.
+    and d are read back as bit lengths.  No bool literal in the text stands
+    in for the element type pass, and no `""` and at most one "{" for the
+    part type pass (`_no_empty_string_or_object`, `strict_sums`).  A literal
+    outside the table (a KeyError), a decode error, a missing or non-int
+    field or a document `_flat_masks` refuses sends the text through a plain
+    decode and `family_from_json`, so every answer and every error is the
+    plain read's.
     """
     # "r" and "a" first: each is one fast character search, and the keys of a
     # family document hold neither, so a written family skips both scans
@@ -377,12 +401,25 @@ def family_from_text(text: str) -> Family:
         try:
             n, d, raw = fields(decode(text, _LITERAL_BIT.__getitem__), "family", ("n", "d"), "tuples")
             n, d = n.bit_length(), d.bit_length()
-            masks = _flat_masks(raw, n, d, coded=True)
+            masks = _flat_masks(raw, n, d, coded=True, strict_sums=_no_empty_string_or_object(text))
             if masks is not None:
                 return Family(n, d, masks)
         except (KeyError, FormatError):
             pass
     return family_from_json(decode(text))
+
+
+def _no_empty_string_or_object(text: str) -> bool:
+    """True if `text` holds no empty string and no object inside its outer one:
+    no `""` and at most one "{".
+
+    Each search stops early: the `""` search at the last quote, which in a
+    written family closes the "tuples" key, and the "{" search at the
+    second brace.  On a written family of any size both take microseconds,
+    where a `""` search over the whole text takes as long as the pass over
+    the part types that this check replaces.
+    """
+    return text.find('""', 0, text.rfind('"') + 1) < 0 and text.find("{", text.find("{") + 1) < 0
 
 
 def family_from_json(obj: dict) -> Family:
@@ -399,12 +436,20 @@ def family_from_json(obj: dict) -> Family:
     return Family(n, d, masks)
 
 
-def _flat_masks(raw: list, n: int, d: int, coded: bool) -> list[tuple[int, ...]] | None:
+def _flat_masks(raw: list, n: int, d: int, coded: bool, strict_sums: bool = False) -> list[tuple[int, ...]] | None:
     """The part masks of each tuple of a well-formed family, or None if `raw` has any fault.
 
     The type and shape checks each run over the whole family at once.  A
     part's mask is the sum of its elements' bits, one C-level `sum` per
-    part.  When `coded`, the sum is over the part itself: its ints are
+    part.  When `coded`, `raw` is a decoded text, and facts of the text
+    replace two passes.  No pass checks that each tuple is a list: a number
+    or null has no `len` (TypeError), and a string or an object of d
+    entries yields strings as its parts, which the part checks refuse.
+    With `strict_sums`, the caller's text holds no empty string and no
+    nested object, and no pass checks that each part is a list either: of
+    the parts that are not lists, only "" and {} sum without a TypeError.
+    A plain object may come from any caller, so both passes run on it.
+    In coded mode the sum is over the part itself: its ints are
     already element bits and it holds no bool, so there is no per-element
     type check, and any other element (a string, None, a float, a list or a
     dict) raises TypeError, in `sum` or, for a float, in `int.bit_count` of
@@ -424,14 +469,16 @@ def _flat_masks(raw: list, n: int, d: int, coded: bool) -> list[tuple[int, ...]]
         return None
     if not raw:
         return []
-    if not set(map(type, raw)) <= {list} or set(map(len, raw)) != {d}:
-        return None
-    parts = list(chain.from_iterable(raw))
-    if not set(map(type, parts)) <= {list}:
-        return None
-    if not coded and not set(map(type, chain.from_iterable(parts))) <= {int}:
-        return None
     try:
+        if not coded and not set(map(type, raw)) <= {list}:
+            return None
+        if set(map(len, raw)) != {d}:
+            return None
+        parts = list(chain.from_iterable(raw))
+        if not (coded and strict_sums) and not set(map(type, parts)) <= {list}:
+            return None
+        if not coded and not set(map(type, chain.from_iterable(parts))) <= {int}:
+            return None
         masks = list(map(sum, parts if coded else map(map, repeat(_ELEMENT_BIT.__getitem__), parts)))
         tuples = list(zip(*[iter(masks)] * d))
         unions = list(map(sum, tuples))

@@ -5,12 +5,15 @@ crossing rows (`families._crossing_rows`).  These are the straightforward
 versions they replaced: one interpreted cross-condition test per ordered
 pair, in lexicographic order.  The package reads a family in one flat pass
 over its elements; `family_from_json` here is the per-tuple reader it
-replaced.  `columns` is the per-bit transpose that `families._columns`
-reads off one packed binary string.  `all_tuples_of_type` is the recursive
-enumerator over element lists that the level-wise mask enumerator replaced,
-and `elements_of` the one-bit-at-a-time reader that the lowest-set-bit loop
-replaced.  `family_to_json` and `relabel` are the writers that decoded every
-part of every tuple, where the package decodes each distinct part mask once.
+replaced.  `family_rows` is the per-member loop of the `Family` constructor,
+which now checks a family of tuples or of DTuples in one pass per fact and
+keeps this loop for the mixed and faulty cases.  `columns` is the per-bit
+transpose that `families._columns` reads off one packed binary string.
+`all_tuples_of_type` is the recursive enumerator over element lists that the
+level-wise mask enumerator replaced, and `elements_of` the one-bit-at-a-time
+reader that the lowest-set-bit loop replaced.  `family_to_json` and
+`relabel` are the writers that decoded every part of every tuple, where the
+package decodes each distinct part mask once.
 `grow_family` is the sampler of the random constructions that drew each
 tuple as a DTuple and tested it with one `cross_condition` call per member,
 where the package draws and tests part masks.
@@ -27,7 +30,7 @@ import random
 from typing import Iterator, Sequence
 
 from bollobas.constructions import SAMPLE_ATTEMPTS, _checked_type
-from bollobas.errors import FormatError, RangeError, SizeError
+from bollobas.errors import FormatError, MismatchError, RangeError, SizeError
 from bollobas.families import (
     DTuple,
     Family,
@@ -92,6 +95,19 @@ def family_from_json(obj: dict) -> Family:
                 raise FormatError(f"tuple {idx + 1} has a part that is not a list of ints")
         tuples.append(validate_tuple(entry, n))
     return Family(n, d, tuple(tuples))
+
+
+def family_rows(n: int, d: int, members) -> tuple:
+    """The `masks` that `Family(n, d, members)` keeps, read one member at a time:
+    a DTuple's masks, or any other member as a tuple; MismatchError for the
+    first member of another n or d."""
+    rows = []
+    for t in members:
+        tn, t = (t.n, t.masks) if isinstance(t, DTuple) else (n, tuple(t))
+        if tn != n or len(t) != d:
+            raise MismatchError(f"tuple with n={tn}, d={len(t)} in family with n={n}, d={d}")
+        rows.append(t)
+    return tuple(rows)
 
 
 def family_to_json(f: Family) -> dict:

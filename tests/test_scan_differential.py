@@ -5,8 +5,9 @@ per-tuple reader, the packed column transpose and popcount type counts
 against their one-at-a-time forms, the level-wise mask enumerator and lowest-set-bit element reader
 against the recursive and per-bit ones, the mask sampler of the random
 constructions against the DTuple one, the writers that decode each
-distinct part mask once against the per-tuple ones, and the family
-constructor given masks against the one given validated tuples."""
+distinct part mask once against the per-tuple ones, the family
+constructor given masks against the one given validated tuples, and its
+whole-family checks against its per-member loop."""
 
 import contextlib
 import dataclasses
@@ -43,8 +44,10 @@ from bollobas.families import (
     _crossing_rows,
     _family_from_checked_json,
     _flat_masks,
+    _no_empty_string_or_object,
     elements_of,
     family_from_json,
+    family_from_text,
     family_to_json,
     type_of,
     validate_tuple,
@@ -199,6 +202,16 @@ def test_family_reader_matches_the_per_tuple_oracle(case):
     assert spy.called == (fault is not None)
 
 
+@pytest.mark.parametrize("entry", [([1], [2]), "ab", {"a": [1], "b": [2]}, range(2)])
+def test_family_reader_refuses_a_tuple_that_is_not_a_list_as_the_oracle_does(entry):
+    # a caller's object is not a decoded text: a tuple of two lists has parts
+    # that pass every later check, so only the type pass over the tuples refuses it
+    doc = {"n": 3, "d": 2, "tuples": [[[1], [2]], entry]}
+    got = _read(family_from_json, doc)
+    assert not isinstance(got, Family)
+    assert got == _read(scan_oracles.family_from_json, doc)
+
+
 def test_family_reader_keeps_parts_that_repeat_an_element():
     f = family_from_json({"n": 3, "d": 2, "tuples": [[[1, 1], [2, 3, 3]]]})
     assert f == Family.build(3, [[[1], [2, 3]]])
@@ -340,6 +353,64 @@ def test_coded_family_reader_refuses_each_non_int_element(bad):
             scan_oracles.family_from_json(json.loads(text % part))
 
 
+# Texts on which the coded read may skip its pass over the part types: a part
+# that is "", {} or {"": 1}, or a nested list; a float or null element; a
+# tuple that is a string or an object of d entries; extra fields holding
+# strings, braces or objects; duplicate keys, escaped quotes and keys, and
+# other whitespace.  `sum` takes "" and {} silently as 0, so a text that may
+# hold one keeps the pass.
+_FAMILY = '{"n": 3, "d": 2, "tuples": [[[1], [2]], [[3], %s]]}'
+_TUPLES = '{"n": 3, "d": 2, "tuples": [[[1], [2]], %s]}'
+_ADVERSARIAL_TEXTS = [
+    *(_FAMILY % part for part in ['""', "{}", '{"": 1}', "[[]]", "[[], []]", "[[1]]", "[1, []]", '"ab"', "[]", "[1]"]),
+    *(_FAMILY % part for part in ["[1.0]", "[1, 2.0]", "[null]", "null", "1.0", "[-0.0]", "[1e400]"]),
+    *(_TUPLES % entry for entry in ['""', '"ab"', '"abc"', "{}", '{"a": [1], "b": [2]}', '{"": [3], "x": []}']),
+    *(_TUPLES % entry for entry in ["null", "1", "1.0", "[]", "[[3]]", "[[3], [], []]", "[[3], []]"]),
+    '{"n": 3, "d": 2, "tuples": [[[1], [2]]], "x": "{"}',
+    '{"n": 3, "d": 2, "tuples": [[[1], [2]]], "x": {"y": [""]}}',
+    '{"n": 3, "d": 2, "tuples": [[[1], [2]], [[3], ""]], "x": "{"}',
+    '{"n": 3, "d": 2, "tuples": [[[1], [2]], [[3], {}]], "x": "a"}',
+    '{"n": 3, "d": 2, "x": "", "tuples": [[[1], [2]], [[3], []]]}',
+    '{"n": 3, "d": 2, "x": "\\"\\"", "tuples": [[[1], [2]], [[3], []]]}',
+    '{"n": 3, "d": 2, "x": "\\"", "tuples": [[[1], [2]], [[3], "\\""]]}',
+    '{"n": 3, "d": 2, "tuples": [[[1], [2]], [[3], "\\"\\""]]}',
+    '{"n": 3, "d": 2, "tuples": [[["a"], [2]]], "tuples": [[[1], [2]]]}',
+    '{"n": 3, "d": 2, "tuples": [[[1], [2]]], "tuples": [[[1], ""]]}',
+    '{"n": 3, "d": 2, "tuples": [[[1], [2]]], "tuples": [[[1], {}]]}',
+    '{"n": 3, "n": 4, "d": 2, "tuples": [[[1], [4]]]}',
+    '{"n": 3, "d": 2, "d": 3, "tuples": [[[1], [2], []]]}',
+    '{"\\u006e": 3, "d": 2, "tuples": [[[1], [2]]]}',
+    '{"n": 3, "d": 2, "\\u0074uples": [[[1], [2]], [[3], ""]]}',
+    '{"n": 3, "d": 2, "tu\\"ples": [[[1], [2]]], "tuples": [[[3], [2]]]}',
+    ' {"n":3,"d":2,"tuples":[[[1],[2]],[[3],[]]]} ',
+    '\n\t{ "n" : 3 ,\n "d" :2, "tuples" : [ [ [ 1 ] , [ 2 ] ] , [ [ 3 ] , "" ] ] }\r\n',
+    '{"n" :3, "d": 2, "tuples": [[[1 ], [ 2]], [[3] ,{ }]]}',
+    '{"n": 3, "d": 2, "tuples": [[[1], [2]], [[3], [" "]]]}',
+]
+
+
+@pytest.mark.parametrize("text", _ADVERSARIAL_TEXTS)
+def test_family_from_text_matches_the_plain_read_on_adversarial_texts(text):
+    got = _read(family_from_text, text)
+    assert got == _read(lambda t: family_from_json(json.loads(t)), text)
+    if isinstance(got, Family):
+        assert got.masks == scan_oracles.family_from_json(json.loads(text)).masks
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet='"{}[]ab\\ ', max_size=12))
+def test_empty_string_and_object_guard_is_the_whole_text_search(text):
+    assert _no_empty_string_or_object(text) == ('""' not in text and text.count("{") <= 1)
+
+
+def test_coded_read_of_a_written_family_skips_the_part_type_pass():
+    text = json.dumps(family_to_json(layered_triple_family(5)))
+    assert _no_empty_string_or_object(text)
+    with mock.patch("bollobas.families._flat_masks", wraps=_flat_masks) as flat:
+        assert family_from_text(text) == layered_triple_family(5)
+    assert flat.call_args.kwargs == {"coded": True, "strict_sums": True}
+
+
 @st.composite
 def part_masks(draw):
     """Part masks of m = 0, 1, 2..64 or 65..130 tuples over n = 1..64, with
@@ -411,6 +482,44 @@ def test_masks_constructor_matches_the_validated_tuples(case):
     for wrong in [(0,) * (d - 1), (0,) * (d + 1), DTuple(n % 64 + 1, (0,) * d), DTuple(n, (0,) * (d + 1))]:
         with pytest.raises(MismatchError):
             Family(n, d, [*masks, wrong])
+
+
+@st.composite
+def family_members(draw):
+    """(n, d, members): a family of tuples, lists or DTuples of n and d, with
+    up to two members of another kind, n or arity planted; possibly empty."""
+    n = draw(st.integers(1, 64))
+    d = draw(st.integers(2, 5))
+    word = st.integers(0, (1 << n) - 1)
+
+    def member(kind):
+        arity = draw(st.sampled_from([d - 1, d + 1])) if kind.startswith("arity") else d
+        masks = tuple(draw(word) for _ in range(arity))
+        if kind in ("list", "arity-list"):
+            return list(masks)
+        if kind in ("dtuple", "arity-dtuple"):
+            return DTuple(n, masks)
+        if kind == "other-n":
+            return DTuple(draw(st.integers(1, 64).filter(lambda other: other != n)), masks)
+        return masks
+
+    base = draw(st.sampled_from(["tuple", "list", "dtuple"]))
+    members = [member(base) for _ in range(draw(st.integers(0, 8)))]
+    planted = st.sampled_from(["tuple", "list", "dtuple", "other-n", "arity-tuple", "arity-list", "arity-dtuple"])
+    for _ in range(draw(st.integers(0, 2))):
+        members.insert(draw(st.integers(0, len(members))), member(draw(planted)))
+    return n, d, members
+
+
+@settings(max_examples=500, deadline=None)
+@given(family_members(), st.sampled_from([tuple, list, lambda ms: (t for t in ms)]))
+def test_family_constructor_matches_the_per_member_loop(case, container):
+    n, d, members = case
+    got = _read(lambda ms: Family(n, d, container(ms)).masks, members)
+    want = _read(lambda ms: scan_oracles.family_rows(n, d, ms), members)
+    assert got == want
+    if isinstance(want, tuple):
+        assert type(got) is tuple and [type(t) for t in got] == [type(t) for t in want]
 
 
 def test_read_tuples_and_family_stay_frozen():
