@@ -25,9 +25,10 @@ the Monte Carlo walk in `events` reads the same column bitsets.
 A `Family` is its part masks: every reader and construction hands masks to
 its constructor, no reader skips it, every scan and writer reads
 `Family.masks`, and its DTuples are views.  The constructor checks a family
-of tuples, or of DTuples, with one C-level pass per fact over all members
-(their types, their n, their lengths); only a family that fails one of them,
-or mixes kinds, is read member by member, to name its first fault.  The JSON
+of tuples, which the text reader, the constructions and the search hand it,
+with one C-level pass per fact over all members (their types, their
+lengths); any other family, of DTuples or lists, mixed or faulty, is read
+member by member, which names its first fault.  The JSON
 reader checks a whole family at once and sums each part's element bits
 straight into its mask.  `family_from_text` first decodes a text with no
 `true` or `false` literal as a *coded* document: the JSON scanner reads each
@@ -160,10 +161,10 @@ class Family:
     masks of each (`masks`); the DTuples of `tuples` and iteration are views.
 
     Each tuple is given as a DTuple of the family's n and d or as its masks,
-    in any iterable, read once.  Members that are all tuples, or all DTuples
-    of this n, are checked and kept with one pass per fact over the family;
-    any other family is read member by member, and the first one of another
-    n or d raises MismatchError.  Masks are taken as given: they must be
+    in any iterable, read once.  Members that are all tuples of length d are
+    kept after one pass per fact over the family; any other family is read
+    member by member, and the first one of another n or d raises
+    MismatchError.  Masks are taken as given: they must be
     non-negative, pairwise disjoint and below 2^n.  Order is semantically
     significant: the skew condition quantifies over pairs i < j in this
     order.
@@ -177,18 +178,12 @@ class Family:
         _as_n(self.n)
         if self.d < 2:
             raise ArityError(f"family arity must be >= 2, got {self.d}")
-        # `count` compares without hashing, so a DTuple with an unhashable n
-        # is a mismatch, as in the loop below
         members = tuple(self.masks)
-        kinds = set(map(type, members))
-        rows = None
-        if kinds <= {tuple}:
+        if set(map(type, members)) <= {tuple} and set(map(len, members)) <= {self.d}:
             rows = members
-        elif kinds == {DTuple} and [t.n for t in members].count(self.n) == len(members):
-            rows = tuple([t.masks for t in members])
-        if rows is None or not set(map(len, rows)) <= {self.d}:
+        else:
             rows = []
-            for t in members:  # the mixed or faulty case: name the first fault
+            for t in members:  # DTuples, other members or a fault: name the first one
                 n, t = (t.n, t.masks) if isinstance(t, DTuple) else (self.n, tuple(t))
                 if n != self.n or len(t) != self.d:
                     raise MismatchError(f"tuple with n={n}, d={len(t)} in family with n={self.n}, d={self.d}")

@@ -6,8 +6,8 @@ versions they replaced: one interpreted cross-condition test per ordered
 pair, in lexicographic order.  The package reads a family in one flat pass
 over its elements; `family_from_json` here is the per-tuple reader it
 replaced.  `family_rows` is the per-member loop of the `Family` constructor,
-which now checks a family of tuples or of DTuples in one pass per fact and
-keeps this loop for the mixed and faulty cases.  `columns` is the per-bit
+which now checks a family of tuples in one pass per fact and keeps this
+loop for every other family.  `columns` is the per-bit
 transpose that `families._columns` reads off one packed binary string.
 `all_tuples_of_type` is the recursive enumerator over element lists that the
 level-wise mask enumerator replaced, and `elements_of` the one-bit-at-a-time
