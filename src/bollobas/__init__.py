@@ -65,13 +65,11 @@ from .families import (
     is_skew_bollobas,
     relabel,
     skew_violation,
-    type_of,
     validate_tuple,
 )
 from .search import SearchResult, max_bollobas_uniform, max_skew_uniform
 from .spaces import (
     SubspaceFamily,
-    is_skew_bollobas_spaces,
     lift_to_spaces,
     skew_spaces_violation,
     subspace_family_from_json,

@@ -45,8 +45,7 @@ DEFAULT_MAX_RETRIES = 32
 #: `certify` admits: lifted complete (3,2,2), m = 210, has 88,200 and is
 #: admitted; lifted complete (3,3,2), m = 560, has 627,200.  The cells that
 #: share a row cost one bit test each, so the time grows with the other
-#: cells: `certify` of lifted complete (3,2,2), whose off-diagonal cells
-#: all share a row, takes about 25 ms (CPython 3.11 on a 2-vCPU Xeon VM).
+#: cells, those that share no row.
 MAX_EVALUATION_CELLS = 100_000
 #: The most pairs of distinct parts, P(P + 1)/2, that `certify` admits:
 #: an upper bound on the spans (`SubspaceFamily.pair_span`) it computes, as

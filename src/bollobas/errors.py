@@ -60,4 +60,4 @@ class FormatError(BollobasError):
 
 
 class IndexRangeError(BollobasError, IndexError):
-    """A stage, gap, part or tuple index lies outside its valid range."""
+    """A stage, gap or tuple index lies outside its valid range."""

@@ -76,18 +76,6 @@ class Permutation:
     def size(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(tuple(range(1, size + 1)))
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[int, int], size: int) -> "Permutation":
-        try:
-            images = tuple(mapping[e] for e in range(1, size + 1))
-        except KeyError as exc:
-            raise DomainError(f"mapping has no image for element {exc.args[0]}") from None
-        return cls(images)
-
 
 # ---------------------------------------------------------------------------
 # The event model.  A variant is named by its undelimited gap k (0 for none);

@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, DomainError
 from .wire import rational
@@ -45,11 +45,6 @@ def _fraction(x: Rational) -> Fraction:
     malformed one, or one with a decimal exponent past its limit, with
     FormatError before `Fraction` computes the power of ten."""
     return rational(x) if isinstance(x, str) else Fraction(x)
-
-
-def vector(xs: Iterable[Rational]) -> Vec:
-    """Coerce ints / 'p/q' strings / Fractions into a rational row vector."""
-    return tuple(map(_fraction, xs))
 
 
 def _cleared(rows: Sequence[Sequence[Rational]], ncols: int) -> tuple[list[IntRow], int]:
@@ -184,9 +179,6 @@ class Blade:
     n: int
     coords: tuple[Fraction, ...]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 def wedge(vectors: Sequence[Sequence[Rational]], n: int | None = None) -> Blade:
     """Wedge the given row vectors into a blade of minors.
@@ -243,10 +235,6 @@ class SubspaceRep:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Rational]], n: int) -> "SubspaceRep":
-        return cls(n, tuple(vector(r) for r in rows))
 
 
 def sum_rank(*spaces: SubspaceRep) -> int:

@@ -59,7 +59,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import (
     ArityError,
     FormatError,
-    IndexRangeError,
     MismatchError,
     OverlapError,
     RangeError,
@@ -122,14 +121,9 @@ class DTuple:
         """Parts as sorted element tuples."""
         return tuple(elements_of(m) for m in self.masks)
 
-    def part(self, k: int) -> tuple[int, ...]:
-        """Elements of part k (1-based)."""
-        if not 1 <= k <= self.d:
-            raise IndexRangeError(f"part index k must be in 1..{self.d}, got {k}")
-        return elements_of(self.masks[k - 1])
-
     def type(self) -> TupleType:
-        return type_of(self)
+        """The type of the tuple: its vector of part sizes."""
+        return tuple(m.bit_count() for m in self.masks)
 
 
 def validate_tuple(parts: Sequence[Iterable[int]], n: int) -> DTuple:
@@ -148,11 +142,6 @@ def validate_tuple(parts: Sequence[Iterable[int]], n: int) -> DTuple:
             if common:
                 raise OverlapError(p + 1, q + 1, elements_of(common)[0])
     return DTuple(n, tuple(masks))
-
-
-def type_of(t: DTuple) -> TupleType:
-    """The type of a tuple: its vector of part sizes."""
-    return tuple(m.bit_count() for m in t.masks)
 
 
 @dataclass(frozen=True, slots=True)

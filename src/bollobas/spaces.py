@@ -91,10 +91,8 @@ class SubspaceFamily:
         The bit-sliced kernel of the set families is not reused: it would
         need masks of row indices, whose words must be wider than 64 bits
         once a family has more than 64 distinct rows, and over such masks it
-        took 0.46 ms against these dicts' 0.19 ms for the families of one
-        pass of the certify benchmark (best of 50, CPython 3.11 on a 2-vCPU
-        Xeon VM).  Two threads that ask at once may both build the table;
-        both get the same value.
+        was slower than these dicts.  Two threads that ask at once may both
+        build the table; both get the same value.
         """
         columns: list[dict[IntRow, int]] = [{} for _ in range(self.d)]
         for j, entry in enumerate(self.entries):
@@ -177,11 +175,6 @@ def skew_spaces_violation(f: SubspaceFamily) -> tuple[int, int] | None:
             if not any(len(span(ei[p].rows, ej[q].rows)) < ei[p].dim + ej[q].dim for p, q in slots):
                 return (i + 1, j + 1)
     return None
-
-
-def is_skew_bollobas_spaces(f: SubspaceFamily) -> bool:
-    """True iff every pair i < j has intersecting parts p < q."""
-    return skew_spaces_violation(f) is None
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def _type_counts(f: Family) -> Counter[TupleType]:
     """How many tuples of f have each type.
 
     The popcounts of every part mask of the family are taken in one pass and
-    regrouped d at a time into types, instead of one `type_of` per tuple.
+    regrouped d at a time into types, instead of one `DTuple.type` per tuple.
     """
     sizes = map(int.bit_count, chain.from_iterable(f.masks))
     return Counter(zip(*[sizes] * f.d))

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from bollobas.errors import ArityError, DomainError, SizeError
 from bollobas.events import EXACT_ENUMERATION_LIMIT, EventReport
-from bollobas.families import type_of
 
 
 def _multinomial(sizes):
@@ -141,7 +140,7 @@ def _delimiter_count(d, mode):
 def _tuple_checks(t, mode):
     parts = t.parts()
     n, d = t.n, t.d
-    sizes = type_of(t)
+    sizes = t.type()
     checks = []
     if mode == "skew":
         checks.append(lambda img: _skew_hit(img, parts, n, d))
@@ -196,7 +195,7 @@ def monte_carlo(f, mode, trials, seed):
 def exact_event_probability(f, index, mode="skew"):
     """Event probability of tuple `index` (1-based) over all r! orderings of its labels."""
     t = f.tuples[index - 1]
-    sizes = type_of(t)
+    sizes = t.type()
     delta = _delimiter_count(t.d, mode)
     r = sum(sizes) + delta
     if r > EXACT_ENUMERATION_LIMIT:

@@ -96,10 +96,10 @@ def det(rows) -> Fraction:
 
 
 def wedge(vectors, n=None):
-    """Blade coordinates minor by minor: the rows read by `exterior.vector`,
-    then the rational `exterior.det` of the k x k minor on each k-subset of
+    """Blade coordinates minor by minor: the rows read by `Fraction`, then
+    the rational `exterior.det` of the k x k minor on each k-subset of
     columns, in lexicographic order."""
-    gens = [exterior.vector(v) for v in vectors]
+    gens = [tuple(map(Fraction, v)) for v in vectors]
     if n is None:
         n = len(gens[0])
     return tuple(

@@ -45,8 +45,8 @@ class TestGeneralPositionDraws:
         assert rank(phi.matrix) == 3
 
     def test_first_draw_accepted_over_many_seeds(self):
-        a = SubspaceRep.from_rows([(1, 2, 0, 1)], 4)
-        b = SubspaceRep.from_rows([(0, 1, 1, 1)], 4)
+        a = SubspaceRep(4, ((1, 2, 0, 1),))
+        b = SubspaceRep(4, ((0, 1, 1, 1),))
         f = SubspaceFamily(4, 2, ((a, b),))
         for seed in range(100):
             assert build_phi(f, 2, seed=seed).retries == 0

@@ -221,7 +221,7 @@ class TestLift:
             for j in (1, 5, 11):
                 for p in range(3):
                     for q in range(3):
-                        want = len(set(tuples[i].part(p + 1)) & set(tuples[j].part(q + 1)))
+                        want = len(set(tuples[i].parts()[p]) & set(tuples[j].parts()[q]))
                         got = intersection_dim(lifted.entries[i][p], lifted.entries[j][q])
                         assert got == want
 

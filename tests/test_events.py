@@ -23,14 +23,14 @@ from bollobas import (
 
 
 def perm_of(mapping, size):
-    return Permutation.from_mapping(mapping, size)
+    return Permutation(tuple(mapping[e] for e in range(1, size + 1)))
 
 
 class TestSkewMembership:
     def test_identity_misses(self):
         # delimiter 3 lands after both parts: no block split
         t = validate_tuple([[1], [2]], 2)
-        assert in_event(Permutation.identity(3), t) is False
+        assert in_event(Permutation(tuple(range(1, 4))), t) is False
 
     def test_split_order_hits(self):
         t = validate_tuple([[1], [2]], 2)
@@ -45,7 +45,7 @@ class TestSkewMembership:
     def test_wrong_size_rejected(self):
         t = validate_tuple([[1], [2]], 2)
         with pytest.raises(SizeError):
-            in_event(Permutation.identity(4), t)
+            in_event(Permutation(tuple(range(1, 5))), t)
 
     def test_exhaustive_probability_pair(self):
         # oracle: walk all of S_3 by hand for the (1,0)-delimiter pattern
@@ -92,12 +92,12 @@ class TestD3Membership:
     def test_arity_guard(self):
         t = validate_tuple([[1], [2]], 2)
         with pytest.raises(ArityError):
-            in_event_d3(Permutation.identity(3), t, "E")
+            in_event_d3(Permutation(tuple(range(1, 4))), t, "E")
 
     def test_unknown_variant(self):
         t = validate_tuple([[1], [2], [3]], 3)
         with pytest.raises(DomainError, match="variant must be 'E' or 'F', got 'G'"):
-            in_event_d3(Permutation.identity(4), t, "G")
+            in_event_d3(Permutation(tuple(range(1, 5))), t, "G")
 
 
 class TestGeneralMembership:
@@ -114,7 +114,7 @@ class TestGeneralMembership:
     def test_gap_index_bounds(self, k):
         t = validate_tuple([[1], [2], [3]], 3)
         with pytest.raises(IndexError):
-            in_event(Permutation.identity(4), t, k)
+            in_event(Permutation(tuple(range(1, 5))), t, k)
 
     @pytest.mark.parametrize("k", [-1, 3])
     def test_gap_index_error_is_a_package_error(self, k):
@@ -122,12 +122,12 @@ class TestGeneralMembership:
 
         t = validate_tuple([[1], [2], [3]], 3)
         with pytest.raises(BollobasError):
-            in_event(Permutation.identity(4), t, k)
+            in_event(Permutation(tuple(range(1, 5))), t, k)
 
     def test_gap_zero_is_the_skew_event(self):
         t = validate_tuple([[1], [2], [3]], 3)
         with pytest.raises(SizeError):
-            in_event(Permutation.identity(4), t, 0)
+            in_event(Permutation(tuple(range(1, 5))), t, 0)
         # blocks 1 | delim | 2 | delim | 3
         assert in_event(perm_of({1: 1, 4: 2, 2: 3, 5: 4, 3: 5}, 5), t, 0) is True
 
@@ -292,15 +292,6 @@ class TestPermutationType:
         with pytest.raises(DomainError):
             Permutation((1, 1, 3))
 
-    def test_identity_and_mapping(self):
-        assert Permutation.identity(3).images == (1, 2, 3)
-        assert Permutation.from_mapping({1: 2, 2: 1}, 2).images == (2, 1)
-
-    def test_mapping_without_an_element_is_a_domain_error(self):
-        from bollobas.errors import DomainError
-
-        with pytest.raises(DomainError, match="no image for element 2"):
-            Permutation.from_mapping({1: 2}, 2)
 
 
 class TestMonteCarlo:

@@ -17,7 +17,7 @@ from bollobas import (
 )
 from bollobas import exterior
 from bollobas.errors import DomainError, FormatError
-from bollobas.exterior import sum_rank, vector
+from bollobas.exterior import sum_rank
 
 
 def oracle_rank(rows):
@@ -166,7 +166,7 @@ class TestWedge:
 
     def test_repeated_vector_is_zero(self):
         b = wedge([(1, 2, 3), (1, 2, 3)])
-        assert b.is_zero()
+        assert not any(b.coords)
 
     def test_hand_computed_minors(self):
         b = wedge([(1, 0, 0), (0, 1, 1)])
@@ -198,7 +198,7 @@ class TestWedge:
         )
 
     def test_zero_vector_wedge_is_zero(self):
-        assert wedge([(0, 0, 0), (1, 2, 3)]).is_zero()
+        assert not any(wedge([(0, 0, 0), (1, 2, 3)]).coords)
 
     def test_stacked_rows_wedge_is_determinant(self):
         rng = random.Random(5)
@@ -208,8 +208,8 @@ class TestWedge:
             assert wedge(rows, n).coords == (oracle_det(rows),)
 
     def test_zero_iff_rows_dependent(self):
-        assert wedge([(1, 1, 0), (2, 2, 0)]).is_zero()
-        assert not wedge([(1, 1, 0), (0, 1, 1)]).is_zero()
+        assert not any(wedge([(1, 1, 0), (2, 2, 0)]).coords)
+        assert any(wedge([(1, 1, 0), (0, 1, 1)]).coords)
 
     def test_scaling_one_row_scales_every_minor(self):
         base = wedge([(1, 2, 0), (0, 1, 1)]).coords
@@ -321,8 +321,8 @@ class TestSubspaceWedges:
     """The wedge of a subspace basis: its Plücker coordinates, fixed up to scale."""
 
     def test_two_bases_of_one_plane_proportional(self):
-        w1 = SubspaceRep.from_rows([(1, 0, 1), (0, 1, 0)], 3)
-        w2 = SubspaceRep.from_rows([(1, 1, 1), (2, -1, 2)], 3)
+        w1 = SubspaceRep(3, ((1, 0, 1), (0, 1, 0)))
+        w2 = SubspaceRep(3, ((1, 1, 1), (2, -1, 2)))
         b1 = wedge(w1.basis, 3).coords
         b2 = wedge(w2.basis, 3).coords
         assert proportional(b1, b2)
@@ -330,8 +330,8 @@ class TestSubspaceWedges:
         assert b2 == tuple(-3 * c for c in b1)
 
     def test_different_planes_not_proportional(self):
-        w1 = SubspaceRep.from_rows([(1, 0, 0), (0, 1, 0)], 3)
-        w2 = SubspaceRep.from_rows([(1, 0, 0), (0, 0, 1)], 3)
+        w1 = SubspaceRep(3, ((1, 0, 0), (0, 1, 0)))
+        w2 = SubspaceRep(3, ((1, 0, 0), (0, 0, 1)))
         assert not proportional(wedge(w1.basis, 3).coords, wedge(w2.basis, 3).coords)
 
     def test_zero_dimensional_subspace_is_unit(self):
@@ -339,7 +339,7 @@ class TestSubspaceWedges:
         assert wedge(w.basis, w.n).coords == (Fraction(1),)
 
     def test_coordinate_plane_minors(self):
-        w = SubspaceRep.from_rows([(1, 0, 0), (0, 0, 1)], 3)
+        w = SubspaceRep(3, ((1, 0, 0), (0, 0, 1)))
         coords = wedge(w.basis, 3).coords
         nonzero = [i for i, c in enumerate(coords) if c != 0]
         assert nonzero == [1]  # the {1,3} minor, lexicographically second
@@ -352,40 +352,38 @@ class TestSubspaceWedges:
             rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)] for _ in range(k)]
             if not is_independent(rows):
                 continue
-            w = SubspaceRep.from_rows(rows, n)
+            w = SubspaceRep(n, tuple(rows))
             assert wedge(w.rows, n).coords == tuple(w.scale * c for c in wedge(w.basis, n).coords)
 
 
 class TestSubspaceRep:
     def test_dependent_basis_rejected(self):
         with pytest.raises(DomainError):
-            SubspaceRep.from_rows([(1, 2), (2, 4)], 2)
+            SubspaceRep(2, ((1, 2), (2, 4)))
 
     def test_integer_basis_is_its_own_rows(self):
         w = SubspaceRep(3, ((1, 2, 3), (0, 1, 0)))
         assert w.rows == w.basis and w.scale == 1 and w.dim == 2
 
     def test_fraction_rows_cleared_row_by_row(self):
-        w = SubspaceRep.from_rows([(Fraction(1, 2), Fraction(1, 3), 0), (0, Fraction(1, 4), 1)], 3)
+        w = SubspaceRep(3, ((Fraction(1, 2), Fraction(1, 3), 0), (0, Fraction(1, 4), 1)))
         assert w.rows == ((3, 2, 0), (0, 1, 4))
         assert w.scale == 6 * 4
 
     def test_string_rows_read_as_rationals(self):
-        w = SubspaceRep.from_rows([("1/2", "-3")], 2)
-        assert w.basis == ((Fraction(1, 2), Fraction(-3)),)
+        w = SubspaceRep(2, (("1/2", "-3"),))
+        assert w.rows == ((1, -6),) and w.scale == 2
 
     @pytest.mark.parametrize(
         "read",
         [
-            lambda x: vector([x]),
-            lambda x: SubspaceRep.from_rows([(x,)], 1),
             lambda x: SubspaceRep(1, ((x,),)),
             lambda x: det([[x]]),
             lambda x: rank([[x]]),
             lambda x: wedge([[x]]),
             lambda x: is_independent([[x]]),
         ],
-        ids=["vector", "from_rows", "SubspaceRep", "det", "rank", "wedge", "is_independent"],
+        ids=["SubspaceRep", "det", "rank", "wedge", "is_independent"],
     )
     def test_huge_decimal_exponent_is_format_error_at_once(self, read):
         started = time.perf_counter()
@@ -396,29 +394,28 @@ class TestSubspaceRep:
     def test_string_int_and_fraction_entries_read_as_before(self):
         entries = ["1/3", "1e3", 2, Fraction(3, 4)]
         want = (Fraction(1, 3), Fraction(1000), Fraction(2), Fraction(3, 4))
-        got = vector(entries)
-        assert got == want and all(type(x) is Fraction for x in got)
+        assert wedge([entries]).coords == want
         w = SubspaceRep(4, (tuple(entries),))
         assert w.rows == ((4, 12000, 24, 9),) and w.scale == 12
         assert det([["1/3", 0], [0, "1e3"]]) == Fraction(1000, 3)
         with pytest.raises(FormatError):
-            vector(["one third"])
+            SubspaceRep(1, (("one third",),))
 
     def test_equality_ignores_integer_rows(self):
-        assert SubspaceRep(2, ((1, 0),)) == SubspaceRep.from_rows([(1, 0)], 2)
+        assert SubspaceRep(2, ((1, 0),)) == SubspaceRep(2, ((Fraction(1), Fraction(0)),))
         assert SubspaceRep(2, ((1, 0),)) != SubspaceRep(2, ((2, 0),))
 
 
 class TestSumAndIntersection:
     def test_two_planes_meet_in_a_line(self):
-        a = SubspaceRep.from_rows([(1, 0, 0), (0, 1, 0)], 3)
-        b = SubspaceRep.from_rows([(0, 1, 0), (0, 0, 1)], 3)
+        a = SubspaceRep(3, ((1, 0, 0), (0, 1, 0)))
+        b = SubspaceRep(3, ((0, 1, 0), (0, 0, 1)))
         assert sum_rank(a, b) == 3
         assert intersection_dim(a, b) == 1
 
     def test_line_inside_plane(self):
-        plane = SubspaceRep.from_rows([(1, 0, 1), (0, 1, 0)], 3)
-        line = SubspaceRep.from_rows([(2, 3, 2)], 3)
+        plane = SubspaceRep(3, ((1, 0, 1), (0, 1, 0)))
+        line = SubspaceRep(3, ((2, 3, 2),))
         assert sum_rank(plane, line) == 2
         assert intersection_dim(plane, line) == 1
 
@@ -442,7 +439,7 @@ class TestSumAndIntersection:
                 rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))]
                 if not is_independent(rows):
                     rows = []
-                parts.append(SubspaceRep.from_rows(rows, n))
+                parts.append(SubspaceRep(n, tuple(rows)))
             a, b = parts
             stacked = list(a.basis + b.basis)
             assert sum_rank(a, b) == oracle_rank(stacked)

@@ -1,11 +1,14 @@
 """Rules the package source itself must follow."""
 
 import ast
+import re
+from functools import reduce
 from pathlib import Path
 
 import bollobas
 
 SOURCE = Path(bollobas.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_bare_assert_in_package():
@@ -146,20 +149,28 @@ def _references(tree):
     return found
 
 
-def test_every_public_name_is_exported_or_used():
-    # a public name that the package neither exports nor reads is dead code
-    # that still looks like part of the API
-    trees = {
+def _source_trees():
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(SOURCE.glob("*.py"))
     }
-    init = trees.pop("__init__.py")
-    exported = {
+
+
+def _exported(init):
+    """The names `__init__` imports from the package's modules."""
+    return {
         alias.asname or alias.name
         for node in init.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def test_every_public_name_is_exported_or_used():
+    # a public name that the package neither exports nor reads is dead code
+    # that still looks like part of the API
+    trees = _source_trees()
+    exported = _exported(trees.pop("__init__.py"))
     used = set().union(*map(_references, trees.values()))
     unused = [
         f"{module}:{name}"
@@ -170,13 +181,93 @@ def test_every_public_name_is_exported_or_used():
     assert not unused, f"public names neither exported nor used: {', '.join(unused)}"
 
 
+def _public_members(tree):
+    """`Class.member` for each public method, property or classmethod that a
+    class of the module defines."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+
+
+def _attributes_read(tree):
+    """Every name a module reads as an attribute, `x.name`.  A bare name is a
+    local or global, so a local variable named like a method does not count."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _unread_public_names(trees):
+    """The exported names that no module reads, and each public method or
+    property, as `Class.member`, that no module reads as an attribute."""
+    trees = dict(trees)
+    exported = _exported(trees.pop("__init__.py"))
+    used = set().union(*map(_references, trees.values()))
+    attributes = set().union(*map(_attributes_read, trees.values()))
+    unread = sorted(name for name in exported if name not in used)
+    return unread + [
+        member
+        for tree in trees.values()
+        for member in _public_members(tree)
+        if member.split(".")[1] not in attributes
+    ]
+
+
+def _public_api_names():
+    """The names in backticks in the README's "Public API" section."""
+    text = README.read_text(encoding="utf-8")
+    start = text.find("\n## Public API\n")
+    assert start >= 0, "the README has no Public API section"
+    end = text.find("\n## ", start + 1)
+    return set(re.findall(r"`([A-Za-z_][\w.]*)`", text[start:end if end > 0 else None]))
+
+
+def test_every_public_name_is_read_or_listed_in_the_readme():
+    # the README's "Public API" section is the library contract: a public
+    # name or method that the package never reads is there only for callers,
+    # so it must be listed, or it is dead code that only its tests call
+    listed = _public_api_names()
+    unlisted = [name for name in _unread_public_names(_source_trees()) if name not in listed]
+    assert not unlisted, f"public names that no module reads and the README does not list: {', '.join(unlisted)}"
+
+
+def test_every_name_in_the_readme_api_list_resolves():
+    # a name deleted or renamed in the source must leave the list too; each
+    # is an attribute of `bollobas`, of one of its modules or of a class
+    stale = []
+    for name in sorted(_public_api_names()):
+        try:
+            reduce(getattr, name.split("."), bollobas)
+        except AttributeError:
+            stale.append(name)
+    assert not stale, f"README API names that do not resolve: {', '.join(stale)}"
+
+
+def test_a_method_counts_as_read_only_through_an_attribute():
+    # `image` is also a local variable of `evaluate`; a bare name load must
+    # not count as a read of the method `Shape.image`
+    tree = ast.parse(
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def image(self):\n"
+        "        return self\n"
+        "\n"
+        "\n"
+        "def evaluate(shape):\n"
+        "    image = shape.area()\n"
+        "    return image\n"
+    )
+    assert _unread_public_names({"__init__.py": ast.parse(""), "shapes.py": tree}) == ["Shape.image"]
+
+
 def test_every_private_name_is_used():
     # a private name that no module of the package reads is a kernel or
     # helper left behind, which only its tests still call
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SOURCE.glob("*.py"))
-    }
+    trees = _source_trees()
     used = set().union(*map(_references, trees.values()))
     unused = [
         f"{module}:{name}"

@@ -11,7 +11,6 @@ from bollobas import (
     SubspaceRep,
     complete_family,
     is_skew_bollobas,
-    is_skew_bollobas_spaces,
     lift_to_spaces,
     random_skew_family,
     skew_spaces_violation,
@@ -65,7 +64,7 @@ class TestSkewSpaces:
         for seed in range(6):
             f = random_skew_family(6, 3, seed=seed, target=8)
             assert is_skew_bollobas(f)
-            assert is_skew_bollobas_spaces(lift_to_spaces(f))
+            assert skew_spaces_violation(lift_to_spaces(f)) is None
 
     def test_lift_preserves_violations(self):
         f = Family.build(4, [[[1], [2]], [[3], [4]]])
@@ -93,7 +92,7 @@ class TestSkewSpaces:
         if rotated:
             u = [[1, 1, 0, -1], [0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 2, 1]]
             entries = tuple(
-                tuple(SubspaceRep.from_rows([u[e - 1] for e in part], fam.n) for part in t.parts())
+                tuple(SubspaceRep(fam.n, tuple(u[e - 1] for e in part)) for part in t.parts())
                 for t in fam.tuples
             )
             f = SubspaceFamily(fam.n, fam.d, entries)
@@ -102,7 +101,7 @@ class TestSkewSpaces:
 
     def test_single_entry_vacuous(self):
         f = lift_to_spaces(Family.build(3, [[[1], [2]]]))
-        assert is_skew_bollobas_spaces(f)
+        assert skew_spaces_violation(f) is None
 
     @pytest.mark.parametrize(
         "rows, spans",
@@ -115,13 +114,13 @@ class TestSkewSpaces:
     )
     def test_non_coordinate_subspaces(self, rows, spans):
         # shared direction (1,1,0) between part 1 of entry 1 and part 2 of entry 2
-        a1 = SubspaceRep.from_rows([(1, 1, 0)], 3)
-        a2 = SubspaceRep.from_rows([(0, 0, 1)], 3)
-        b1 = SubspaceRep.from_rows([(1, 0, 0)], 3)
-        b2 = SubspaceRep.from_rows(rows, 3)
+        a1 = SubspaceRep(3, ((1, 1, 0),))
+        a2 = SubspaceRep(3, ((0, 0, 1),))
+        b1 = SubspaceRep(3, ((1, 0, 0),))
+        b2 = SubspaceRep(3, tuple(rows))
         f = SubspaceFamily(3, 2, ((a1, a2), (b1, b2)))
         with mock.patch.object(spaces, "_pivot_rows", wraps=spaces._pivot_rows) as pivots:
-            assert is_skew_bollobas_spaces(f)
+            assert skew_spaces_violation(f) is None
         assert pivots.call_count == spans
 
 
@@ -132,7 +131,7 @@ class TestJson:
         assert again == f
 
     def test_rational_strings(self):
-        sp = SubspaceRep.from_rows([(Fraction(1, 2), Fraction(-3))], 2)
+        sp = SubspaceRep(2, ((Fraction(1, 2), Fraction(-3)),))
         f = SubspaceFamily(2, 2, ((sp, SubspaceRep(2, ())),))
         obj = subspace_family_to_json(f)
         assert obj["entries"][0][0] == [["1/2", "-3"]]
