@@ -292,6 +292,9 @@ class TestPermutationType:
         with pytest.raises(DomainError):
             Permutation((1, 1, 3))
 
+    def test_image_outside_one_to_n_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="not a bijection on 1..N"):
+            Permutation((2, 3))
 
 
 class TestMonteCarlo:

@@ -13,11 +13,13 @@ from bollobas import (
     intersection_dim,
     is_independent,
     rank,
+    subspace_family_from_json,
     wedge,
 )
 from bollobas import exterior
 from bollobas.errors import DomainError, FormatError
 from bollobas.exterior import sum_rank
+from bollobas.wire import rational
 
 
 def oracle_rank(rows):
@@ -382,8 +384,12 @@ class TestSubspaceRep:
             lambda x: rank([[x]]),
             lambda x: wedge([[x]]),
             lambda x: is_independent([[x]]),
+            rational,
+            lambda x: subspace_family_from_json({"n": 1, "d": 1, "entries": [[[[x]]]]}),
         ],
-        ids=["SubspaceRep", "det", "rank", "wedge", "is_independent"],
+        ids=[
+            "SubspaceRep", "det", "rank", "wedge", "is_independent", "rational", "subspace_family_from_json",
+        ],
     )
     def test_huge_decimal_exponent_is_format_error_at_once(self, read):
         started = time.perf_counter()

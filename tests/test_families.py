@@ -179,7 +179,7 @@ class TestPredicates:
 
 
 class TestTypes:
-    def test_type_is_the_part_sizes(self):
+    def test_type_of(self):
         assert validate_tuple([[1], [2, 3], [4]], 4).type() == (1, 2, 1)
         assert validate_tuple([[], [1, 2], []], 2).type() == (0, 2, 0)
 
