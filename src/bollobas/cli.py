@@ -9,7 +9,8 @@ violation was found, 2 means usage or parse errors.
 All randomness flows from the single --seed flag; each stage derives its own
 child seed by labeled hashing, so adding a stage never perturbs another.
 
-`verify`, `sum` and `simulate` read their input with `families.family_from_text`.
+`verify`, `sum` and `simulate` read their input with `families.family_from_text`,
+and so does `certify` when its input is a set family (a "tuples" document).
 
 `main` parses with one parser per process, built on its first call, so
 repeated in-process calls do not pay to build it again.
@@ -42,7 +43,7 @@ from . import constructions, events, search, sums
 from .certificates import DEFAULT_MAX_RETRIES, check_size, derive_seed
 from .certificates import certify as run_certify
 from .errors import BollobasError, FormatError, SizeError
-from .families import bollobas_violation, family_from_json, family_from_text, family_to_json, skew_violation
+from .families import bollobas_violation, family_from_text, family_to_json, skew_violation
 from .spaces import lift_to_spaces, subspace_family_from_json, subspace_family_to_json
 from .wire import decode, fields
 
@@ -260,7 +261,7 @@ def _cmd_certify(ns) -> Outcome:
         raise FormatError("certify input JSON must be an object")
     # the limits that need only m and d are checked before any subspace is built
     if "tuples" in obj:
-        sets = family_from_json(obj)
+        sets = family_from_text(text)
         check_size(len(sets), sets.d)
         fam = lift_to_spaces(sets)
     elif "entries" in obj:

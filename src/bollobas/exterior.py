@@ -212,12 +212,15 @@ def is_independent(vectors: Sequence[Sequence[Rational]]) -> bool:
 class SubspaceRep:
     """A subspace of Q^n given by an independent basis of row vectors (dim = row count).
 
-    A basis row may hold ints, Fractions or both.  At construction each basis
-    row is scaled by the lcm of its denominators (a row of ints alone is kept
-    as it is): `rows` holds those integer rows (same span, row for row) and
-    `scale` the product of the row factors, so a determinant of `rows` is
-    `scale` times the determinant of `basis`.  Every rank and projection runs
-    on `rows`.
+    A basis row may hold ints, Fractions, "p/q" strings or any mix of them.
+    `basis` holds each row as a tuple of ints and Fractions, so two
+    spellings of one basis compare and hash alike: a basis of integer values
+    is its integer rows, and in any other basis each string is read as its
+    Fraction.  At construction each basis row is scaled by the lcm of its
+    denominators (a row of ints alone is kept as it is): `rows` holds those
+    integer rows (same span, row for row) and `scale` the product of the row
+    factors, so a determinant of `rows` is `scale` times the determinant of
+    `basis`.  Every rank and projection runs on `rows`.
     """
 
     n: int
@@ -227,7 +230,12 @@ class SubspaceRep:
 
     def __post_init__(self):
         rows, scale = _cleared(self.basis, self.n)
-        object.__setattr__(self, "rows", tuple(rows))
+        rows = tuple(rows)
+        basis = rows  # scale 1: no entry has a denominator past 1
+        if scale != 1:
+            basis = tuple(tuple(x if type(x) in (int, Fraction) else _fraction(x) for x in row) for row in self.basis)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "scale", scale)
         if not _independent(rows, self.n):
             raise DomainError("basis rows are linearly dependent")

@@ -25,27 +25,28 @@ the Monte Carlo walk in `events` reads the same column bitsets.
 A `Family` is its part masks: every reader and construction hands masks to
 its constructor, no reader skips it, every scan and writer reads
 `Family.masks`, and its DTuples are views.  The constructor checks a family
-of tuples, which the text reader, the constructions and the search hand it,
+of tuples, which both readers, the constructions and the search hand it,
 with one C-level pass per fact over all members (their types, their
 lengths); any other family, of DTuples or lists, mixed or faulty, is read
-member by member, which names its first fault.  The JSON
-reader checks a whole family at once and sums each part's element bits
-straight into its mask.  `family_from_text` first decodes a text with no
-`true` or `false` literal as a *coded* document: the JSON scanner reads each
-integer literal "1".."64" as its element's mask bit (`_LITERAL_BIT`), so a
-part's mask is one `sum` of the part.  Facts of the whole text stand in for
-type passes over the decoded document: as it holds no bool, no pass over the
-elements checks their type, since a non-int element makes the sums raise
-TypeError instead; and when it holds no `""` and no second "{", no pass
-checks that each part is a list, since `sum` refuses every other part but
-"" and {}.  A document the coded read refuses for any reason, a literal
-outside the table included, is decoded again with plain ints and read by
-`family_from_json`, which names its first fault; a text with a bool literal
-is only read that way.  The writers work the other way, from masks to parts:
-the constructions repeat a few parts many times (the layered family on [9]
-has 9,417 parts but 419 distinct masks), so `family_to_json`, `relabel` and
-`spaces.lift_to_spaces` each compute their value of a part once per distinct
-mask (`_by_distinct_mask`) and read every tuple's parts through that table.
+member by member, which names its first fault.  A family document has one
+fast read and one checked read.  `family_from_text` first decodes a text
+with no `true` or `false` literal as a *coded* document: the JSON scanner
+reads each integer literal "1".."64" as its element's mask bit
+(`_LITERAL_BIT`), so a part's mask is one `sum` of the part.  Facts of the
+whole text stand in for type passes over the decoded document: as it holds
+no bool, no pass over the elements checks their type, since a non-int
+element makes the sums raise TypeError instead; and when it holds no `""`
+and no second "{", no pass checks that each part is a list, since `sum`
+refuses every other part but "" and {}.  A document the coded read refuses
+for any reason, a literal outside the table included, is decoded again
+with plain ints and read by `family_from_json`, one tuple at a time
+through `validate_tuple`, which names its first fault; a text with a bool
+literal is only read that way.  The writers work the other way, from masks
+to parts: the constructions repeat a few parts many times (the layered
+family on [9] has 9,417 parts but 419 distinct masks), so
+`family_to_json`, `relabel` and `spaces.lift_to_spaces` each compute their
+value of a part once per distinct mask (`_by_distinct_mask`) and read
+every tuple's parts through that table.
 """
 
 from __future__ import annotations
@@ -131,16 +132,20 @@ def validate_tuple(parts: Sequence[Iterable[int]], n: int) -> DTuple:
 
     Raises OverlapError with the first colliding part pair (p, q, element),
     RangeError for an element other than an int in 1..n, ArityError for d < 2.
+    The check is linear in d: part p meets a later part iff it meets the
+    union of the parts after it.
     """
     _as_n(n)
     if len(parts) < 2:
         raise ArityError(f"a d-tuple needs d >= 2 parts, got {len(parts)}")
     masks = [mask_of(p, n) for p in parts]
-    for p in range(len(masks)):
-        for q in range(p + 1, len(masks)):
-            common = masks[p] & masks[q]
-            if common:
-                raise OverlapError(p + 1, q + 1, elements_of(common)[0])
+    after = [0] * len(masks)  # after[p]: the union of the parts after part p
+    for p in range(len(masks) - 2, -1, -1):
+        after[p] = after[p + 1] | masks[p + 1]
+    for p, mask in enumerate(masks):
+        if mask & after[p]:
+            q = next(q for q in range(p + 1, len(masks)) if mask & masks[q])
+            raise OverlapError(p + 1, q + 1, elements_of(mask & masks[q])[0])
     return DTuple(n, tuple(masks))
 
 
@@ -193,12 +198,12 @@ class Family:
     @classmethod
     def build(cls, n: int, parts_list: Sequence[Sequence[Iterable[int]]], d: int | None = None) -> "Family":
         """Validate raw part lists into a Family; d may be given for an empty family."""
-        tuples = tuple(validate_tuple(p, n) for p in parts_list)
+        masks = tuple(validate_tuple(p, n).masks for p in parts_list)
         if d is None:
-            if not tuples:
+            if not masks:
                 raise ArityError("arity d must be given for an empty family")
-            d = tuples[0].d
-        return cls(n, d, tuples)
+            d = len(masks[0])
+        return cls(n, d, masks)
 
 
 def cross_condition(s: DTuple, t: DTuple) -> bool:
@@ -360,11 +365,9 @@ def family_to_json(f: Family) -> dict:
     }
 
 
-#: The mask bit of each element e in 1..64.
-_ELEMENT_BIT = {e: 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}
 #: The mask bit of each element keyed by its JSON integer literal, "1".."64":
 #: the `parse_int` table of a coded family document.
-_LITERAL_BIT = {str(e): bit for e, bit in _ELEMENT_BIT.items()}
+_LITERAL_BIT = {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}
 
 
 def family_from_text(text: str) -> Family:
@@ -377,7 +380,7 @@ def family_from_text(text: str) -> Family:
     outside the table (a KeyError), a decode error, a missing or non-int
     field or a document `_flat_masks` refuses sends the text through a plain
     decode and `family_from_json`, so every answer and every error is the
-    plain read's.
+    per-tuple read's.
     """
     # "r" and "a" first: each is one fast character search, and the keys of a
     # family document hold neither, so a written family skips both scans
@@ -385,7 +388,7 @@ def family_from_text(text: str) -> Family:
         try:
             n, d, raw = fields(decode(text, _LITERAL_BIT.__getitem__), "family", ("n", "d"), "tuples")
             n, d = n.bit_length(), d.bit_length()
-            masks = _flat_masks(raw, n, d, coded=True, strict_sums=_no_empty_string_or_object(text))
+            masks = _flat_masks(raw, n, d, strict_sums=_no_empty_string_or_object(text))
             if masks is not None:
                 return Family(n, d, masks)
         except (KeyError, FormatError):
@@ -406,81 +409,59 @@ def _no_empty_string_or_object(text: str) -> bool:
     return text.find('""', 0, text.rfind('"') + 1) < 0 and text.find("{", text.find("{") + 1) < 0
 
 
-def family_from_json(obj: dict) -> Family:
-    """Read a family from its JSON object.
+def _flat_masks(raw: list, n: int, d: int, strict_sums: bool = False) -> list[tuple[int, ...]] | None:
+    """The part masks of each tuple of a coded family, or None if `raw` has any fault.
 
-    `_flat_masks` checks the whole family and builds every part mask; a
-    document it refuses goes through `_family_from_checked_json`, which
-    names the first fault.
-    """
-    n, d, raw = fields(obj, "family", ("n", "d"), "tuples")
-    masks = _flat_masks(raw, n, d, coded=False)
-    if masks is None:
-        return _family_from_checked_json(raw, n, d)
-    return Family(n, d, masks)
-
-
-def _flat_masks(raw: list, n: int, d: int, coded: bool, strict_sums: bool = False) -> list[tuple[int, ...]] | None:
-    """The part masks of each tuple of a well-formed family, or None if `raw` has any fault.
-
-    The type and shape checks each run over the whole family at once.  A
-    part's mask is the sum of its elements' bits, one C-level `sum` per
-    part.  When `coded`, `raw` is a decoded text, and facts of the text
-    replace two passes.  No pass checks that each tuple is a list: a number
-    or null has no `len` (TypeError), and a string or an object of d
-    entries yields strings as its parts, which the part checks refuse.
-    With `strict_sums`, the caller's text holds no empty string and no
-    nested object, and no pass checks that each part is a list either: of
-    the parts that are not lists, only "" and {} sum without a TypeError.
-    A plain object may come from any caller, so both passes run on it.
-    In coded mode the sum is over the part itself: its ints are
-    already element bits and it holds no bool, so there is no per-element
-    type check, and any other element (a string, None, a float, a list or a
-    dict) raises TypeError, in `sum` or, for a float, in `int.bit_count` of
-    its tuple's sum.  Otherwise the sum is over the lookups in
-    `_ELEMENT_BIT`, where an element outside 1..64 is missing and raises
-    KeyError; the type check runs first, since True sums as element 1's bit
-    and True and 1.0 look up as 1.  Either error refuses the family.  A
-    tuple is repeat-free, so its parts are disjoint, exactly when the sum of
-    its part masks has one set bit per element: a repeat causes a carry, and
-    a carry lowers the popcount.  No tuple's popcount exceeds its element
-    count, so comparing the totals over the family checks every tuple.
-    Without a carry a tuple's sum is the union of its parts, so an element
-    above n shows as a bit at n or above.  A part that lists an element
-    twice is refused here although the checked path accepts it.
+    `raw` is the "tuples" list of a coded decode of a text with no bool
+    literal: its ints are already element bits.  The shape checks each run
+    over the whole family at once, and a part's mask is one C-level `sum`
+    of the part.  No pass checks that each tuple is a list: a number or
+    null has no `len` (TypeError), and a string or an object of d entries
+    yields strings as its parts, which the part checks refuse.  With
+    `strict_sums`, the text holds no empty string and no nested object, and
+    no pass checks that each part is a list either: of the parts that are
+    not lists, only "" and {} sum without a TypeError.  No pass checks the
+    elements' type: any element but an int (a string, None, a float, a list
+    or a dict) raises TypeError, in `sum` or, for a float, in
+    `int.bit_count` of its tuple's sum, and the TypeError refuses the
+    family.  A tuple is repeat-free, so its parts are disjoint, exactly when
+    the sum of its part masks has one set bit per element: a repeat causes
+    a carry, and a carry lowers the popcount.  No tuple's popcount exceeds
+    its element count, so comparing the totals over the family checks every
+    tuple.  Without a carry a tuple's sum is the union of its parts, so an
+    element above n shows as a bit at n or above.  A part that lists an
+    element twice is refused here although `family_from_json` accepts it.
     """
     if d < 2 or not 1 <= n <= MAX_GROUND:
         return None
     if not raw:
         return []
     try:
-        if not coded and not set(map(type, raw)) <= {list}:
-            return None
         if set(map(len, raw)) != {d}:
             return None
         parts = list(chain.from_iterable(raw))
-        if not (coded and strict_sums) and not set(map(type, parts)) <= {list}:
+        if not strict_sums and not set(map(type, parts)) <= {list}:
             return None
-        if not coded and not set(map(type, chain.from_iterable(parts))) <= {int}:
-            return None
-        masks = list(map(sum, parts if coded else map(map, repeat(_ELEMENT_BIT.__getitem__), parts)))
+        masks = list(map(sum, parts))
         tuples = list(zip(*[iter(masks)] * d))
         unions = list(map(sum, tuples))
         if sum(map(int.bit_count, unions)) != sum(map(len, parts)) or max(unions) >> n:
             return None
-    except (KeyError, TypeError):
+    except TypeError:
         return None
     return tuples
 
 
-def _family_from_checked_json(raw: list, n: int, d: int) -> Family:
-    """Read a family one tuple at a time, raising the error for its first fault."""
-    tuples = []
+def family_from_json(obj: dict) -> Family:
+    """Read a family from its JSON object one tuple at a time, raising the
+    error for its first fault; each tuple's masks come from `validate_tuple`."""
+    n, d, raw = fields(obj, "family", ("n", "d"), "tuples")
+    masks = []
     for idx, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != d:
             raise FormatError(f"tuple {idx + 1} must be a list of {d} parts")
         for part in entry:
             if not isinstance(part, list) or not all(type(e) is int for e in part):
                 raise FormatError(f"tuple {idx + 1} has a part that is not a list of ints")
-        tuples.append(validate_tuple(entry, n))
-    return Family(n, d, tuples)
+        masks.append(validate_tuple(entry, n).masks)
+    return Family(n, d, masks)

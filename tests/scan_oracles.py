@@ -3,9 +3,14 @@
 The package finds violations and builds search adjacency from bit-sliced
 crossing rows (`families._crossing_rows`).  These are the straightforward
 versions they replaced: one interpreted cross-condition test per ordered
-pair, in lexicographic order.  The package reads a family in one flat pass
-over its elements; `family_from_json` here is the per-tuple reader it
-replaced.  `family_rows` is the per-member loop of the `Family` constructor,
+pair, in lexicographic order.  The package's fast read of a family
+document is the coded read of `families.family_from_text`, which sums each
+part's element bits in one flat pass; `family_from_json` here is the
+per-tuple reader, which hands `Family` validated DTuples where the
+package's checked read, `families.family_from_json`, hands it their masks.
+`first_overlap` is the pairwise disjointness loop of `validate_tuple`,
+which now tests each part against the union of the parts after it.
+`family_rows` is the per-member loop of the `Family` constructor,
 which now checks a family of tuples in one pass per fact and keeps this
 loop for every other family.  `columns` is the per-bit
 transpose that `families._columns` reads off one packed binary string.
@@ -95,6 +100,17 @@ def family_from_json(obj: dict) -> Family:
                 raise FormatError(f"tuple {idx + 1} has a part that is not a list of ints")
         tuples.append(validate_tuple(entry, n))
     return Family(n, d, tuple(tuples))
+
+
+def first_overlap(masks: Sequence[int]) -> tuple[int, int, int] | None:
+    """The first pair of parts p < q that meet, 1-based, with their least
+    common element, testing every pair in order; None if the parts are disjoint."""
+    for p in range(len(masks)):
+        for q in range(p + 1, len(masks)):
+            common = masks[p] & masks[q]
+            if common:
+                return p + 1, q + 1, elements_of(common)[0]
+    return None
 
 
 def family_rows(n: int, d: int, members) -> tuple:

@@ -352,6 +352,33 @@ class TestCertify:
         assert obj["results"]["verdict"] == "fail"
         assert obj["results"]["skew_ok"] is False
 
+    def test_set_family_is_read_by_family_from_text(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(ONE_TRIPLE))
+        with mock.patch.object(cli, "family_from_text", wraps=cli.family_from_text) as read:
+            code, obj = run_json(capsys, "--input", "-", "certify")
+        assert read.call_args_list == [mock.call(ONE_TRIPLE)]
+        assert code == 0 and obj["results"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "doc, code",
+        [
+            ('{"n": 3, "d": 2, "tuples": [[[1], [true]]]}', 2),
+            ('{"n": 3, "d": 2, "tuples": [[[1, 2], [2]]]}', 2),
+            ('{"n": 3, "d": 2, "tuples": [[[1, 1], [2]]]}', 0),
+            ('{"n": 3, "d": 2, "tuples": [[[1], [4]]]}', 2),
+        ],
+        ids=["bool-element", "overlap", "repeated-element", "element-above-n"],
+    )
+    def test_set_family_read_matches_verify(self, capsys, monkeypatch, doc, code):
+        outcomes = []
+        for command in ("verify", "certify"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            got = main(["--input", "-", command])
+            err = capsys.readouterr().err
+            outcomes.append((got, [line for line in err.splitlines() if line.startswith("error:")]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code and len(outcomes[0][1]) == (code == 2)
+
     def test_ambient_dimension_limit_is_checked_within_a_second(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 5000000, "d": 2, "entries": [[[], []]]}'))
         started = time.perf_counter()

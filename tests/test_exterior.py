@@ -411,6 +411,18 @@ class TestSubspaceRep:
         assert SubspaceRep(2, ((1, 0),)) == SubspaceRep(2, ((Fraction(1), Fraction(0)),))
         assert SubspaceRep(2, ((1, 0),)) != SubspaceRep(2, ((2, 0),))
 
+    def test_string_and_fraction_spellings_are_equal_and_hash_alike(self):
+        text = SubspaceRep(2, (("1/2", "0"),))
+        exact = SubspaceRep(2, ((Fraction(1, 2), 0),))
+        assert text == exact and hash(text) == hash(exact)
+        assert text.basis == ((Fraction(1, 2), Fraction(0)),)
+        assert [type(x) for x in exact.basis[0]] == [Fraction, int]
+
+    def test_list_basis_hashes(self):
+        rep = SubspaceRep(2, [[1, 0]])
+        assert rep.basis == ((1, 0),) and type(rep.basis[0]) is tuple
+        assert hash(rep) == hash(SubspaceRep(2, ((1, 0),)))
+
 
 class TestSumAndIntersection:
     def test_two_planes_meet_in_a_line(self):

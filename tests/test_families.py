@@ -1,4 +1,5 @@
 import re
+import time
 from unittest import mock
 
 import pytest
@@ -70,6 +71,16 @@ class TestValidateTuple:
                 validate_tuple(parts, 3)
             with pytest.raises(RangeError, match=re.escape(message)):
                 Family.build(3, [[[1], [2]], parts])
+
+    def test_many_parts_are_checked_within_a_second(self):
+        # 100,001 parts: a pairwise test of the parts would take minutes
+        parts = [[] for _ in range(100_001)]
+        parts[50_000], parts[-1] = [1], [1]
+        started = time.perf_counter()
+        with pytest.raises(OverlapError) as exc:
+            validate_tuple(parts, 1)
+        assert time.perf_counter() - started < 1.0
+        assert (exc.value.p, exc.value.q, exc.value.element) == (50_001, 100_001, 1)
 
     def test_ground_set_cap(self):
         with pytest.raises(RangeError):

@@ -1,11 +1,12 @@
 """Differential tests: the bit-sliced crossing rows against the pairwise oracles,
-the flat family reader against the per-tuple one, the coded decode of
-family documents in `family_from_text` against a plain decode read by the
-per-tuple reader, the packed column transpose and popcount type counts
+the per-tuple family reader and the coded read of `family_from_text`
+against the per-tuple oracle, the coded decode of family documents against
+a plain decode read by the per-tuple reader, the packed column transpose and popcount type counts
 against their one-at-a-time forms, the level-wise mask enumerator and lowest-set-bit element reader
 against the recursive and per-bit ones, the mask sampler of the random
 constructions against the DTuple one, the writers that decode each
-distinct part mask once against the per-tuple ones, the family
+distinct part mask once against the per-tuple ones, the tuple disjointness
+check against the pairwise loop, the family
 constructor given masks against the one given validated tuples, and its
 whole-family checks against its per-member loop."""
 
@@ -35,14 +36,13 @@ from bollobas import (
 )
 from bollobas import cli
 from bollobas.constructions import all_tuples_of_type
-from bollobas.errors import BollobasError, MismatchError
+from bollobas.errors import BollobasError, MismatchError, OverlapError
 from bollobas.exterior import SubspaceRep
 from bollobas.families import (
     _LITERAL_BIT,
     DTuple,
     _columns,
     _crossing_rows,
-    _family_from_checked_json,
     _flat_masks,
     _no_empty_string_or_object,
     elements_of,
@@ -193,22 +193,36 @@ def _read(reader, doc):
 @given(family_documents())
 def test_family_reader_matches_the_per_tuple_oracle(case):
     fault, doc = case
-    checked = "bollobas.families._family_from_checked_json"
-    with mock.patch(checked, wraps=_family_from_checked_json) as spy:
-        got = _read(family_from_json, doc)
-    assert got == _read(scan_oracles.family_from_json, doc)
-    # the per-tuple loop is the error path only
-    assert spy.called == (fault is not None)
+    want = _read(scan_oracles.family_from_json, doc)
+    assert _read(family_from_json, doc) == want
+    text = json.dumps(doc)
+    with mock.patch("bollobas.families.decode", wraps=decode) as spy:
+        assert _read(family_from_text, text) == want
+    # the coded read takes every well-formed document; the plain decode is the error path only
+    assert (spy.call_args_list == [mock.call(text, _LITERAL_BIT.__getitem__)]) == (fault is None)
 
 
 @pytest.mark.parametrize("entry", [([1], [2]), "ab", {"a": [1], "b": [2]}, range(2)])
 def test_family_reader_refuses_a_tuple_that_is_not_a_list_as_the_oracle_does(entry):
     # a caller's object is not a decoded text: a tuple of two lists has parts
-    # that pass every later check, so only the type pass over the tuples refuses it
+    # that pass every part check, so only the per-tuple list check refuses it
     doc = {"n": 3, "d": 2, "tuples": [[[1], [2]], entry]}
     got = _read(family_from_json, doc)
     assert not isinstance(got, Family)
     assert got == _read(scan_oracles.family_from_json, doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.lists(st.integers(1, n)), min_size=2, max_size=7))))
+def test_tuple_overlap_matches_the_pairwise_oracle(case):
+    n, parts = case
+    masks = [sum(1 << (e - 1) for e in set(part)) for part in parts]
+    try:
+        got = validate_tuple(parts, n).masks
+    except OverlapError as exc:
+        got = exc.p, exc.q, exc.element
+    want = scan_oracles.first_overlap(masks)
+    assert got == (tuple(masks) if want is None else want)
 
 
 def test_family_reader_keeps_parts_that_repeat_an_element():
@@ -297,7 +311,7 @@ def _coded_read(text):
     """The family the coded read takes from `text`, or None if it refuses the text."""
     try:
         n, d, raw = fields(decode(text, _LITERAL_BIT.__getitem__), "family", ("n", "d"), "tuples")
-        masks = _flat_masks(raw, n.bit_length(), d.bit_length(), coded=True)
+        masks = _flat_masks(raw, n.bit_length(), d.bit_length())
     except (KeyError, BollobasError):
         return None
     return None if masks is None else Family(n.bit_length(), d.bit_length(), masks)
@@ -407,7 +421,7 @@ def test_coded_read_of_a_written_family_skips_the_part_type_pass():
     assert _no_empty_string_or_object(text)
     with mock.patch("bollobas.families._flat_masks", wraps=_flat_masks) as flat:
         assert family_from_text(text) == layered_triple_family(5)
-    assert flat.call_args.kwargs == {"coded": True, "strict_sums": True}
+    assert flat.call_args.kwargs == {"strict_sums": True}
 
 
 @st.composite

@@ -56,7 +56,8 @@ def test_json_is_decoded_in_one_place():
 
 def test_only_families_decodes_with_a_parse_int():
     # the coded family format, its literal table and the decode that reads
-    # through it, stays behind `families.family_from_text`
+    # through it, stays behind `families.family_from_text`, which the CLI
+    # reads every set family's text through
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -70,6 +71,7 @@ def test_only_families_decodes_with_a_parse_int():
     assert [where.split(":")[0] for where in found] == ["families.py"], found
     cli = (SOURCE / "cli.py").read_text(encoding="utf-8")
     assert "LITERAL_BIT" not in cli and "parse_int" not in cli
+    assert not re.search(r"\bfamily_from_json", cli)  # `subspace_family_from_json` is another reader
 
 
 def test_exterior_checks_and_clears_rows_in_one_place():
