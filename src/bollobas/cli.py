@@ -20,12 +20,15 @@ the cyclic garbage collector paused, and turns it back on afterwards if it
 was on when `main` was called.  Decoding a family document makes a JSON list
 per part and per tuple (12,556 at the layered n = 9 family), and each
 allocation burst sets off collector passes that walk containers which cannot
-form a cycle.  A command's own cyclic garbage does not grow with its input
-(a few dozen objects, from the closures of the indent=2 JSON encoder and of
-the search's node expansion), and reference counting still frees everything
-else as the command goes, so the pause holds back only that handful until
-the collector runs again.  Library functions never touch the collector; only
-a `main` call pauses it.
+form a cycle.  A command leaves no cyclic garbage: reference counting frees
+everything as the command goes, so the pause holds nothing back until the
+collector runs again.  Library functions never touch the collector; only a
+`main` call pauses it.
+
+Every report is written by one writer, `_report_text`, which gives exactly
+the bytes of `json.dumps(report, indent=2, sort_keys=True)` without `json`'s
+pure-Python indent encoder: it writes each leaf with a C-level function and
+each list of ints, strs or Fractions, or list of such lists, with one join.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ import argparse
 import functools
 import gc
 import hashlib
-import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 from . import constructions, events, search, sums
 from .certificates import DEFAULT_MAX_RETRIES, check_size, derive_seed
@@ -107,11 +111,107 @@ def _exact(x: Fraction) -> str:
         raise _too_large(exc) from exc
 
 
-def _emit(report: dict, output: str | None) -> None:
+#: One level of a report's indent, as `json.dumps(indent=2)` writes it.
+_INDENT = "  "
+#: The leaf types a join writes: the C-level function that writes one leaf,
+#: and the quote around its text.  A Fraction's text is `_exact`'s, quoted.
+_JOINED = {int: (int.__repr__, ""), str: (encode_basestring_ascii, ""), Fraction: (str, '"')}
+_LISTS = {list, tuple}
+
+
+def _joined(items: list | tuple, newline: str) -> str | None:
+    """The text of a non-empty list of leaves of one `_JOINED` type, or of a
+    list of non-empty lists of such leaves, each list written with one
+    `str.join`; None for any other list.
+
+    `newline` is the newline and indent of the list's own line.  These lists
+    are a family's tuples and parts, `hits` and `estimates`, and the rows of
+    an evaluation matrix.
+    """
+    inner = newline + _INDENT
+    close = newline + "]"
+    kinds = {*map(type, items)}
+    if len(kinds) == 1 and (kind := next(iter(kinds))) in _JOINED:
+        leaf, q = _JOINED[kind]
+        return "[" + inner + q + (q + "," + inner + q).join(map(leaf, items)) + q + close
+    if not kinds <= _LISTS or not all(items):
+        return None
+    kinds = {*map(type, chain.from_iterable(items))}
+    if len(kinds) != 1 or (kind := next(iter(kinds))) not in _JOINED:
+        return None
+    leaf, q = _JOINED[kind]
+    deeper = inner + _INDENT
+    rows = map((q + "," + deeper + q).join, map(map, repeat(leaf), items))
+    row_sep = q + inner + "]," + inner + "[" + deeper + q
+    return "[" + inner + "[" + deeper + q + row_sep.join(rows) + q + inner + "]" + close
+
+
+def _report_text(report: dict) -> str:
+    """The bytes of `json.dumps(report, indent=2, sort_keys=True, default=_exact)`.
+
+    Each leaf is written by a C-level function: a str by
+    `json.encoder.encode_basestring_ascii`, an int by `int.__repr__` (a bool
+    as true or false) and a Fraction as its `_exact` text in quotes.
+    The lists `_joined` takes are written whole; every other container is
+    walked with an explicit stack of values and the text between them.  No
+    report holds a float, a non-str key or a cycle, so the writer prints
+    none of them: a non-str key raises TypeError, as does a float or any
+    other type (`_exact`'s).  An int or Fraction past the digit limit
+    raises `_too_large`'s SizeError.
+    """
+    out = []
+    write = out.append
+    todo = [(report, "\n")]  # a value and the newline of its line, or text to write as it is
+    push = todo.append
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, default=_exact) + "\n"
-    except ValueError as exc:  # an int in the report past the digit limit
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                write(item)
+                continue
+            value, newline = item
+            if isinstance(value, str):
+                write(encode_basestring_ascii(value))
+            elif value is None:
+                write("null")
+            elif value is True:
+                write("true")
+            elif value is False:
+                write("false")
+            elif isinstance(value, int):
+                write(int.__repr__(value))
+            elif isinstance(value, (list, tuple)):
+                text = _joined(value, newline) if value else "[]"
+                if text is not None:
+                    write(text)
+                    continue
+                inner = newline + _INDENT
+                write("[")
+                push(newline + "]")
+                for x in reversed(value):
+                    push((x, inner))
+                    push("," + inner)
+                todo[-1] = inner
+            elif isinstance(value, dict):
+                if not value:
+                    write("{}")
+                    continue
+                inner = newline + _INDENT
+                write("{")
+                push(newline + "}")
+                for key in sorted(value, reverse=True):
+                    push((value[key], inner))
+                    push("," + inner + encode_basestring_ascii(key) + ": ")  # TypeError unless a str
+                todo[-1] = todo[-1][1:]
+            else:
+                write(encode_basestring_ascii(_exact(value)))
+    except ValueError as exc:  # an int or Fraction past the digit limit
         raise _too_large(exc) from exc
+    return "".join(out)
+
+
+def _emit(report: dict, output: str | None) -> None:
+    text = _report_text(report) + "\n"
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
@@ -281,8 +381,7 @@ def _cmd_certify(ns) -> Outcome:
         "skew_violation": list(cert.skew_violation) if cert.skew_violation else None,
         "violations": [list(v) for v in cert.violations],
         "retries": list(cert.retries),
-        # as text up front: the indent=2 encoder would call `default` per cell
-        "evaluation": [[_exact(x) for x in row] for row in cert.evaluation],
+        "evaluation": cert.evaluation,
     }
     return {"max_retries": ns.max_retries}, digest, results, 0 if cert.verdict else 1
 

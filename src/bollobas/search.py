@@ -118,7 +118,10 @@ def max_bollobas_uniform(
             r.pop()
             p &= ~(1 << v)
 
-    nodes = _run(expand((1 << len(cands)) - 1), best, bound, node_budget)
+    try:
+        nodes = _run(expand((1 << len(cands)) - 1), best, bound, node_budget)
+    finally:
+        del expand  # its closure holds itself: a cycle that would keep `adj` until the collector runs
     witness = Family(n, len(sizes), [cands[i] for i in sorted(best)])
     return SearchResult(len(best), witness, nodes, bound)
 
@@ -152,6 +155,9 @@ def max_skew_uniform(
             yield extend(avail & succ[v])
             chain.pop()
 
-    nodes = _run(extend((1 << len(cands)) - 1), best, bound, node_budget)
+    try:
+        nodes = _run(extend((1 << len(cands)) - 1), best, bound, node_budget)
+    finally:
+        del extend  # as in `max_bollobas_uniform`: frees `succ` now
     witness = Family(n, len(sizes), [cands[i] for i in best])
     return SearchResult(len(best), witness, nodes, bound)

@@ -937,6 +937,7 @@ _GARBAGE_INPUTS = {
 }
 _SKEW = ["simulate", "--mode", "skew", "--trials", "20"]
 _REFUSED = ["simulate", "--mode", "d3", "--trials", str(10**9)]
+_BUDGET = ["--node-budget", "3"]  # both searches below start more nodes, so they exit 2
 
 
 @pytest.mark.parametrize(
@@ -948,15 +949,21 @@ _REFUSED = ["simulate", "--mode", "d3", "--trials", str(10**9)]
         (["--input", "layered5", *_REFUSED], ["--input", "layered8", *_REFUSED]),
         (["search", "--mode", "bollobas", "--n", "3", "--type", "2,1"], ["search", "--mode", "bollobas", "--n", "6", "--type", "2,2,1"]),
         (["search", "--mode", "skew", "--n", "3", "--type", "2,1"], ["search", "--mode", "skew", "--n", "6", "--type", "2,2,1"]),
+        (["search", "--mode", "bollobas", "--n", "4", "--type", "2,2", *_BUDGET], ["search", "--mode", "bollobas", "--n", "6", "--type", "2,2,1", *_BUDGET]),
+        (["search", "--mode", "skew", "--n", "4", "--type", "2,2", *_BUDGET], ["search", "--mode", "skew", "--n", "6", "--type", "2,2,1", *_BUDGET]),
         (["--input", "complete11", "certify"], ["--input", "complete211", "certify"]),
         (["construct", "layered-triples", "--n", "4"], ["construct", "layered-triples", "--n", "8"]),
         (["bounds", "--n", "1..4", "--d", "3"], ["bounds", "--n", "1..40", "--d", "3"]),
     ],
-    ids=["verify", "sum", "simulate", "simulate-refused", "search-bollobas", "search-skew", "certify", "construct", "bounds"],
+    ids=[
+        "verify", "sum", "simulate", "simulate-refused", "search-bollobas", "search-skew",
+        "search-bollobas-refused", "search-skew-refused", "certify", "construct", "bounds",
+    ],
 )
 def test_cyclic_garbage_of_a_command_does_not_grow_with_its_input(tmp_path, collector, small, large):
-    # the collector pause of `main` leaves a command's cycles for after it; that
-    # is safe only while they stay a fixed handful, however large the input
+    # the collector pause of `main` leaves a command's cycles for after it, and
+    # a cycle can hold a whole search's adjacency rows until the collector runs
+    # again, so a command leaves none, whatever its input and exit code
     for name, make in _GARBAGE_INPUTS.items():
         (tmp_path / name).write_text(json.dumps(family_to_json(make())))
 
@@ -968,8 +975,8 @@ def test_cyclic_garbage_of_a_command_does_not_grow_with_its_input(tmp_path, coll
         code, _ = _run_captured(argv)
         return code, gc.collect()
 
-    garbage(small)  # first calls fill caches (the parser, compiled patterns) once per process
-    assert garbage(small) == garbage(large)
+    code, _ = garbage(small)  # first calls fill caches (the parser, compiled patterns) once per process
+    assert garbage(small) == garbage(large) == (code, 0)
 
 
 class TestSubprocessPipeline:

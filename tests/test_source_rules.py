@@ -54,6 +54,28 @@ def test_json_is_decoded_in_one_place():
     assert len(found) == 1, f"json.load(s) calls: {', '.join(found) or 'none'}"
 
 
+def test_json_is_encoded_by_the_one_report_writer():
+    # `cli._report_text` writes every report with the bytes of
+    # `json.dumps(indent=2, sort_keys=True)`; a second encoder would bring back
+    # the pure-Python indent encoder and its cyclic closures
+    encoders = {"dump", "dumps", "JSONEncoder"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                on_json = isinstance(node.value, ast.Name) and node.value.id == "json"
+                names = [node.attr] if on_json or node.attr == "JSONEncoder" else []
+            elif isinstance(node, ast.Name):
+                names = [node.id] if node.id == "JSONEncoder" else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names if name in encoders]
+    assert not found, f"JSON encoders besides the report writer: {', '.join(found)}"
+
+
 def test_only_families_decodes_with_a_parse_int():
     # the coded family format, its literal table and the decode that reads
     # through it, stays behind `families.family_from_text`, which the CLI
